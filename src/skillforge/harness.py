@@ -24,6 +24,8 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.errors import ConfigError, InputError, ScoringError, TaggingError
 from skillforge.evolve import CandidateSkill, GenerationConfig, generate_candidates
@@ -40,6 +42,7 @@ from skillforge.providers.base import (
     EmbeddingProvider,
     LikelihoodProvider,
     LikelihoodResult,
+    validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
 from skillforge.retrieval import Bm25Index, build_index, retrieve
@@ -188,6 +191,28 @@ class _MeteredEmbedder:
         vectors = self._inner.embed(texts)
         self._meter.add_embed(len(texts))
         return vectors
+
+
+class CachedEmbedder:
+    """Thread-safe text -> vector memo around one embedder, kept for one run.
+
+    Inputs are validated on every call, hits included, and only texts not
+    seen before reach the inner embedder, each once. This relies on the
+    embedder giving a text the same vector whatever batch it arrives in.
+    """
+
+    def __init__(self, inner: EmbeddingProvider) -> None:
+        self._inner = inner
+        self._lock = threading.Lock()
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def embed(self, texts):
+        texts = validate_embed_inputs(texts)
+        with self._lock:
+            missing = [t for t in dict.fromkeys(texts) if t not in self._vectors]
+            if missing:
+                self._vectors.update(zip(missing, self._inner.embed(missing)))
+            return np.array([self._vectors[t] for t in texts])
 
 
 def metered(bundle: ProviderBundle, meter: UsageMeter) -> ProviderBundle:
@@ -612,6 +637,7 @@ def run_kfold(
         run_seed = config.seed + run_idx
         providers = factory(run_seed)
         audit = providers.audit_names()
+        providers = replace(providers, embedder=CachedEmbedder(providers.embedder))
         fold_lists = _partition_folds(tasks, config.folds, run_seed)
         for fold_idx in range(config.folds):
             holdout = fold_lists[fold_idx]
@@ -675,6 +701,8 @@ def evolve_library(
     emitters work for both entry points. The per-epoch stats (with their score
     rows) are returned alongside for CSV dumps.
     """
+    audit = providers.audit_names()
+    providers = replace(providers, embedder=CachedEmbedder(providers.embedder))
     library = apply_label_scale(world, config.label_scale, config.seed)
     tasks = sorted(world.tasks, key=lambda t: t.id)
     rows: list[EpochRow] = []
@@ -710,7 +738,7 @@ def evolve_library(
     report = EvolutionReport(
         config=config.to_dict(),
         leaky=True,
-        providers=providers.audit_names(),
+        providers=audit,
         cells=(CellResult(fold=0, run=0, seed=config.seed, rows=tuple(rows)),),
     )
     return library, report, stats_list

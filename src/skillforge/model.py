@@ -86,12 +86,13 @@ class SkillLibrary:
         if self.epoch < 0:
             raise InputError("library epoch must be non-negative")
         ordered = tuple(sorted(self.skills, key=lambda s: s.id))
-        seen: set[str] = set()
+        by_id: dict[str, Skill] = {}
         for skill in ordered:
-            if skill.id in seen:
+            if skill.id in by_id:
                 raise IntegrityError(f"duplicate skill id: {skill.id!r}")
-            seen.add(skill.id)
+            by_id[skill.id] = skill
         object.__setattr__(self, "skills", ordered)
+        object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
         return len(self.skills)
@@ -100,10 +101,7 @@ class SkillLibrary:
         return iter(self.skills)
 
     def get(self, skill_id: str) -> Skill | None:
-        for skill in self.skills:
-            if skill.id == skill_id:
-                return skill
-        return None
+        return self._by_id.get(skill_id)
 
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.skills)

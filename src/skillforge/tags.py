@@ -7,6 +7,16 @@ The transitive closure makes equivalence a true equivalence relation even
 though raw cosine similarity is not transitive, and gives every set formula a
 well-defined element identity: each tag maps to the lexicographically
 smallest member of its class.
+
+New tags are joined to the index by a matrix product: blocks of at most
+``JOIN_BLOCK`` new tags are multiplied against every known tag's vector, so
+no all-pairs matrix is ever held, and every pair at or above ``delta`` is
+unioned. Because ``_union`` always keeps the lexicographically smaller root,
+the partition does not depend on the order of the unions. A matrix product
+may round differently from a single dot product, so any similarity within
+``NEAR_DELTA`` of the threshold (scaled up by the vectors' norms when they
+exceed 1) is recomputed as ``np.dot`` of the two vectors, which decides
+exactly as a pair-by-pair scan would.
 """
 
 from __future__ import annotations
@@ -33,6 +43,9 @@ _COLLAPSE_RE = re.compile(r"[\s_]+")
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]+|\d+[.)])\s*")
 
 TAG_RETRIES = 2
+
+JOIN_BLOCK = 32
+NEAR_DELTA = 1e-9
 
 
 def normalize_tag(raw: str) -> str:
@@ -163,14 +176,22 @@ class EquivalenceIndex:
         for tag, vector in zip(new, vectors):
             self._parent[tag] = tag
             self._vectors[tag] = np.asarray(vector, dtype=np.float64)
-        known = self.members
-        for tag in new:
-            v = self._vectors[tag]
-            for other in known:
-                if other == tag:
+        known = list(self._vectors)
+        known_matrix = np.array(list(self._vectors.values()))
+        known_norm = float(np.linalg.norm(known_matrix, axis=1).max())
+        for start in range(0, len(new), JOIN_BLOCK):
+            block = new[start : start + JOIN_BLOCK]
+            block_matrix = np.array([self._vectors[tag] for tag in block])
+            similarity = block_matrix @ known_matrix.T
+            # Far wider than any rounding gap between the product and np.dot.
+            block_norm = float(np.linalg.norm(block_matrix, axis=1).max())
+            margin = NEAR_DELTA * max(1.0, known_norm * block_norm)
+            for i, j in zip(*np.nonzero(similarity >= self.delta - margin)):
+                tag, other = block[i], known[j]
+                near = abs(similarity[i, j] - self.delta) <= margin
+                if near and float(np.dot(self._vectors[tag], self._vectors[other])) < self.delta:
                     continue
-                if float(np.dot(v, self._vectors[other])) >= self.delta:
-                    self._union(tag, other)
+                self._union(tag, other)
         for tag in self._parent:
             self._parent[tag] = self._find(tag)
 
@@ -204,12 +225,6 @@ class EquivalenceIndex:
     def dump(self, path: str | Path) -> None:
         mapping = {tag: self._find(tag) for tag in sorted(self._parent)}
         Path(path).write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def build_equivalence(
-    tags: Iterable[str], embedder: EmbeddingProvider, delta: float = 0.9
-) -> EquivalenceIndex:
-    return EquivalenceIndex.build(tags, embedder, delta=delta)
 
 
 def semantic_intersection(a: Iterable[str], b: Iterable[str], index: EquivalenceIndex) -> int:

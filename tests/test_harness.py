@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from skillforge.cover import SelectionResult
 from skillforge.errors import ConfigError, InputError
 from skillforge.evolve import CandidateSkill
 from skillforge.harness import (
+    CachedEmbedder,
     EvolutionReport,
     RunConfig,
     UsageMeter,
@@ -28,6 +35,7 @@ from skillforge.harness import (
     sweep,
 )
 from skillforge.model import SkillLibrary, Task, collect_failures
+from skillforge.providers.mock import MockEmbedder
 from skillforge.retrieval import build_index
 from skillforge.scoring import retention_count
 from skillforge.world import WorldConfig, generate_world
@@ -458,3 +466,101 @@ def test_default_run_matches_recorded_golden_markdown():
     report = run_kfold(RunConfig(seed=7), world, mock_provider_factory(), clock=FakeClock())
     golden = Path(__file__).parent / "golden" / "report.md"
     assert report.markdown() == golden.read_text(encoding="utf-8")
+
+
+class CountingEmbedder(MockEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.seen = Counter()
+
+    def embed(self, texts):
+        self.seen.update(texts)
+        return super().embed(texts)
+
+
+def _counting_factory(embedders):
+    """Mock bundles whose embedders count the texts they receive."""
+    base = mock_provider_factory()
+
+    def factory(seed):
+        embedders.append(CountingEmbedder())
+        return replace(base(seed), embedder=embedders[-1])
+
+    return factory
+
+
+def test_cached_embedder_returns_the_inner_rows_and_validates_hits():
+    inner = CountingEmbedder()
+    cache = CachedEmbedder(inner)
+    cache.embed(["a_tag", "b_tag", "a_tag"])
+    again = cache.embed(["b_tag", "a_tag"])
+    assert inner.seen == {"a_tag": 1, "b_tag": 1}
+    np.testing.assert_array_equal(again, MockEmbedder().embed(["b_tag", "a_tag"]))
+    with pytest.raises(InputError):
+        cache.embed(["a_tag", ""])
+    assert inner.seen == {"a_tag": 1, "b_tag": 1}
+
+
+class SlowCountingEmbedder(CountingEmbedder):
+    """Sleeps inside each call, like a remote embedder, so calls overlap."""
+
+    def embed(self, texts):
+        time.sleep(0.002)
+        return super().embed(texts)
+
+
+def test_cached_embedder_sends_each_text_once_under_thread_contention():
+    inner = SlowCountingEmbedder()
+    cache = CachedEmbedder(inner)
+    texts = [f"tag_{i}" for i in range(60)]
+    results = {}
+    start = threading.Barrier(8, timeout=30)
+
+    def work(worker):
+        start.wait()
+        order = texts[worker % 7 :] + texts[: worker % 7]
+        results[worker] = [cache.embed(order[i : i + 5]) for i in range(0, len(order), 5)]
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert inner.seen == {text: 1 for text in texts}
+    assert len(results) == len(threads)
+
+
+def test_kfold_embeds_each_text_once_per_run_with_an_unchanged_report(monkeypatch):
+    world = _world(n_tasks=30)
+    config = _quick_config(runs=2)
+    embedders = []
+    cached = run_kfold(config, world, _counting_factory(embedders))
+    assert len(embedders) == config.runs
+    assert all(embedder.seen and max(embedder.seen.values()) == 1 for embedder in embedders)
+    assert cached.providers == ("MockChatProvider", "CountingEmbedder", "MockLikelihoodScorer")
+
+    monkeypatch.setattr("skillforge.harness.CachedEmbedder", lambda inner: inner)
+    uncached_embedders = []
+    uncached = run_kfold(config, world, _counting_factory(uncached_embedders))
+    assert max(uncached_embedders[0].seen.values()) > 1
+    assert strip_wall_clock(cached.to_dict()) == strip_wall_clock(uncached.to_dict())
+
+
+def test_evolve_library_embeds_each_text_once_with_unchanged_outputs(monkeypatch):
+    world = _world(n_tasks=30)
+    config = RunConfig(seed=7, epochs=2, folds=1, runs=1)
+    embedders = []
+    library, report, _ = evolve_library(config, world, _counting_factory(embedders)(7))
+    assert max(embedders[0].seen.values()) == 1
+    assert report.providers == ("MockChatProvider", "CountingEmbedder", "MockLikelihoodScorer")
+
+    monkeypatch.setattr("skillforge.harness.CachedEmbedder", lambda inner: inner)
+    plain_library, plain_report, _ = evolve_library(config, world, _counting_factory([])(7))
+    assert library == plain_library
+    assert strip_wall_clock(report.to_dict()) == strip_wall_clock(plain_report.to_dict())

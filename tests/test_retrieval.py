@@ -4,10 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillforge.errors import InputError
 from skillforge.model import SkillLibrary
-from skillforge.retrieval import build_index, retrieve, tokenize
+from skillforge.retrieval import Bm25Index, build_index, retrieve, tokenize
 
 from conftest import make_skill
 
@@ -136,3 +138,57 @@ def test_retrieval_is_deterministic():
     library = _library({"d1": "alpha beta gamma", "d2": "beta gamma", "d3": "gamma delta"})
     index = build_index(library)
     assert retrieve(index, "beta gamma", 3) == retrieve(index, "beta gamma", 3)
+
+
+def test_library_of_empty_documents_returns_nothing():
+    # Every document tokenizes to nothing, so avgdl is 0.
+    library = SkillLibrary(skills=(make_skill("s1", tags=(), name="\u2014", description="", body="!!!"),))
+    index = build_index(library)
+    assert index.avgdl == 0.0
+    assert retrieve(index, "anything", 5) == []
+
+
+def _full_scan(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
+    """Reference: score every document term by term, as before the postings."""
+    terms = tokenize(query)
+    if not terms or not index.documents:
+        return []
+    n_docs = index.size
+    scored: list[tuple[str, float]] = []
+    for doc_id in sorted(index.documents):
+        counts = index.documents[doc_id]
+        dl = index.doc_lengths[doc_id]
+        norm = index.k1 * (1 - index.b + index.b * dl / index.avgdl)
+        score = 0.0
+        for term in terms:
+            tf = counts.get(term, 0)
+            if tf == 0:
+                continue
+            df = index.df[term]
+            idf = math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
+            score += idf * tf * (index.k1 + 1) / (tf + norm)
+        if score > 0.0:
+            scored.append((doc_id, score))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+# A small vocabulary makes shared terms, repeated terms and tied documents common.
+_WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "eps", "zeta", "x1", "x2"])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    bodies=st.lists(st.lists(_WORDS, max_size=9), min_size=1, max_size=10),
+    query=st.lists(st.one_of(_WORDS, st.just("absent")), max_size=7),
+    k=st.integers(min_value=1, max_value=12),
+    k1=st.sampled_from([0.0, 1.2, 2.0]),
+    b=st.sampled_from([0.0, 0.75, 1.0]),
+)
+def test_postings_match_the_full_scan_exactly(bodies, query, k, k1, b):
+    if not any(bodies):
+        bodies[0].append("alpha")  # the full scan divides by avgdl = 0
+    library = _library({f"d{i:02d}": " ".join(words) for i, words in enumerate(bodies)})
+    index = build_index(library, k1=k1, b=b)
+    text = " ".join(query)
+    assert retrieve(index, text, k) == _full_scan(index, text, k)

@@ -3,14 +3,16 @@ from __future__ import annotations
 import random
 import string
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillforge.errors import ConfigError, InputError, MissingTagError, TaggingError
 from skillforge.model import Task, Trajectory, FailurePair
-from skillforge.providers.mock import MockChatProvider
+from skillforge.providers.mock import MockChatProvider, MockEmbedder
 from skillforge.tags import (
     EquivalenceIndex,
-    build_equivalence,
     generate_skill_tags,
     generate_target_tags,
     normalize_tag,
@@ -135,7 +137,7 @@ def test_transitive_chain_collapses_to_one_class():
         "b": [math.cos(math.radians(25)), math.sin(math.radians(25))],
         "c": [math.cos(math.radians(50)), math.sin(math.radians(50))],
     }
-    index = build_equivalence(["a", "b", "c"], MapEmbedder(vectors), delta=0.9)
+    index = EquivalenceIndex.build(["a", "b", "c"], MapEmbedder(vectors), delta=0.9)
     assert index.representative("a") == index.representative("b") == index.representative("c") == "a"
 
 
@@ -264,3 +266,74 @@ def test_index_dump_maps_each_tag_to_its_representative(tmp_path):
         "a_tag": "a_alias",
         "b_tag": "b_tag",
     }
+
+
+class _PairwiseIndex(EquivalenceIndex):
+    """Reference: the pair-by-pair np.dot join that the blocked product replaced."""
+
+    def add_tags(self, tags, embedder):
+        new = sorted(set(tags) - set(self._parent))
+        if not new:
+            return
+        vectors = embedder.embed(new)
+        for tag, vector in zip(new, vectors):
+            self._parent[tag] = tag
+            self._vectors[tag] = np.asarray(vector, dtype=np.float64)
+        known = self.members
+        for tag in new:
+            v = self._vectors[tag]
+            for other in known:
+                if other == tag:
+                    continue
+                if float(np.dot(v, self._vectors[other])) >= self.delta:
+                    self._union(tag, other)
+        for tag in self._parent:
+            self._parent[tag] = self._find(tag)
+
+
+def _assert_same_partition(batches, embedder, delta):
+    fast, reference = EquivalenceIndex(delta=delta), _PairwiseIndex(delta=delta)
+    for batch in batches:
+        fast.add_tags(batch, embedder)
+        reference.add_tags(batch, embedder)
+        assert fast.classes() == reference.classes()
+
+
+# Short strings over a tiny alphabet share many trigrams, so the mock
+# embedder's cosines spread over the whole range, thresholds included.
+_TAGS = st.lists(st.text(alphabet="abc_", min_size=1, max_size=6), max_size=40)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(batches=st.lists(_TAGS, min_size=1, max_size=3), delta=st.sampled_from([0.5, 0.9, 1.0]))
+def test_blocked_join_matches_pairwise_dot(batches, delta):
+    _assert_same_partition(batches, MockEmbedder(), delta)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.9, 1.0])
+def test_blocked_join_matches_pairwise_dot_across_blocks(delta):
+    rng = random.Random(41)
+    tags = sorted({"".join(rng.choices("abcd_", k=rng.randint(2, 7))) for _ in range(400)})
+    batches = [tags[:150], tags[150:], tags[::3]]
+    _assert_same_partition(batches, MockEmbedder(), delta)
+
+
+class _FixedEmbedder:
+    def __init__(self, rows):
+        self.rows = rows
+
+    def embed(self, texts):
+        return np.array([self.rows[t] for t in texts])
+
+
+def test_similarity_exactly_at_delta_joins_and_one_ulp_below_it_does_not():
+    rng = np.random.default_rng(5)
+    u, v = np.abs(rng.normal(size=(2, 64)))
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    embedder = _FixedEmbedder({"t_u": u, "t_v": v})
+    cosine = float(np.dot(u, v))
+    for delta, joined in ((cosine, True), (float(np.nextafter(cosine, 1.0)), False)):
+        index = EquivalenceIndex.build(["t_u", "t_v"], embedder, delta=delta)
+        assert (index.representative("t_v") == "t_u") is joined
+        _assert_same_partition([["t_u"], ["t_v"]], embedder, delta)
+        _assert_same_partition([["t_u", "t_v"]], embedder, delta)
