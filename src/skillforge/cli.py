@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
@@ -249,17 +250,7 @@ def cmd_tag(args) -> int:
                 tagged.append(skill)
                 continue
             tags = generate_skill_tags(skill, bundle.chat)
-            tagged.append(
-                Skill(
-                    id=skill.id,
-                    name=skill.name,
-                    description=skill.description,
-                    body=skill.body,
-                    tags=tags,
-                    origin=skill.origin,
-                    created_epoch=skill.created_epoch,
-                )
-            )
+            tagged.append(replace(skill, tags=tags))
         result = SkillLibrary(skills=tuple(tagged), epoch=library.epoch)
         save_library(result, args.out)
         dump_tags(result, Path(args.out).with_suffix(".tags.json"))

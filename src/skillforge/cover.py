@@ -17,8 +17,14 @@ Strategies:
                     keeps zero-irrelevant skills comparable).
 * ``lp_round``    - fractional relaxation minimizing the number of introduced
                     irrelevant classes subject to coverage, rounded at 0.5,
-                    followed by a greedy repair pass.
+                    then completed by the greedy routine.
 * ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills).
+
+Inside an ``lp_memo()`` block (one per run seed or evolve call) each distinct
+numeric LP model is solved once. The key is the whole model and the value the
+rounded skill columns, mapped back through each instance's ``skill_order``, so
+instances differing only in names share a solve and, HiGHS being
+deterministic, a hit returns what a fresh solve would.
 
 All strategies finish with a redundancy prune that drops, scanning in reverse
 order of addition, any skill whose removal leaves the covered target classes
@@ -28,6 +34,9 @@ unchanged.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +48,9 @@ STRATEGIES = ("greedy", "primal_dual", "lp_round", "brute_force")
 
 LP_SIZE_CAP = 500
 BRUTE_FORCE_CAP = 20
+
+# LP model -> picked skill columns, for the innermost active ``lp_memo()``.
+_LP_MEMO: ContextVar[dict[tuple, tuple[int, ...]] | None] = ContextVar("lp_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -134,33 +146,7 @@ def prune_redundant(instance: CoverInstance, selection: list[str] | tuple[str, .
 
 
 def greedy_select(instance: CoverInstance) -> SelectionResult:
-    order_index = {sid: i for i, sid in enumerate(instance.skill_order)}
-    remaining = set(instance.coverable)
-    introduced: set[str] = set()
-    selected: list[str] = []
-    chosen: set[str] = set()
-    while remaining:
-        best_sid = None
-        best_key: tuple[int, int, int] | None = None
-        for sid in instance.skill_order:
-            if sid in chosen:
-                continue
-            classes = instance.skill_classes[sid]
-            gain = len(classes & remaining)
-            if gain == 0:
-                continue
-            new_irrelevant = len((classes - instance.target_classes) - introduced)
-            key = (-gain, new_irrelevant, order_index[sid])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_sid = sid
-        if best_sid is None:
-            break
-        chosen.add(best_sid)
-        selected.append(best_sid)
-        remaining -= instance.skill_classes[best_sid]
-        introduced |= instance.skill_classes[best_sid] - instance.target_classes
-    return _result(instance, list(prune_redundant(instance, selected)))
+    return _result(instance, list(prune_redundant(instance, _greedy_repair(instance, []))))
 
 
 def primal_dual_select(instance: CoverInstance) -> SelectionResult:
@@ -201,8 +187,6 @@ def primal_dual_select(instance: CoverInstance) -> SelectionResult:
 
 
 def lp_round_select(instance: CoverInstance) -> SelectionResult:
-    from scipy.optimize import linprog
-
     n_skills = len(instance.skill_order)
     all_classes: set[str] = set()
     for classes in instance.skill_classes.values():
@@ -219,47 +203,72 @@ def lp_round_select(instance: CoverInstance) -> SelectionResult:
     if coverable and n_skills:
         sid_index = {sid: i for i, sid in enumerate(instance.skill_order)}
         irr_index = {c: n_skills + j for j, c in enumerate(irrelevant)}
-        n_vars = n_skills + len(irrelevant)
 
-        # Objective: minimize the number of introduced irrelevant classes.
-        cost = np.zeros(n_vars)
-        cost[n_skills:] = 1.0
-
-        rows: list[np.ndarray] = []
-        bounds_rhs: list[float] = []
+        # Nonzero constraint entries (row, column, value) of A_ub x <= b_ub.
+        entries: list[tuple[int, int, float]] = []
         # Coverage: each coverable target class needs fractional selection >= 1.
-        for cls in coverable:
-            row = np.zeros(n_vars)
+        for row, cls in enumerate(coverable):
             for sid in instance.skill_order:
                 if cls in instance.skill_classes[sid]:
-                    row[sid_index[sid]] = -1.0
-            rows.append(row)
-            bounds_rhs.append(-1.0)
+                    entries.append((row, sid_index[sid], -1.0))
         # Linking: selecting a skill forces its irrelevant classes on.
+        row = len(coverable)
         for sid in instance.skill_order:
             for cls in instance.skill_classes[sid] - instance.target_classes:
-                row = np.zeros(n_vars)
-                row[sid_index[sid]] = 1.0
-                row[irr_index[cls]] = -1.0
-                rows.append(row)
-                bounds_rhs.append(0.0)
+                entries.append((row, sid_index[sid], 1.0))
+                entries.append((row, irr_index[cls], -1.0))
+                row += 1
 
-        outcome = linprog(
-            cost,
-            A_ub=np.array(rows),
-            b_ub=np.array(bounds_rhs),
-            bounds=[(0.0, 1.0)] * n_vars,
-            method="highs",
-        )
-        if outcome.status == 0:
-            selected = [
-                sid for sid in instance.skill_order if outcome.x[sid_index[sid]] >= 0.5
-            ]
-        # A failed solve falls through to the repair pass, which still
-        # guarantees maximum coverage.
+        model = (n_skills, n_skills + len(irrelevant), len(coverable), tuple(entries))
+        memo = _LP_MEMO.get()
+        picks = memo.get(model) if memo is not None else None
+        if picks is None:
+            picks = _solve_lp(*model)
+            if memo is not None:
+                memo[model] = picks
+        selected = [instance.skill_order[i] for i in picks]
+        # A failed solve picks nothing and falls through to the repair pass,
+        # which still guarantees maximum coverage.
 
     selected = _greedy_repair(instance, selected)
     return _result(instance, list(prune_redundant(instance, selected)))
+
+
+@contextmanager
+def lp_memo() -> Iterator[None]:
+    """Share ``lp_round_select`` solves between identical LP models inside the block.
+
+    The key is the whole numeric model, so a hit returns what a fresh solve
+    would. Outside any block every call solves afresh.
+    """
+    token = _LP_MEMO.set({})
+    try:
+        yield
+    finally:
+        _LP_MEMO.reset(token)
+
+
+def _solve_lp(
+    n_skills: int, n_vars: int, n_cover: int, entries: tuple[tuple[int, int, float], ...]
+) -> tuple[int, ...]:
+    """Solve the relaxation minimizing introduced irrelevant classes and return
+    the skill columns at or above 0.5, or ``()`` if the solve fails."""
+    from scipy.optimize import linprog
+
+    n_rows = entries[-1][0] + 1  # entries come in row order
+    a_ub = np.zeros((n_rows, n_vars))
+    rows, cols, values = zip(*entries)
+    a_ub[rows, cols] = values
+    cost = np.zeros(n_vars)
+    cost[n_skills:] = 1.0
+    b_ub = np.zeros(n_rows)
+    b_ub[:n_cover] = -1.0
+    outcome = linprog(
+        cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * n_vars, method="highs"
+    )
+    if outcome.status != 0:
+        return ()
+    return tuple(i for i in range(n_skills) if outcome.x[i] >= 0.5)
 
 
 def _greedy_repair(instance: CoverInstance, selected: list[str]) -> list[str]:

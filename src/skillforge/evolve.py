@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from skillforge import prompts
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
-from skillforge.errors import InputError, ParseError, ProviderError, TaggingError
+from skillforge.errors import GenerationError, InputError, ParseError, ProviderError, TaggingError
 from skillforge.model import ORIGIN_EVOLVED, FailurePair, Skill, SkillLibrary
 from skillforge.providers.base import (
     DEFAULT_MAX_TOKENS,
@@ -215,7 +215,7 @@ def _complete_one(
             created_epoch=config.epoch,
         )
         return replace(skill, tags=generate_skill_tags(skill, chat))
-    except (ProviderError, TaggingError) as exc:
+    except (GenerationError, ProviderError, TaggingError) as exc:
         logger.warning("skipping pair %s: %s", pair_id, exc)
         return None
 

@@ -21,13 +21,14 @@ import statistics
 import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
-from skillforge.errors import ConfigError, InputError, ScoringError, TaggingError
+from skillforge.cover import lp_memo
+from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError, TaggingError
 from skillforge.evolve import CandidateSkill, GenerationConfig, generate_candidates
 from skillforge.model import (
     EvaluationRecord,
@@ -91,18 +92,7 @@ class RunConfig:
             raise ConfigError("label_scale must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "filter_ratio": self.filter_ratio,
-            "strategy": self.strategy,
-            "delta": self.delta,
-            "retrieval_k": self.retrieval_k,
-            "folds": self.folds,
-            "runs": self.runs,
-            "seed": self.seed,
-            "label_scale": self.label_scale,
-            "max_workers": self.max_workers,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -345,7 +335,7 @@ def run_epoch(
     def _infer(pair):
         try:
             return generate_target_tags(pair, wrapped.chat)
-        except TaggingError as exc:
+        except (ProviderError, TaggingError) as exc:
             logger.warning("skipping pair %s: %s", pair.task.id, exc)
             return None
 
@@ -435,19 +425,7 @@ class EpochRow:
     wall_clock_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "library_size": self.library_size,
-            "train_pass_rate": self.train_pass_rate,
-            "holdout_pass_rate": self.holdout_pass_rate,
-            "n_failures": self.n_failures,
-            "n_candidates": self.n_candidates,
-            "n_retained": self.n_retained,
-            "mean_f_tag": self.mean_f_tag,
-            "mean_alignment": self.mean_alignment,
-            "tokens_used": self.tokens_used,
-            "wall_clock_ms": self.wall_clock_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> EpochRow:
@@ -639,49 +617,51 @@ def run_kfold(
         audit = providers.audit_names()
         providers = replace(providers, embedder=CachedEmbedder(providers.embedder))
         fold_lists = _partition_folds(tasks, config.folds, run_seed)
-        for fold_idx in range(config.folds):
-            holdout = fold_lists[fold_idx]
-            if leaky:
-                train = list(holdout)
-            else:
-                train = [t for i, lst in enumerate(fold_lists) if i != fold_idx for t in lst]
-                train.sort(key=lambda t: t.id)
-            library = apply_label_scale(world, config.label_scale, run_seed)
-
-            rows: list[EpochRow] = []
-            pending: EpochStats | None = None
-            for epoch in range(config.epochs + 1):
-                holdout_records = evaluate_tasks(
-                    holdout, library, world, config, providers.embedder
-                )
-                if epoch < config.epochs:
-                    records, new_library, stats = run_epoch(
-                        library, train, world, providers, config, clock=clock
-                    )
-                    train_rate = pass_rate(records)
+        # One LP memo per run seed, like the embedding cache.
+        with lp_memo():
+            for fold_idx in range(config.folds):
+                holdout = fold_lists[fold_idx]
+                if leaky:
+                    train = list(holdout)
                 else:
-                    train_rate = pass_rate(
-                        evaluate_tasks(train, library, world, config, providers.embedder)
+                    train = [t for i, lst in enumerate(fold_lists) if i != fold_idx for t in lst]
+                    train.sort(key=lambda t: t.id)
+                library = apply_label_scale(world, config.label_scale, run_seed)
+
+                rows: list[EpochRow] = []
+                pending: EpochStats | None = None
+                for epoch in range(config.epochs + 1):
+                    holdout_records = evaluate_tasks(
+                        holdout, library, world, config, providers.embedder
                     )
-                rows.append(
-                    EpochRow(
-                        epoch=epoch,
-                        library_size=len(library),
-                        train_pass_rate=train_rate,
-                        holdout_pass_rate=pass_rate(holdout_records),
-                        n_failures=pending.n_failures if pending else None,
-                        n_candidates=pending.n_candidates if pending else None,
-                        n_retained=pending.n_retained if pending else None,
-                        mean_f_tag=pending.mean_f_tag if pending else None,
-                        mean_alignment=pending.mean_alignment if pending else None,
-                        tokens_used=pending.tokens_used if pending else 0,
-                        wall_clock_ms=pending.wall_clock_ms if pending else 0,
+                    if epoch < config.epochs:
+                        records, new_library, stats = run_epoch(
+                            library, train, world, providers, config, clock=clock
+                        )
+                        train_rate = pass_rate(records)
+                    else:
+                        train_rate = pass_rate(
+                            evaluate_tasks(train, library, world, config, providers.embedder)
+                        )
+                    rows.append(
+                        EpochRow(
+                            epoch=epoch,
+                            library_size=len(library),
+                            train_pass_rate=train_rate,
+                            holdout_pass_rate=pass_rate(holdout_records),
+                            n_failures=pending.n_failures if pending else None,
+                            n_candidates=pending.n_candidates if pending else None,
+                            n_retained=pending.n_retained if pending else None,
+                            mean_f_tag=pending.mean_f_tag if pending else None,
+                            mean_alignment=pending.mean_alignment if pending else None,
+                            tokens_used=pending.tokens_used if pending else 0,
+                            wall_clock_ms=pending.wall_clock_ms if pending else 0,
+                        )
                     )
-                )
-                if epoch < config.epochs:
-                    pending = stats
-                    library = new_library
-            cells.append(CellResult(fold=fold_idx, run=run_idx, seed=run_seed, rows=tuple(rows)))
+                    if epoch < config.epochs:
+                        pending = stats
+                        library = new_library
+                cells.append(CellResult(fold=fold_idx, run=run_idx, seed=run_seed, rows=tuple(rows)))
 
     return EvolutionReport(
         config=config.to_dict(), leaky=leaky, providers=audit, cells=tuple(cells)
@@ -708,33 +688,34 @@ def evolve_library(
     rows: list[EpochRow] = []
     stats_list: list[EpochStats] = []
     pending: EpochStats | None = None
-    for epoch in range(config.epochs + 1):
-        if epoch < config.epochs:
-            records, new_library, stats = run_epoch(
-                library, tasks, world, providers, config, clock=clock, dump_dir=dump_dir
+    with lp_memo():
+        for epoch in range(config.epochs + 1):
+            if epoch < config.epochs:
+                records, new_library, stats = run_epoch(
+                    library, tasks, world, providers, config, clock=clock, dump_dir=dump_dir
+                )
+                stats_list.append(stats)
+                train_rate = pass_rate(records)
+            else:
+                train_rate = pass_rate(evaluate_tasks(tasks, library, world, config, providers.embedder))
+            rows.append(
+                EpochRow(
+                    epoch=epoch,
+                    library_size=len(library),
+                    train_pass_rate=train_rate,
+                    holdout_pass_rate=train_rate,
+                    n_failures=pending.n_failures if pending else None,
+                    n_candidates=pending.n_candidates if pending else None,
+                    n_retained=pending.n_retained if pending else None,
+                    mean_f_tag=pending.mean_f_tag if pending else None,
+                    mean_alignment=pending.mean_alignment if pending else None,
+                    tokens_used=pending.tokens_used if pending else 0,
+                    wall_clock_ms=pending.wall_clock_ms if pending else 0,
+                )
             )
-            stats_list.append(stats)
-            train_rate = pass_rate(records)
-        else:
-            train_rate = pass_rate(evaluate_tasks(tasks, library, world, config, providers.embedder))
-        rows.append(
-            EpochRow(
-                epoch=epoch,
-                library_size=len(library),
-                train_pass_rate=train_rate,
-                holdout_pass_rate=train_rate,
-                n_failures=pending.n_failures if pending else None,
-                n_candidates=pending.n_candidates if pending else None,
-                n_retained=pending.n_retained if pending else None,
-                mean_f_tag=pending.mean_f_tag if pending else None,
-                mean_alignment=pending.mean_alignment if pending else None,
-                tokens_used=pending.tokens_used if pending else 0,
-                wall_clock_ms=pending.wall_clock_ms if pending else 0,
-            )
-        )
-        if epoch < config.epochs:
-            pending = stats
-            library = new_library
+            if epoch < config.epochs:
+                pending = stats
+                library = new_library
     report = EvolutionReport(
         config=config.to_dict(),
         leaky=True,

@@ -8,6 +8,8 @@ canonical, so saving the same library twice yields byte-identical output.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -222,7 +224,9 @@ def load_library(path: str | Path) -> SkillLibrary:
 
 
 def save_library(library: SkillLibrary, path: str | Path) -> None:
-    """Write the canonical JSONL form: metadata line, then skills sorted by id."""
+    """Write the canonical JSONL form: metadata line, then skills sorted by id.
+    A temporary file beside ``path`` replaces it in one step, so a failed
+    write leaves any previous file as it was."""
     path = Path(path)
     lines = [
         json.dumps(
@@ -232,7 +236,15 @@ def save_library(library: SkillLibrary, path: str | Path) -> None:
     ]
     for skill in library.skills:
         lines.append(json.dumps(skill.to_dict(), separators=(",", ":"), ensure_ascii=True))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def add_skills(library: SkillLibrary, new: Iterable[Skill]) -> SkillLibrary:

@@ -15,8 +15,9 @@ Request and response shapes:
   ``text_offset`` lies inside the continuation span.
 
 Prompt text is forwarded byte-for-byte; the adapter never rewrites payload
-strings. Transport failures and HTTP 5xx responses are retried up to
-``retries`` times with exponential backoff; 4xx responses are not retried.
+strings. Transport failures and HTTP 5xx responses are retried with
+exponential backoff, for at most ``retries`` attempts in all; 4xx responses
+are not retried.
 
 Endpoints come from ``SKILLFORGE_CHAT_URL``, ``SKILLFORGE_EMBED_URL``,
 ``SKILLFORGE_LOGPROB_URL``, and ``SKILLFORGE_API_KEY``.
@@ -64,6 +65,10 @@ def _requests_transport(url: str, payload: dict, headers: dict) -> dict:
 
 @dataclass
 class HttpConfig:
+    """Endpoints, models and retry policy. ``retries`` counts attempts, the
+    first included: 3 sends a request at most three times, sleeping
+    ``backoff_base``, then twice as long, before each repeat."""
+
     chat_url: str = ""
     embed_url: str = ""
     logprob_url: str = ""
@@ -75,6 +80,10 @@ class HttpConfig:
     backoff_base: float = 0.5
     transport: Transport = field(default_factory=lambda: _requests_transport)
     sleep: Callable[[float], None] = time.sleep
+
+    def __post_init__(self) -> None:
+        if self.retries < 1:
+            raise ConfigError(f"retries counts attempts and must be at least 1, got {self.retries}")
 
     @classmethod
     def from_env(cls, **overrides) -> HttpConfig:

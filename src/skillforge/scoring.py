@@ -15,7 +15,7 @@ import csv
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError
@@ -59,16 +59,7 @@ class ScoreRecord:
     token_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "p_tag": self.p_tag,
-            "r_tag": self.r_tag,
-            "f_tag": self.f_tag,
-            "alignment": self.alignment,
-            "combined": self.combined,
-            "cond_logprob": self.cond_logprob,
-            "uncond_logprob": self.uncond_logprob,
-            "token_count": self.token_count,
-        }
+        return asdict(self)
 
 
 def knowledge_coverage(

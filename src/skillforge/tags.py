@@ -209,21 +209,23 @@ class EquivalenceIndex:
         self._parent[drop] = keep
 
     def representative(self, tag: str) -> str:
-        if tag not in self._parent:
-            raise MissingTagError(f"tag {tag!r} is not in the equivalence index")
-        return self._find(tag)
+        # add_tags leaves every parent pointer flattened onto its root.
+        try:
+            return self._parent[tag]
+        except KeyError:
+            raise MissingTagError(f"tag {tag!r} is not in the equivalence index") from None
 
     def canonical_set(self, tags: Iterable[str]) -> TagSet:
-        return frozenset(self.representative(t) for t in tags)
+        return frozenset(map(self.representative, tags))
 
     def classes(self) -> dict[str, tuple[str, ...]]:
         grouped: dict[str, list[str]] = {}
         for tag in sorted(self._parent):
-            grouped.setdefault(self._find(tag), []).append(tag)
+            grouped.setdefault(self._parent[tag], []).append(tag)
         return {rep: tuple(members) for rep, members in sorted(grouped.items())}
 
     def dump(self, path: str | Path) -> None:
-        mapping = {tag: self._find(tag) for tag in sorted(self._parent)}
+        mapping = {tag: self._parent[tag] for tag in sorted(self._parent)}
         Path(path).write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import random
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillforge.cover import (
     CoverInstance,
+    _greedy_repair,
+    _result,
     brute_force_select,
     greedy_select,
+    lp_memo,
     lp_round_select,
     primal_dual_select,
     prune_redundant,
@@ -309,3 +317,142 @@ def test_instance_file_round_trip(tmp_path):
     loaded = CoverInstance.from_file(path)
     assert loaded.target_classes == FIXTURE.target_classes
     assert loaded.skill_classes == FIXTURE.skill_classes
+
+
+def _reference_greedy(instance):
+    """The stand-alone greedy loop that ``greedy_select`` used to carry."""
+    order_index = {sid: i for i, sid in enumerate(instance.skill_order)}
+    remaining = set(instance.coverable)
+    introduced: set[str] = set()
+    selected: list[str] = []
+    while remaining:
+        best_sid = None
+        best_key = None
+        for sid in instance.skill_order:
+            if sid in selected:
+                continue
+            classes = instance.skill_classes[sid]
+            gain = len(classes & remaining)
+            if gain == 0:
+                continue
+            key = (-gain, len((classes - instance.target_classes) - introduced), order_index[sid])
+            if best_key is None or key < best_key:
+                best_key, best_sid = key, sid
+        if best_sid is None:
+            break
+        selected.append(best_sid)
+        remaining -= instance.skill_classes[best_sid]
+        introduced |= instance.skill_classes[best_sid] - instance.target_classes
+    return _result(instance, list(prune_redundant(instance, selected)))
+
+
+def _reference_lp_round(instance):
+    """The dense-row LP build and solve that ``lp_round_select`` used to carry."""
+    n_skills = len(instance.skill_order)
+    all_classes = set().union(*instance.skill_classes.values())
+    coverable = sorted(instance.coverable)
+    irrelevant = sorted(all_classes - instance.target_classes)
+    selected = []
+    if coverable and n_skills:
+        sid_index = {sid: i for i, sid in enumerate(instance.skill_order)}
+        irr_index = {c: n_skills + j for j, c in enumerate(irrelevant)}
+        n_vars = n_skills + len(irrelevant)
+        cost = np.zeros(n_vars)
+        cost[n_skills:] = 1.0
+        rows, rhs = [], []
+        for cls in coverable:
+            row = np.zeros(n_vars)
+            for sid in instance.skill_order:
+                if cls in instance.skill_classes[sid]:
+                    row[sid_index[sid]] = -1.0
+            rows.append(row)
+            rhs.append(-1.0)
+        for sid in instance.skill_order:
+            for cls in instance.skill_classes[sid] - instance.target_classes:
+                row = np.zeros(n_vars)
+                row[sid_index[sid]] = 1.0
+                row[irr_index[cls]] = -1.0
+                rows.append(row)
+                rhs.append(0.0)
+        outcome = scipy.optimize.linprog(
+            cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=[(0.0, 1.0)] * n_vars, method="highs"
+        )
+        if outcome.status == 0:
+            selected = [sid for sid in instance.skill_order if outcome.x[sid_index[sid]] >= 0.5]
+    selected = _greedy_repair(instance, selected)
+    return _result(instance, list(prune_redundant(instance, selected)))
+
+
+def _renamed(instance):
+    """The same numeric LP model under other skill ids and class names: the
+    prefixes keep every sort order, so only the names change."""
+    return CoverInstance(
+        target_classes=frozenset("k" + c for c in instance.target_classes),
+        skill_classes={
+            "r" + sid: frozenset("k" + c for c in classes)
+            for sid, classes in instance.skill_classes.items()
+        },
+        skill_order=tuple("r" + sid for sid in instance.skill_order),
+    )
+
+
+@st.composite
+def _instances(draw):
+    classes = [f"c{i}" for i in range(draw(st.integers(1, 8)))]
+    subsets = st.sets(st.sampled_from(classes), max_size=4)
+    ids = [f"s{i:02d}" for i in range(draw(st.integers(0, 8)))]
+    return CoverInstance(
+        target_classes=frozenset(draw(st.sets(st.sampled_from(classes)))),
+        skill_classes={sid: draw(subsets) for sid in ids},
+        skill_order=tuple(draw(st.permutations(ids))),
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(instance=_instances())
+def test_greedy_matches_the_stand_alone_loop(instance):
+    assert greedy_select(instance) == _reference_greedy(instance)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(instances=st.lists(_instances(), min_size=1, max_size=4))
+def test_lp_memo_returns_what_a_fresh_solve_returns(instances):
+    batch = [variant for instance in instances for variant in (instance, _renamed(instance), instance)]
+    fresh = [lp_round_select(instance) for instance in batch]
+    assert fresh == [_reference_lp_round(instance) for instance in batch]
+    with lp_memo():
+        memoized = [lp_round_select(instance) for instance in batch]
+    assert memoized == fresh
+
+
+def test_lp_memo_shares_one_solve_between_renamed_models(linprog_calls):
+    renamed = _renamed(FIXTURE)
+    with lp_memo():
+        first = lp_round_select(FIXTURE)
+        second = lp_round_select(renamed)
+        assert lp_round_select(FIXTURE) == first
+    assert len(linprog_calls) == 1
+    assert second.selected == tuple("r" + sid for sid in first.selected)
+    assert second == lp_round_select(renamed)
+    assert len(linprog_calls) == 2
+
+
+def test_nothing_is_memoized_outside_lp_memo(linprog_calls):
+    lp_round_select(FIXTURE)
+    lp_round_select(FIXTURE)
+    with lp_memo():
+        with lp_memo():
+            lp_round_select(FIXTURE)
+        lp_round_select(FIXTURE)  # the inner block's memo ended with it
+    lp_round_select(FIXTURE)
+    assert len(linprog_calls) == 5
+
+
+def test_memoized_failed_solve_still_falls_through_to_repair(monkeypatch):
+    calls = []
+    failed = SimpleNamespace(status=2, x=None)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: calls.append(1) or failed)
+    with lp_memo():
+        results = [lp_round_select(NOISY_BROAD) for _ in range(2)]
+    assert len(calls) == 1
+    assert results == [greedy_select(NOISY_BROAD)] * 2

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from skillforge.cover import SelectionResult
-from skillforge.errors import InputError, ParseError, ProviderError
+from skillforge.errors import GenerationError, InputError, ParseError, ProviderError
 from skillforge.evolve import (
     GenerationConfig,
     assemble_generation_prompt,
@@ -207,6 +207,25 @@ def test_provider_hard_failure_skips_pair():
         {"task-001": frozenset({"csv_parsing"})},
     )
     assert out == []
+
+
+def test_empty_completion_skips_only_its_pair():
+    class EmptyForOne(MockChatProvider):
+        def complete(self, request):
+            if "Task task-002:" in request.user:
+                raise GenerationError("provider returned an empty completion")
+            return super().complete(request)
+
+    pairs = [make_pair(f"task-00{i}") for i in (1, 2, 3)]
+    out = generate_candidates(
+        pairs,
+        SkillLibrary(),
+        _index_over(["csv_parsing"]),
+        EmptyForOne(seed=1),
+        GenerationConfig(),
+        {p.task.id: frozenset({"csv_parsing"}) for p in pairs},
+    )
+    assert [c.source_pair_id for c in out] == ["task-001", "task-003"]
 
 
 def test_missing_target_tags_is_an_input_error():

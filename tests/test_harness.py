@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import threading
@@ -10,12 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from skillforge import prompts
 from skillforge.cover import SelectionResult
-from skillforge.errors import ConfigError, InputError
+from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError
 from skillforge.evolve import CandidateSkill
 from skillforge.harness import (
     CachedEmbedder,
     EvolutionReport,
+    ProviderBundle,
     RunConfig,
     UsageMeter,
     apply_label_scale,
@@ -35,7 +38,7 @@ from skillforge.harness import (
     sweep,
 )
 from skillforge.model import SkillLibrary, Task, collect_failures
-from skillforge.providers.mock import MockEmbedder
+from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
 from skillforge.retrieval import build_index
 from skillforge.scoring import retention_count
 from skillforge.world import WorldConfig, generate_world
@@ -562,5 +565,90 @@ def test_evolve_library_embeds_each_text_once_with_unchanged_outputs(monkeypatch
 
     monkeypatch.setattr("skillforge.harness.CachedEmbedder", lambda inner: inner)
     plain_library, plain_report, _ = evolve_library(config, world, _counting_factory([])(7))
+    assert library == plain_library
+    assert strip_wall_clock(report.to_dict()) == strip_wall_clock(plain_report.to_dict())
+
+
+class FaultyChat(MockChatProvider):
+    """Mock chat that fails hard on one task's target-tag request and returns
+    an empty completion for another task's generation request."""
+
+    def __init__(self, tag_fails: str, generation_fails: str, **kwargs):
+        super().__init__(**kwargs)
+        self.tag_fails = f"Task {tag_fails}:"
+        self.generation_fails = f"Task {generation_fails}:"
+
+    def complete(self, request):
+        if request.system == prompts.TARGET_TAG_SYSTEM and self.tag_fails in request.user:
+            raise ProviderError("server error 503", retryable=True)
+        if request.system == prompts.GENERATE_SYSTEM and self.generation_fails in request.user:
+            raise GenerationError("provider returned an empty completion")
+        return super().complete(request)
+
+
+def _bundle(chat):
+    return ProviderBundle(chat=chat, embedder=MockEmbedder(), likelihood=MockLikelihoodScorer(seed=7))
+
+
+def test_one_bad_reply_skips_one_pair_and_the_epoch_completes():
+    world = _world(n_tasks=20)
+    library = world.initial_library()
+    tasks = list(world.tasks)
+    config = RunConfig(seed=7, max_workers=1)
+    records, _, clean = run_epoch(library, tasks, world, _bundle(MockChatProvider(seed=7)), config)
+    failing = sorted(pair.task.id for pair in collect_failures(records))
+    assert len(failing) >= 3 and clean.n_candidates == len(failing)
+
+    chat = FaultyChat(tag_fails=failing[0], generation_fails=failing[1], seed=7)
+    _, updated, stats = run_epoch(library, tasks, world, _bundle(chat), config)
+    assert stats.n_failures == clean.n_failures
+    assert stats.n_candidates == clean.n_candidates - 2
+    assert updated.epoch == library.epoch + 1
+    sources = {row["candidate_id"].rsplit("-", 1)[0] for row in stats.score_rows}
+    assert sources == {f"evo-{library.epoch}-{task_id}" for task_id in failing[2:]}
+
+
+def test_evolve_library_survives_an_empty_completion():
+    world = _world(n_tasks=20)
+    records = evaluate_tasks(world.tasks, world.initial_library(), world, RunConfig(), MockEmbedder())
+    failing = sorted(pair.task.id for pair in collect_failures(records))
+    chat = FaultyChat(tag_fails=failing[0], generation_fails=failing[1], seed=7)
+    library, _, stats_list = evolve_library(RunConfig(seed=7, epochs=2), world, _bundle(chat))
+    assert library.epoch == 2
+    assert len(stats_list) == 2
+
+
+def test_lp_memo_lives_for_one_run_seed(linprog_calls):
+    world = _world(n_tasks=30)
+    config = _quick_config(strategy="lp_round", runs=2)
+    first = run_kfold(config, world, mock_provider_factory())
+    first_calls = len(linprog_calls)
+    second = run_kfold(config, world, mock_provider_factory())
+    assert first_calls > 0
+    assert len(linprog_calls) == 2 * first_calls
+    assert strip_wall_clock(first.to_dict()) == strip_wall_clock(second.to_dict())
+
+
+def test_lp_round_kfold_report_equals_the_memo_free_run(monkeypatch, linprog_calls):
+    world = _world(n_tasks=30)
+    config = _quick_config(strategy="lp_round", runs=2)
+    memoized = run_kfold(config, world, mock_provider_factory())
+    memo_calls = len(linprog_calls)
+
+    monkeypatch.setattr("skillforge.harness.lp_memo", contextlib.nullcontext)
+    plain = run_kfold(config, world, mock_provider_factory())
+    assert memo_calls < len(linprog_calls) - memo_calls
+    assert strip_wall_clock(memoized.to_dict()) == strip_wall_clock(plain.to_dict())
+
+
+def test_lp_round_evolve_outputs_equal_the_memo_free_run(monkeypatch, linprog_calls):
+    world = _world(n_tasks=30)
+    config = RunConfig(seed=7, epochs=2, strategy="lp_round")
+    library, report, _ = evolve_library(config, world, mock_provider_factory()(7))
+    memo_calls = len(linprog_calls)
+
+    monkeypatch.setattr("skillforge.harness.lp_memo", contextlib.nullcontext)
+    plain_library, plain_report, _ = evolve_library(config, world, mock_provider_factory()(7))
+    assert memo_calls < len(linprog_calls) - memo_calls
     assert library == plain_library
     assert strip_wall_clock(report.to_dict()) == strip_wall_clock(plain_report.to_dict())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,31 @@ def test_epoch_metadata_round_trips(tmp_path):
 def test_save_to_unwritable_path_raises(tmp_path):
     with pytest.raises(OSError):
         save_library(SkillLibrary(), tmp_path)  # a directory, not a file
+
+
+def test_failure_mid_write_leaves_the_previous_file_byte_identical(tmp_path, monkeypatch):
+    path = tmp_path / "library.jsonl"
+    save_library(SkillLibrary(skills=(make_skill("a"),), epoch=1), path)
+    before = path.read_bytes()
+    real_open = Path.open
+
+    def half_writing_open(self, *args, **kwargs):
+        handle = real_open(self, *args, **kwargs)
+        real_write = handle.write
+
+        def write(text):
+            real_write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+        handle.write = write
+        return handle
+
+    monkeypatch.setattr(Path, "open", half_writing_open)
+    with pytest.raises(OSError, match="no space"):
+        save_library(SkillLibrary(skills=(make_skill("a"), make_skill("b")), epoch=2), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["library.jsonl"]
 
 
 def test_library_sorts_skills_and_rejects_duplicates():

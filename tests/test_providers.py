@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from skillforge.errors import GenerationError, InputError, ProviderError
+from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError
 from skillforge.providers.base import ChatRequest, LikelihoodResult
 from skillforge.providers.http import (
     HttpChatProvider,
@@ -196,6 +196,24 @@ def test_http_gives_up_after_retry_budget():
     with pytest.raises(ProviderError):
         HttpChatProvider(_config(transport)).complete(ChatRequest(system="s", user="u"))
     assert len(attempts) == 3
+
+
+def test_http_retries_counts_attempts_including_the_first():
+    attempts = []
+    delays = []
+
+    def transport(url, payload, headers):
+        attempts.append(url)
+        raise ProviderError("still down", retryable=True)
+
+    config = _config(transport, retries=1)
+    config.sleep = delays.append
+    with pytest.raises(ProviderError):
+        HttpChatProvider(config).complete(ChatRequest(system="s", user="u"))
+    assert len(attempts) == 1
+    assert delays == []
+    with pytest.raises(ConfigError):
+        _config(transport, retries=0)
 
 
 def test_http_embed_normalizes_vectors():

@@ -155,6 +155,8 @@ def test_missing_tag_raises_index_error():
     index = make_index(["known_tag"])
     with pytest.raises(MissingTagError):
         index.representative("unknown_tag")
+    with pytest.raises(MissingTagError):
+        index.canonical_set(["known_tag", "unknown_tag"])
 
 
 def test_semantic_intersection_cases():
@@ -308,6 +310,28 @@ _TAGS = st.lists(st.text(alphabet="abc_", min_size=1, max_size=6), max_size=40)
 @given(batches=st.lists(_TAGS, min_size=1, max_size=3), delta=st.sampled_from([0.5, 0.9, 1.0]))
 def test_blocked_join_matches_pairwise_dot(batches, delta):
     _assert_same_partition(batches, MockEmbedder(), delta)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    batches=st.lists(_TAGS, min_size=1, max_size=4),
+    delta=st.sampled_from([0.5, 0.9, 1.0]),
+    by_first_letter=st.booleans(),
+)
+def test_representative_is_the_union_find_root_after_every_batch(batches, delta, by_first_letter):
+    # Grouping by first letter makes a later, smaller tag take over an
+    # existing class's root, which leaves parent chains until add_tags
+    # flattens them.
+    embedder = MockEmbedder()
+    if by_first_letter:
+        tags = {tag for batch in batches for tag in batch}
+        embedder = GroupEmbedder(groups=[[t for t in tags if t[0] == ch] for ch in "abc_"])
+    index = EquivalenceIndex(delta=delta)
+    for batch in batches:
+        index.add_tags(batch, embedder)
+        roots = {tag: index._find(tag) for tag in index.members}
+        assert {tag: index.representative(tag) for tag in index.members} == roots
+        assert index.canonical_set(index.members) == frozenset(roots.values())
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.9, 1.0])
