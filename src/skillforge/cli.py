@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
@@ -166,29 +166,25 @@ def _load_file_config(args) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+# RunConfig fields whose command-line flag has another name.
+_CONFIG_FLAGS = {"retrieval_k": "k"}
+
+
 def resolve_run_config(args) -> RunConfig:
-    file_cfg = _load_file_config(args)
-    defaults = RunConfig()
-
-    def pick(flag: str, key: str, default):
-        value = getattr(args, flag, None)
+    """Every ``RunConfig`` field from its flag, else the config file, else the
+    default; a config-file key that names no field is an error."""
+    values = _load_file_config(args)
+    if not isinstance(values, dict):
+        raise ConfigError("config file must hold a JSON object of RunConfig fields")
+    names = [f.name for f in fields(RunConfig)]
+    unknown = sorted(set(values) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown config file key(s): {', '.join(unknown)}")
+    for name in names:
+        value = getattr(args, _CONFIG_FLAGS.get(name, name), None)
         if value is not None:
-            return value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
-
-    return RunConfig(
-        epochs=pick("epochs", "epochs", defaults.epochs),
-        filter_ratio=pick("filter_ratio", "filter_ratio", defaults.filter_ratio),
-        strategy=pick("strategy", "strategy", defaults.strategy),
-        delta=pick("delta", "delta", defaults.delta),
-        retrieval_k=pick("k", "retrieval_k", defaults.retrieval_k),
-        folds=pick("folds", "folds", defaults.folds),
-        runs=pick("runs", "runs", defaults.runs),
-        seed=pick("seed", "seed", defaults.seed),
-        label_scale=pick("label_scale", "label_scale", defaults.label_scale),
-    )
+            values[name] = value
+    return RunConfig(**values)
 
 
 def _resolve_providers(args, config: RunConfig):
@@ -345,7 +341,7 @@ def cmd_score(args) -> int:
 def cmd_retrieve(args) -> int:
     library = load_library(args.library)
     index = build_index(library)
-    for skill_id, score in retrieve(index, args.query, args.k):
+    for skill_id, score in retrieve(index, [args.query], args.k)[0]:
         print(f"{skill_id}\t{score:.4f}")
     return 0
 

@@ -46,7 +46,7 @@ from skillforge.providers.base import (
     validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
-from skillforge.retrieval import Bm25Index, build_index, retrieve
+from skillforge.retrieval import build_index, retrieve
 from skillforge.scoring import (
     filter_and_update,
     retention_count,
@@ -68,6 +68,10 @@ SWEEP_DIMENSIONS = ("epochs", "filter_ratio", "label_scale", "transfer")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings. ``max_workers`` bounds the thread pools of the
+    stages that call providers (target-tag inference, generation, scoring)
+    and of sweep cells; evaluation always runs serially."""
+
     epochs: int = 3
     filter_ratio: float = 0.2
     strategy: str = "greedy"
@@ -90,6 +94,8 @@ class RunConfig:
             raise ConfigError("folds and runs must be at least 1")
         if not 0.0 <= self.label_scale <= 1.0:
             raise ConfigError("label_scale must lie in [0, 1]")
+        if self.max_workers < 1:
+            raise ConfigError("max_workers must be at least 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -215,34 +221,22 @@ def metered(bundle: ProviderBundle, meter: UsageMeter) -> ProviderBundle:
 
 def simulate_agent(
     task: Task,
-    library: SkillLibrary,
-    index: Bm25Index,
+    hits: Sequence[tuple[str, float]],
+    skill_classes: Mapping[str, TagSet],
     world: SyntheticWorld,
-    k: int,
-    eq: EquivalenceIndex | None = None,
+    eq: EquivalenceIndex,
 ) -> EvaluationRecord:
-    """Oracle agent for the synthetic world.
+    """Oracle agent for the synthetic world, judging one task.
 
-    Retrieves the top-k skills for the task description and succeeds when
-    their tag classes cover at least the world's coverage threshold of the
-    task's required tag classes. The trajectory records the retrieved skill
-    ids and, on failure, the missing tags, which is what later tag inference
-    reads.
+    ``hits`` are the task's retrieved (skill id, score) pairs and
+    ``skill_classes`` maps each library skill id to the ``eq`` classes of its
+    tags. The task succeeds when the hits' classes cover at least the world's
+    coverage threshold of the task's required tag classes. The trajectory
+    records the retrieved skill ids and, on failure, the missing tags, which
+    is what later tag inference reads.
     """
-    required = world.required_tags(task)
-    hits = retrieve(index, task.description, k)
-    retrieved_tags: set[str] = set()
-    for skill_id, _ in hits:
-        skill = library.get(skill_id)
-        if skill is not None:
-            retrieved_tags |= skill.tags
-
-    if eq is not None:
-        required_classes = eq.canonical_set(required)
-        retrieved_classes = eq.canonical_set(retrieved_tags)
-    else:
-        required_classes = frozenset(required)
-        retrieved_classes = frozenset(retrieved_tags)
+    required_classes = eq.canonical_set(world.required_tags(task))
+    retrieved_classes = frozenset().union(*(skill_classes[skill_id] for skill_id, _ in hits))
 
     covered = required_classes & retrieved_classes
     fraction = len(covered) / len(required_classes) if required_classes else 1.0
@@ -272,9 +266,7 @@ def _evaluation_index(
         tags |= skill.tags
     for task in tasks:
         tags |= world.required_tags(task)
-    index = EquivalenceIndex(delta=config.delta)
-    index.add_tags(tags, embedder)
-    return index
+    return EquivalenceIndex.build(tags, embedder, config.delta)
 
 
 def evaluate_tasks(
@@ -283,14 +275,23 @@ def evaluate_tasks(
     world: SyntheticWorld,
     config: RunConfig,
     embedder: EmbeddingProvider,
+    eq: EquivalenceIndex | None = None,
 ) -> list[EvaluationRecord]:
+    """Judge every task against ``library`` with one batched retrieval.
+
+    ``eq`` is the evaluation's equivalence index over the library's tags and
+    the tasks' required tags; it is built here when not given. Evaluation
+    calls no provider beyond that build, so the tasks run serially.
+    """
     index = build_index(library)
-    eq = _evaluation_index(library, tasks, world, config, embedder)
-    return parallel_map(
-        lambda task: simulate_agent(task, library, index, world, config.retrieval_k, eq),
-        tasks,
-        max_workers=config.max_workers,
-    )
+    if eq is None:
+        eq = _evaluation_index(library, tasks, world, config, embedder)
+    skill_classes = {skill.id: eq.canonical_set(skill.tags) for skill in library}
+    hits = retrieve(index, [task.description for task in tasks], config.retrieval_k)
+    return [
+        simulate_agent(task, task_hits, skill_classes, world, eq)
+        for task, task_hits in zip(tasks, hits)
+    ]
 
 
 def pass_rate(records: Sequence[EvaluationRecord]) -> float:
@@ -328,7 +329,9 @@ def run_epoch(
     wrapped = metered(providers, meter)
     started = clock()
 
-    records = evaluate_tasks(tasks, library, world, config, wrapped.embedder)
+    # The evaluation index is reused below, growing by target and candidate tags.
+    eq = _evaluation_index(library, tasks, world, config, wrapped.embedder)
+    records = evaluate_tasks(tasks, library, world, config, wrapped.embedder, eq)
     failures = collect_failures(records)
     ordered = sorted(failures, key=lambda pair: pair.task.id)
 
@@ -349,7 +352,6 @@ def run_epoch(
         tagged_pairs.append(pair)
     ordered = tagged_pairs
 
-    eq = _evaluation_index(library, list(tasks), world, config, wrapped.embedder)
     all_targets: set[str] = set()
     for tags in target_tags.values():
         all_targets |= tags

@@ -5,13 +5,25 @@ The tokenizer lowercases and splits on non-alphanumeric characters. IDF uses
 the always-nonnegative variant ln(1 + (N - df + 0.5) / (df + 0.5)), which
 avoids negative weights on tiny corpora.
 
-The index is inverted: when it is built, the idf of every term and the
-length norm k1 * (1 - b + b * dl / avgdl) of every document are computed
-once, and each term's postings list holds, in document-id order, the term's
-BM25 contribution idf * tf * (k1 + 1) / (tf + norm) to each document that
-contains it. A query then touches only the documents that share a term with
-it, adding the contributions term by term in query order (duplicates
-included), so every score is the same float a full scan would compute.
+When the index is built, the idf of every term and the length norm
+k1 * (1 - b + b * dl / avgdl) of every document are computed once. Documents
+become columns in id order, and each term's postings hold the columns of the
+documents that contain it with the term's BM25 contribution
+idf * tf * (k1 + 1) / (tf + norm) to each.
+
+``retrieve`` ranks a batch of queries in one pass. It fills a dense matrix
+``weights`` with one row per distinct known term of the batch (row 0 is all
+zeros and stands for unknown terms and padding) and one column per document,
+and a matrix ``positions`` whose row i lists, position by position, the rows
+of query i's terms, duplicates included, padded with row 0. Scores start at
+zero and ``scores += weights[positions[:, j]]`` adds position j of every
+query at once. A document therefore receives its contributions one at a
+time, in query order, like a term-by-term loop; every other add is
+``x + 0.0``, which is exact for the non-negative finite scores BM25
+produces, so every score is the same float a full scan computes. Ranking is
+a stable argsort of ``-scores`` along each row: tied documents keep column
+order, which is id order, exactly as sorting ``(-score, id)`` would. Scores
+that are not positive are dropped.
 """
 
 from __future__ import annotations
@@ -19,7 +31,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from skillforge.errors import InputError
 from skillforge.model import SkillLibrary
@@ -42,23 +57,27 @@ class Bm25Index:
     avgdl: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    postings: dict[str, tuple[tuple[str, float], ...]] = field(
+    doc_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    postings: dict[str, tuple[list[int], list[float]]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         n_docs = len(self.documents)
         idf = {term: math.log(1 + (n_docs - df + 0.5) / (df + 0.5)) for term, df in self.df.items()}
-        postings: dict[str, list[tuple[str, float]]] = {}
-        for doc_id in sorted(self.documents):
+        doc_ids = tuple(sorted(self.documents))
+        postings: dict[str, tuple[list[int], list[float]]] = {}
+        for column, doc_id in enumerate(doc_ids):
             counts = self.documents[doc_id]
             if not counts:
                 continue  # no postings; every document may be empty, leaving avgdl 0
             norm = self.k1 * (1 - self.b + self.b * self.doc_lengths[doc_id] / self.avgdl)
             for term, tf in counts.items():
-                weight = idf[term] * tf * (self.k1 + 1) / (tf + norm)
-                postings.setdefault(term, []).append((doc_id, weight))
-        object.__setattr__(self, "postings", {term: tuple(p) for term, p in postings.items()})
+                columns, weights = postings.setdefault(term, ([], []))
+                columns.append(column)
+                weights.append(idf[term] * tf * (self.k1 + 1) / (tf + norm))
+        object.__setattr__(self, "doc_ids", doc_ids)
+        object.__setattr__(self, "postings", postings)
 
     @property
     def size(self) -> int:
@@ -80,13 +99,34 @@ def build_index(library: SkillLibrary, k1: float = DEFAULT_K1, b: float = DEFAUL
     return Bm25Index(documents=documents, doc_lengths=doc_lengths, df=dict(df), avgdl=avgdl, k1=k1, b=b)
 
 
-def retrieve(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
-    """Top-k skill ids by BM25 score, descending, ties by id; zero scores dropped."""
+def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
+    """Top-k skill ids by BM25 score for each query, descending, ties by id;
+    zero scores dropped. One ranked list per query, in query order."""
     if k < 1:
         raise InputError("k must be at least 1")
-    scores: dict[str, float] = {}
-    for term in tokenize(query):
-        for doc_id, weight in index.postings.get(term, ()):
-            scores[doc_id] = scores.get(doc_id, 0.0) + weight
-    ranked = sorted([(-score, doc_id) for doc_id, score in scores.items() if score > 0.0])
-    return [(doc_id, -negated) for negated, doc_id in ranked[:k]]
+    if isinstance(queries, str):
+        raise InputError("retrieve takes a sequence of queries, not a single string")
+    terms = [tokenize(query) for query in queries]
+    rows: dict[str, int] = {}  # row 0 is the zero row
+    for term in dict.fromkeys(t for query in terms for t in query):
+        if term in index.postings:
+            rows[term] = len(rows) + 1
+    if not rows:
+        return [[] for _ in terms]
+    weights = np.zeros((len(rows) + 1, len(index.doc_ids)))
+    for term, row in rows.items():
+        columns, contributions = index.postings[term]
+        weights[row, columns] = contributions
+    positions = np.zeros((len(terms), max(map(len, terms))), dtype=np.intp)
+    for i, query in enumerate(terms):
+        positions[i, : len(query)] = [rows.get(term, 0) for term in query]
+    scores = np.zeros((len(terms), len(index.doc_ids)))
+    for j in range(positions.shape[1]):
+        scores += weights[positions[:, j]]
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    top_scores = np.take_along_axis(scores, top, axis=1).tolist()
+    ids = index.doc_ids
+    return [
+        [(ids[column], score) for column, score in zip(columns, row_scores) if score > 0.0]
+        for columns, row_scores in zip(top.tolist(), top_scores)
+    ]

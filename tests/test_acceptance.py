@@ -226,12 +226,12 @@ def test_criterion_10_bm25_fixture():
     # matched term contributes idf = ln(1 + (N - df + 0.5)/(df + 0.5)).
     idf_table = math.log(1 + (3 - 2 + 0.5) / (2 + 0.5))
     idf_formatting = math.log(1 + (3 - 1 + 0.5) / (1 + 0.5))
-    results = retrieve(index, "table formatting", 3)
+    results = retrieve(index, ["table formatting"], 3)[0]
     assert [doc for doc, _ in results] == ["d1", "d2"]
     assert results[0][1] == pytest.approx(idf_table + idf_formatting, abs=1e-12)
     assert results[1][1] == pytest.approx(idf_table, abs=1e-12)
     # Equal scores fall back to id order.
-    tied = retrieve(index, "table", 3)
+    tied = retrieve(index, ["table"], 3)[0]
     assert [doc for doc, _ in tied] == ["d1", "d2"]
     assert tied[0][1] == pytest.approx(tied[1][1], abs=1e-12)
     print("criterion 10 (BM25 hand-computed fixture, ties by id): PASS")

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from skillforge.cli import dispatch, resolve_run_config
+from skillforge.cli import build_parser, dispatch, resolve_run_config
+from skillforge.errors import ConfigError
 from skillforge.harness import strip_wall_clock
 from skillforge.model import SkillLibrary, load_library, save_library, save_tasks, Task
 
@@ -227,6 +228,25 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert resolved.filter_ratio == 0.5  # file beats default
     assert resolved.seed == 99
     assert resolved.strategy == "greedy"  # default
+
+
+def _eval_args(tmp_path, config: dict):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return build_parser().parse_args(["eval", "--mock", "--config", str(path), "--out", str(tmp_path / "o")])
+
+
+def test_config_file_sets_every_run_config_field(tmp_path):
+    values = {"epochs": 1, "filter_ratio": 0.5, "strategy": "lp_round", "delta": 0.8, "retrieval_k": 3,
+              "folds": 2, "runs": 2, "seed": 11, "label_scale": 0.5, "max_workers": 2}
+    resolved = resolve_run_config(_eval_args(tmp_path, values))
+    assert resolved.to_dict() == values
+
+
+def test_config_file_unknown_key_is_named(tmp_path):
+    with pytest.raises(ConfigError, match="max_worker, retreival_k"):
+        resolve_run_config(_eval_args(tmp_path, {"retreival_k": 3, "max_worker": 2, "seed": 1}))
+    assert dispatch(["eval", "--mock", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_missing_provider_urls_without_mock_is_error(tmp_path, monkeypatch, capsys):

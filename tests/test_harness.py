@@ -37,10 +37,11 @@ from skillforge.harness import (
     strip_wall_clock,
     sweep,
 )
-from skillforge.model import SkillLibrary, Task, collect_failures
+from skillforge.model import EvaluationRecord, SkillLibrary, Task, Trajectory, collect_failures
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
-from skillforge.retrieval import build_index
+from skillforge.retrieval import build_index, retrieve
 from skillforge.scoring import retention_count
+from skillforge.tags import EquivalenceIndex
 from skillforge.world import WorldConfig, generate_world
 
 from conftest import StubLikelihood, make_skill
@@ -75,7 +76,9 @@ def test_simulate_agent_succeeds_when_tags_covered():
         metadata={"required_tags": world.covered_universe[0], "coverable": "true"},
     )
     library = world.initial_library()
-    record = simulate_agent(task, library, build_index(library), world, k=5)
+    eq = EquivalenceIndex.build(world.required_tags(task).union(*(s.tags for s in library)), MockEmbedder())
+    hits = retrieve(build_index(library), [task.description], 5)[0]
+    record = simulate_agent(task, hits, {skill.id: eq.canonical_set(skill.tags) for skill in library}, world, eq)
     assert record.quality == 1
     assert record.trajectory.final_output == "success"
 
@@ -83,7 +86,8 @@ def test_simulate_agent_succeeds_when_tags_covered():
 def test_simulate_agent_fails_on_empty_library_and_lists_missing_tags():
     world = _world(n_tasks=10)
     task = world.tasks[0]
-    record = simulate_agent(task, SkillLibrary(), build_index(SkillLibrary()), world, k=5)
+    eq = EquivalenceIndex.build(world.required_tags(task), MockEmbedder())
+    record = simulate_agent(task, retrieve(build_index(SkillLibrary()), [task.description], 5)[0], {}, world, eq)
     assert record.quality == 0
     missing_note = record.trajectory.steps[-1][1]
     for tag in world.required_tags(task):
@@ -99,6 +103,87 @@ def test_base_pass_rate_matches_planted_coverable_fraction():
     direct = sum(1 for t in world.tasks if t.metadata["coverable"] == "true") / len(world.tasks)
     assert pass_rate(records) == pytest.approx(direct, abs=0.02)
     assert direct == pytest.approx(0.40, abs=1e-12)
+
+
+def _reference_evaluation(tasks, library, world, config, embedder):
+    """The per-task loop before batching: one retrieve per task and one
+    ``library.get`` per hit, classes taken over the task's own retrieved tags."""
+    index = build_index(library)
+    tags = set().union(*(skill.tags for skill in library), *(world.required_tags(t) for t in tasks))
+    eq = EquivalenceIndex.build(tags, embedder, config.delta)
+    records = []
+    for task in tasks:
+        required = world.required_tags(task)
+        hits = retrieve(index, [task.description], config.retrieval_k)[0]
+        retrieved_tags: set[str] = set()
+        for skill_id, _ in hits:
+            skill = library.get(skill_id)
+            if skill is not None:
+                retrieved_tags |= skill.tags
+        required_classes = eq.canonical_set(required)
+        retrieved_classes = eq.canonical_set(retrieved_tags)
+        covered = required_classes & retrieved_classes
+        fraction = len(covered) / len(required_classes) if required_classes else 1.0
+        success = fraction >= world.coverage_threshold - 1e-9
+        retrieved_note = ", ".join(sid for sid, _ in hits) if hits else "none"
+        steps = [("retrieve_skills", f"retrieved: {retrieved_note}")]
+        if success:
+            steps.append(("check_coverage", "all required capabilities covered"))
+            final = "success"
+        else:
+            missing = sorted(required_classes - retrieved_classes)
+            steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
+            final = f"failure: missing {', '.join(missing)}"
+        trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
+        records.append(EvaluationRecord(
+            task=task, trajectory=trajectory, quality=1 if success else 0, tokens_used=0, wall_clock_ms=0
+        ))
+    return records
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize("world_seed", [3, 11])
+def test_batched_evaluation_equals_the_per_task_loop(delta, world_seed):
+    world = _world(seed=world_seed, n_tasks=40)
+    config = RunConfig(seed=world_seed, epochs=2, delta=delta)
+    providers = mock_provider_factory(noise_rate=0.5)(world_seed)
+    evolved, _, _ = evolve_library(config, world, providers)
+    assert len(evolved) > len(world.initial_library())
+    for library in (world.initial_library(), evolved, SkillLibrary()):
+        for tasks in (list(world.tasks), sorted(world.tasks, key=lambda t: t.description)[:7], []):
+            expected = _reference_evaluation(tasks, library, world, config, MockEmbedder())
+            assert evaluate_tasks(tasks, library, world, config, MockEmbedder()) == expected
+
+
+def test_evaluation_starts_no_thread_pool(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from skillforge._parallel import parallel_map
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", refuse)
+    world = _world(n_tasks=20)
+    records = evaluate_tasks(world.tasks, world.initial_library(), world, RunConfig(max_workers=4), MockEmbedder())
+    assert len(records) == 20
+    with pytest.raises(AssertionError, match="thread pool started"):
+        parallel_map(str, [1, 2], max_workers=4)
+
+
+def test_run_epoch_builds_one_equivalence_index(monkeypatch):
+    built = []
+    original = EquivalenceIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EquivalenceIndex, "__init__", counting)
+    world = _world(n_tasks=20)
+    _, _, stats = run_epoch(world.initial_library(), list(world.tasks), world, mock_provider_factory()(7), RunConfig(seed=7))
+    assert stats.n_candidates > 0
+    assert len(built) == 1
 
 
 def test_run_epoch_without_failures_only_bumps_epoch():
@@ -220,6 +305,13 @@ def test_transfer_diagonal_dominates_off_diagonal():
     cells = {row["value"]: row["final_pass_rate"] for row in rows}
     assert cells["A->A"] >= cells["B->A"]
     assert cells["B->B"] >= cells["A->B"]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_config_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ConfigError, match="max_workers"):
+        RunConfig(max_workers=workers)
+    assert RunConfig(max_workers=1).max_workers == 1
 
 
 def test_sweep_rejects_unknown_dimension():

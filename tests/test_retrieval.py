@@ -26,7 +26,7 @@ def test_tokenizer_lowercases_and_splits_non_alphanumeric():
 def test_empty_library_index_returns_nothing():
     index = build_index(SkillLibrary())
     assert index.size == 0
-    assert retrieve(index, "anything at all", 5) == []
+    assert retrieve(index, ["anything at all"], 5)[0] == []
 
 
 def test_single_document_statistics():
@@ -46,19 +46,19 @@ def test_rebuild_gives_identical_statistics():
 
 def test_unique_term_ranks_its_document_first():
     library = _library({"d1": "alpha beta", "d2": "gamma delta", "d3": "beta epsilon"})
-    results = retrieve(build_index(library), "gamma", 3)
+    results = retrieve(build_index(library), ["gamma"], 3)[0]
     assert results[0][0] == "d2"
     assert len(results) == 1  # zero-score documents excluded
 
 
 def test_query_without_indexed_terms_is_empty():
     library = _library({"d1": "alpha beta"})
-    assert retrieve(build_index(library), "zeta eta", 5) == []
+    assert retrieve(build_index(library), ["zeta eta"], 5)[0] == []
 
 
 def test_k_must_be_positive():
     with pytest.raises(InputError):
-        retrieve(build_index(_library({"d1": "alpha"})), "alpha", 0)
+        retrieve(build_index(_library({"d1": "alpha"})), ["alpha"], 0)
 
 
 def test_three_document_fixture_matches_hand_computation():
@@ -71,7 +71,7 @@ def test_three_document_fixture_matches_hand_computation():
             "d3": "video editing guide",
         }
     )
-    results = retrieve(build_index(library), "table formatting", 3)
+    results = retrieve(build_index(library), ["table formatting"], 3)[0]
     idf_table = math.log(1 + (3 - 2 + 0.5) / (2 + 0.5))
     idf_formatting = math.log(1 + (3 - 1 + 0.5) / (1 + 0.5))
     assert [doc for doc, _ in results] == ["d1", "d2"]
@@ -81,7 +81,7 @@ def test_three_document_fixture_matches_hand_computation():
 
 def test_ties_break_by_document_id():
     library = _library({"d_b": "table notes extra", "d_a": "table other words"})
-    results = retrieve(build_index(library), "table", 2)
+    results = retrieve(build_index(library), ["table"], 2)[0]
     assert [doc for doc, _ in results] == ["d_a", "d_b"]
     assert results[0][1] == pytest.approx(results[1][1])
 
@@ -107,9 +107,9 @@ def test_adding_unrelated_document_preserves_relative_order():
                 filler += 1
         text_bodies = {doc: " ".join(tokens) for doc, tokens in bodies.items()}
         query = " ".join(query_terms)
-        before = [doc for doc, _ in retrieve(build_index(_library(text_bodies)), query, n_docs)]
+        before = [doc for doc, _ in retrieve(build_index(_library(text_bodies)), [query], n_docs)[0]]
         text_bodies["zz_new"] = " ".join(f"unrelated{trial}x{j}" for j in range(doc_len))
-        after = [doc for doc, _ in retrieve(build_index(_library(text_bodies)), query, n_docs + 1)]
+        after = [doc for doc, _ in retrieve(build_index(_library(text_bodies)), [query], n_docs + 1)[0]]
         assert [d for d in after if d != "zz_new"] == before
 
 
@@ -122,22 +122,22 @@ def test_adding_unrelated_document_never_changes_the_matching_set():
             for i in range(rng.randint(2, 6))
         }
         query = " ".join(rng.sample(vocabulary, 3))
-        before = {doc for doc, _ in retrieve(build_index(_library(bodies)), query, len(bodies))}
+        before = {doc for doc, _ in retrieve(build_index(_library(bodies)), [query], len(bodies))[0]}
         bodies["zz_new"] = "unrelatedterm anotherunrelated"
-        after = {doc for doc, _ in retrieve(build_index(_library(bodies)), query, len(bodies) )}
+        after = {doc for doc, _ in retrieve(build_index(_library(bodies)), [query], len(bodies))[0]}
         assert after - {"zz_new"} == before
 
 
 def test_retrieve_full_depth_returns_all_positive_scoring():
     library = _library({"d1": "alpha beta", "d2": "alpha", "d3": "gamma"})
-    results = retrieve(build_index(library), "alpha", 3)
+    results = retrieve(build_index(library), ["alpha"], 3)[0]
     assert {doc for doc, _ in results} == {"d1", "d2"}
 
 
 def test_retrieval_is_deterministic():
     library = _library({"d1": "alpha beta gamma", "d2": "beta gamma", "d3": "gamma delta"})
     index = build_index(library)
-    assert retrieve(index, "beta gamma", 3) == retrieve(index, "beta gamma", 3)
+    assert retrieve(index, ["beta gamma"], 3)[0] == retrieve(index, ["beta gamma"], 3)[0]
 
 
 def test_library_of_empty_documents_returns_nothing():
@@ -145,7 +145,41 @@ def test_library_of_empty_documents_returns_nothing():
     library = SkillLibrary(skills=(make_skill("s1", tags=(), name="\u2014", description="", body="!!!"),))
     index = build_index(library)
     assert index.avgdl == 0.0
-    assert retrieve(index, "anything", 5) == []
+    assert retrieve(index, ["anything"], 5)[0] == []
+
+
+def test_bare_string_is_rejected():
+    # A str is a Sequence[str]; taken as a batch it would rank each character.
+    with pytest.raises(InputError):
+        retrieve(build_index(_library({"d1": "alpha"})), "alpha", 3)
+
+
+def test_batch_returns_one_ranking_per_query_in_order():
+    library = _library({"d1": "alpha beta", "d2": "gamma", "d3": "alpha alpha"})
+    index = build_index(library)
+    queries = ["gamma", "", "alpha", "absent words", "alpha"]
+    batch = retrieve(index, queries, 2)
+    assert batch == [retrieve(index, [query], 2)[0] for query in queries]
+    assert batch[1] == [] and batch[3] == []
+    assert batch[2] == batch[4]
+    assert retrieve(index, [], 2) == []
+
+
+def test_many_tied_documents_keep_id_order():
+    # Long enough rows that an unstable sort would reorder the ties.
+    rng = random.Random(5)
+    ids = [f"d{i:03d}" for i in range(300)]
+    rng.shuffle(ids)
+    library = _library({sid: rng.choice(["table a", "table b", "chart c", "table table d"]) for sid in ids})
+    built = build_index(library)
+    # The same index with its documents in shuffled rather than id order.
+    shuffled = Bm25Index(
+        documents={sid: built.documents[sid] for sid in ids},
+        doc_lengths=built.doc_lengths, df=built.df, avgdl=built.avgdl,
+    )
+    queries = ["table", "chart table", "table chart table"]
+    for index in (built, shuffled):
+        assert retrieve(index, queries, 400) == [_full_scan(index, q, 400) for q in queries]
 
 
 def _full_scan(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
@@ -157,6 +191,8 @@ def _full_scan(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
     scored: list[tuple[str, float]] = []
     for doc_id in sorted(index.documents):
         counts = index.documents[doc_id]
+        if not counts:
+            continue  # an empty document matches nothing (and avgdl may be 0)
         dl = index.doc_lengths[doc_id]
         norm = index.k1 * (1 - index.b + index.b * dl / index.avgdl)
         score = 0.0
@@ -175,20 +211,23 @@ def _full_scan(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
 
 # A small vocabulary makes shared terms, repeated terms and tied documents common.
 _WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "eps", "zeta", "x1", "x2"])
+_QUERY = st.lists(st.one_of(_WORDS, st.just("absent"), st.just("")), max_size=12)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(
-    bodies=st.lists(st.lists(_WORDS, max_size=9), min_size=1, max_size=10),
-    query=st.lists(st.one_of(_WORDS, st.just("absent")), max_size=7),
-    k=st.integers(min_value=1, max_value=12),
+    bodies=st.lists(st.lists(st.one_of(_WORDS, st.just("!!")), max_size=9), min_size=1, max_size=10),
+    copies=st.integers(min_value=0, max_value=2),
+    queries=st.lists(_QUERY, max_size=8),
+    k=st.integers(min_value=1, max_value=14),
     k1=st.sampled_from([0.0, 1.2, 2.0]),
     b=st.sampled_from([0.0, 0.75, 1.0]),
 )
-def test_postings_match_the_full_scan_exactly(bodies, query, k, k1, b):
-    if not any(bodies):
-        bodies[0].append("alpha")  # the full scan divides by avgdl = 0
+def test_postings_match_the_full_scan_exactly(bodies, copies, queries, k, k1, b):
+    # Copies of the first body make tied documents; "!!" tokenizes to nothing,
+    # so some corpora hold only empty documents.
+    bodies = bodies + [bodies[0]] * copies
     library = _library({f"d{i:02d}": " ".join(words) for i, words in enumerate(bodies)})
     index = build_index(library, k1=k1, b=b)
-    text = " ".join(query)
-    assert retrieve(index, text, k) == _full_scan(index, text, k)
+    texts = [" ".join(query) for query in queries]
+    assert retrieve(index, texts, k) == [_full_scan(index, text, k) for text in texts]
