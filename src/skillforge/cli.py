@@ -6,9 +6,11 @@ file), ``evolve`` (full epoch loop), ``score`` (score a candidate file),
 ``retrieve`` (BM25 query), ``eval`` (k-fold protocol), ``sweep`` (parameter
 sweeps), and ``report`` (re-render a report JSON as Markdown).
 
-Configuration precedence is flag > environment > config file > default; the
-fully resolved configuration is echoed into every report. Exit codes: 0 on
-success, 1 on usage errors, 2 on runtime errors.
+Each run setting comes from its flag, else the ``--config`` file, else its
+default; the fully resolved configuration is echoed into every report. The
+environment supplies only the HTTP endpoints and API key, and the
+``--chat-url``, ``--embed-url`` and ``--logprob-url`` flags override it.
+Exit codes: 0 on success, 1 on usage errors, 2 on runtime errors.
 """
 
 from __future__ import annotations
@@ -187,12 +189,12 @@ def resolve_run_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
-def _resolve_providers(args, config: RunConfig):
-    """Return (factory, bundle). Mock providers stay fully offline."""
+def _resolve_providers(args):
+    """Return the factory of seeded provider bundles. Mock providers stay
+    fully offline; the HTTP factory returns its one bundle for every seed."""
     if getattr(args, "mock", False):
         noise = getattr(args, "noise_rate", None) or 0.0
-        factory = mock_provider_factory(noise_rate=noise)
-        return factory, factory(config.seed)
+        return mock_provider_factory(noise_rate=noise)
     overrides = {}
     for flag, key in (("chat_url", "chat_url"), ("embed_url", "embed_url"), ("logprob_url", "logprob_url")):
         value = getattr(args, flag, None)
@@ -209,7 +211,7 @@ def _resolve_providers(args, config: RunConfig):
         embedder=HttpEmbeddingProvider(http),
         likelihood=HttpLikelihoodProvider(http),
     )
-    return (lambda seed: bundle), bundle
+    return lambda seed: bundle
 
 
 def _resolve_world(args, config: RunConfig) -> SyntheticWorld:
@@ -235,7 +237,7 @@ def cmd_simworld(args) -> int:
 
 def cmd_tag(args) -> int:
     config = resolve_run_config(args)
-    _, bundle = _resolve_providers(args, config)
+    bundle = _resolve_providers(args)(config.seed)
     if bool(args.library) == bool(args.tasks):
         raise ConfigError("pass exactly one of --library or --tasks")
     if args.library:
@@ -271,7 +273,7 @@ def cmd_select(args) -> int:
 
 def cmd_evolve(args) -> int:
     config = resolve_run_config(args)
-    factory, bundle = _resolve_providers(args, config)
+    bundle = _resolve_providers(args)(config.seed)
     world = _resolve_world(args, config)
     library, report, stats_list = evolve_library(
         config, world, bundle, dump_dir=args.dump_prompts
@@ -292,7 +294,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_score(args) -> int:
     config = resolve_run_config(args)
-    _, bundle = _resolve_providers(args, config)
+    bundle = _resolve_providers(args)(config.seed)
     rows_in = [
         json.loads(line)
         for line in Path(args.candidates).read_text(encoding="utf-8").splitlines()
@@ -348,7 +350,7 @@ def cmd_retrieve(args) -> int:
 
 def cmd_eval(args) -> int:
     config = resolve_run_config(args)
-    factory, bundle = _resolve_providers(args, config)
+    factory = _resolve_providers(args)
     world = _resolve_world(args, config)
     task_transform = None
     if args.paraphrase_provider:
@@ -369,7 +371,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = resolve_run_config(args)
-    factory, _ = _resolve_providers(args, config)
+    factory = _resolve_providers(args)
     world = load_world(args.world_dir) if args.world_dir else None
     rows = sweep(config, args.dimension, world=world, provider_factory=factory)
     out = Path(args.out)

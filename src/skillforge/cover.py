@@ -34,7 +34,7 @@ unchanged.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -75,10 +75,7 @@ class CoverInstance:
 
     @property
     def coverable(self) -> frozenset[str]:
-        reachable: set[str] = set()
-        for classes in self.skill_classes.values():
-            reachable |= classes
-        return self.target_classes & reachable
+        return self.target_classes & _union(self.skill_classes.values())
 
     @classmethod
     def from_file(cls, path: str | Path) -> CoverInstance:
@@ -112,11 +109,14 @@ class SelectionResult:
         }
 
 
+def _union(class_sets: Iterable[frozenset[str]]) -> frozenset[str]:
+    """Union of skill class sets, e.g. of a selection or a whole library."""
+    return frozenset().union(*class_sets)
+
+
 def _result(instance: CoverInstance, selected: list[str]) -> SelectionResult:
-    union: set[str] = set()
-    for sid in selected:
-        union |= instance.skill_classes[sid]
-    covered = frozenset(union & instance.target_classes)
+    union = _union(instance.skill_classes[sid] for sid in selected)
+    covered = union & instance.target_classes
     return SelectionResult(
         selected=tuple(selected),
         covered=covered,
@@ -133,10 +133,7 @@ def prune_redundant(instance: CoverInstance, selection: list[str] | tuple[str, .
     kept = list(selection)
 
     def covered(ids: list[str]) -> frozenset[str]:
-        union: set[str] = set()
-        for sid in ids:
-            union |= instance.skill_classes[sid]
-        return frozenset(union & instance.target_classes)
+        return _union(instance.skill_classes[sid] for sid in ids) & instance.target_classes
 
     for sid in list(reversed(kept)):
         trial = [s for s in kept if s != sid]
@@ -188,9 +185,7 @@ def primal_dual_select(instance: CoverInstance) -> SelectionResult:
 
 def lp_round_select(instance: CoverInstance) -> SelectionResult:
     n_skills = len(instance.skill_order)
-    all_classes: set[str] = set()
-    for classes in instance.skill_classes.values():
-        all_classes |= classes
+    all_classes = _union(instance.skill_classes.values())
     if n_skills > LP_SIZE_CAP or len(all_classes | instance.target_classes) > LP_SIZE_CAP:
         raise SizeError(
             f"instance exceeds the LP cap of {LP_SIZE_CAP} skills/classes; use the greedy strategy"
@@ -275,9 +270,7 @@ def _greedy_repair(instance: CoverInstance, selected: list[str]) -> list[str]:
     """Extend a partial selection until all coverable target classes are covered."""
     order_index = {sid: i for i, sid in enumerate(instance.skill_order)}
     chosen = set(selected)
-    union: set[str] = set()
-    for sid in selected:
-        union |= instance.skill_classes[sid]
+    union = _union(instance.skill_classes[sid] for sid in selected)
     remaining = set(instance.coverable) - union
     introduced = union - instance.target_classes
     result = list(selected)
@@ -312,7 +305,7 @@ def brute_force_select(instance: CoverInstance) -> SelectionResult:
     if n > BRUTE_FORCE_CAP:
         raise SizeError(f"brute force is capped at {BRUTE_FORCE_CAP} skills, got {n}")
 
-    class_ids = sorted(instance.target_classes | {c for cl in instance.skill_classes.values() for c in cl})
+    class_ids = sorted(instance.target_classes | _union(instance.skill_classes.values()))
     bit = {c: i for i, c in enumerate(class_ids)}
     target_mask = 0
     for c in instance.target_classes:

@@ -3,10 +3,12 @@
 One evolution epoch evaluates every training task against the current
 library, keeps the failures, infers their required tags, selects covering
 source skills, generates and scores candidate skills, and folds the retained
-top fraction back into the library. The k-fold protocol evolves on all folds
-but one and measures pass rate on the held-out fold, for every fold and every
-run seed; epoch 0 is always evaluated first so the no-evolution baseline
-anchors each report.
+top fraction back into the library. One cell loop (``_evolve_cell``) runs
+the epochs of every entry point. The k-fold protocol runs it per fold and run
+seed, evolving on all folds but one and measuring pass rate on the held-out
+fold; ``evolve_library`` runs it once on every task with nothing held out,
+which is the leaky protocol that ``folds=1`` also gets. Epoch 0 is always
+evaluated first so the no-evolution baseline anchors each report.
 
 Wall-clock numbers come from an injectable monotonic clock and are excluded
 from determinism comparisons (see ``strip_wall_clock``).
@@ -39,6 +41,7 @@ from skillforge.model import (
 )
 from skillforge.providers.base import (
     ChatProvider,
+    ChatRequest,
     ChatResponse,
     EmbeddingProvider,
     LikelihoodProvider,
@@ -131,62 +134,30 @@ def mock_provider_factory(
     return factory
 
 
-class UsageMeter:
-    """Thread-safe ledger of provider calls and token counts."""
+class _TokenMeter:
+    """Forwards chat and likelihood calls to one bundle's providers and sums
+    their tokens (``tokens_in + tokens_out`` per completion, ``token_count``
+    per likelihood score) under a lock, since stages call it from threads."""
 
-    def __init__(self) -> None:
+    def __init__(self, providers: ProviderBundle) -> None:
+        self._chat = providers.chat
+        self._likelihood = providers.likelihood
         self._lock = threading.Lock()
-        self.chat_calls = 0
-        self.likelihood_calls = 0
-        self.embed_calls = 0
         self.tokens = 0
 
-    def add_chat(self, response: ChatResponse) -> None:
-        with self._lock:
-            self.chat_calls += 1
-            self.tokens += response.tokens_in + response.tokens_out
-
-    def add_likelihood(self, result: LikelihoodResult) -> None:
-        with self._lock:
-            self.likelihood_calls += 1
-            self.tokens += result.token_count
-
-    def add_embed(self, count: int) -> None:
-        with self._lock:
-            self.embed_calls += 1
-
-
-class _MeteredChat:
-    def __init__(self, inner: ChatProvider, meter: UsageMeter) -> None:
-        self._inner = inner
-        self._meter = meter
-
-    def complete(self, request):
-        response = self._inner.complete(request)
-        self._meter.add_chat(response)
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        response = self._chat.complete(request)
+        self._add(response.tokens_in + response.tokens_out)
         return response
 
-
-class _MeteredLikelihood:
-    def __init__(self, inner: LikelihoodProvider, meter: UsageMeter) -> None:
-        self._inner = inner
-        self._meter = meter
-
-    def score_likelihood(self, condition, continuation):
-        result = self._inner.score_likelihood(condition, continuation)
-        self._meter.add_likelihood(result)
+    def score_likelihood(self, condition: str, continuation: str) -> LikelihoodResult:
+        result = self._likelihood.score_likelihood(condition, continuation)
+        self._add(result.token_count)
         return result
 
-
-class _MeteredEmbedder:
-    def __init__(self, inner: EmbeddingProvider, meter: UsageMeter) -> None:
-        self._inner = inner
-        self._meter = meter
-
-    def embed(self, texts):
-        vectors = self._inner.embed(texts)
-        self._meter.add_embed(len(texts))
-        return vectors
+    def _add(self, tokens: int) -> None:
+        with self._lock:
+            self.tokens += tokens
 
 
 class CachedEmbedder:
@@ -209,14 +180,6 @@ class CachedEmbedder:
             if missing:
                 self._vectors.update(zip(missing, self._inner.embed(missing)))
             return np.array([self._vectors[t] for t in texts])
-
-
-def metered(bundle: ProviderBundle, meter: UsageMeter) -> ProviderBundle:
-    return ProviderBundle(
-        chat=_MeteredChat(bundle.chat, meter),
-        embedder=_MeteredEmbedder(bundle.embedder, meter),
-        likelihood=_MeteredLikelihood(bundle.likelihood, meter),
-    )
 
 
 def simulate_agent(
@@ -325,19 +288,18 @@ def run_epoch(
 ) -> tuple[list[EvaluationRecord], SkillLibrary, EpochStats]:
     """One full evolution epoch over ``tasks``; returns the evaluation records
     (measured on the incoming library), the updated library, and the stats row."""
-    meter = UsageMeter()
-    wrapped = metered(providers, meter)
+    meter = _TokenMeter(providers)
     started = clock()
 
     # The evaluation index is reused below, growing by target and candidate tags.
-    eq = _evaluation_index(library, tasks, world, config, wrapped.embedder)
-    records = evaluate_tasks(tasks, library, world, config, wrapped.embedder, eq)
+    eq = _evaluation_index(library, tasks, world, config, providers.embedder)
+    records = evaluate_tasks(tasks, library, world, config, providers.embedder, eq)
     failures = collect_failures(records)
     ordered = sorted(failures, key=lambda pair: pair.task.id)
 
     def _infer(pair):
         try:
-            return generate_target_tags(pair, wrapped.chat)
+            return generate_target_tags(pair, meter)
         except (ProviderError, TaggingError) as exc:
             logger.warning("skipping pair %s: %s", pair.task.id, exc)
             return None
@@ -355,14 +317,14 @@ def run_epoch(
     all_targets: set[str] = set()
     for tags in target_tags.values():
         all_targets |= tags
-    eq.add_tags(all_targets, wrapped.embedder)
+    eq.add_tags(all_targets, providers.embedder)
 
     generation = GenerationConfig(epoch=library.epoch)
     candidates = generate_candidates(
         ordered,
         library,
         eq,
-        wrapped.chat,
+        meter,
         generation,
         target_tags,
         strategy=config.strategy,
@@ -373,7 +335,7 @@ def run_epoch(
     candidate_tags: set[str] = set()
     for candidate in candidates:
         candidate_tags |= candidate.skill.tags
-    eq.add_tags(candidate_tags, wrapped.embedder)
+    eq.add_tags(candidate_tags, providers.embedder)
 
     tasks_by_id = {task.id: task for task in tasks}
 
@@ -384,7 +346,7 @@ def run_epoch(
                 target_tags[candidate.source_pair_id],
                 tasks_by_id[candidate.source_pair_id],
                 eq,
-                wrapped.likelihood,
+                meter,
             )
         except ScoringError as exc:
             logger.warning("dropping candidate %s: %s", candidate.skill.id, exc)
@@ -393,7 +355,7 @@ def run_epoch(
     scored = [c for c in parallel_map(_score, candidates, max_workers=config.max_workers) if c]
 
     updated, retained, rows = filter_and_update(
-        scored, library, config.filter_ratio, eq, wrapped.embedder
+        scored, library, config.filter_ratio, eq, providers.embedder
     )
     stats = EpochStats(
         n_failures=len(failures),
@@ -470,32 +432,21 @@ class EvolutionReport:
         epochs = max((len(cell.rows) for cell in self.cells), default=0)
         summary = []
         for e in range(epochs):
-            holdout = [cell.rows[e].holdout_pass_rate for cell in self.cells if e < len(cell.rows)]
-            train = [cell.rows[e].train_pass_rate for cell in self.cells if e < len(cell.rows)]
-            sizes = [cell.rows[e].library_size for cell in self.cells if e < len(cell.rows)]
-            f_tags = [
-                cell.rows[e].mean_f_tag
-                for cell in self.cells
-                if e < len(cell.rows) and cell.rows[e].mean_f_tag is not None
-            ]
-            aligns = [
-                cell.rows[e].mean_alignment
-                for cell in self.cells
-                if e < len(cell.rows) and cell.rows[e].mean_alignment is not None
-            ]
-            tokens = [cell.rows[e].tokens_used for cell in self.cells if e < len(cell.rows)]
-            wall = [cell.rows[e].wall_clock_ms for cell in self.cells if e < len(cell.rows)]
+            rows = [cell.rows[e] for cell in self.cells if e < len(cell.rows)]
+            holdout = [row.holdout_pass_rate for row in rows]
+            f_tags = [row.mean_f_tag for row in rows if row.mean_f_tag is not None]
+            aligns = [row.mean_alignment for row in rows if row.mean_alignment is not None]
             summary.append(
                 {
                     "epoch": e,
                     "mean_holdout_pass_rate": _mean(holdout),
                     "std_holdout_pass_rate": statistics.pstdev(holdout) if len(holdout) > 1 else 0.0,
-                    "mean_train_pass_rate": _mean(train),
-                    "mean_library_size": _mean([float(s) for s in sizes]),
+                    "mean_train_pass_rate": _mean([row.train_pass_rate for row in rows]),
+                    "mean_library_size": _mean([float(row.library_size) for row in rows]),
                     "mean_f_tag": _mean(f_tags),
                     "mean_alignment": _mean(aligns),
-                    "tokens_used": sum(tokens),
-                    "wall_clock_ms": sum(wall),
+                    "tokens_used": sum(row.tokens_used for row in rows),
+                    "wall_clock_ms": sum(row.wall_clock_ms for row in rows),
                 }
             )
         return summary
@@ -587,6 +538,61 @@ def _partition_folds(tasks: Sequence[Task], folds: int, seed: int) -> list[list[
     return [ordered[i::folds] for i in range(folds)]
 
 
+def _evolve_cell(
+    library: SkillLibrary,
+    train: Sequence[Task],
+    holdout: Sequence[Task] | None,
+    world: SyntheticWorld,
+    providers: ProviderBundle,
+    config: RunConfig,
+    clock: Callable[[], float],
+    dump_dir: str | Path | None = None,
+) -> tuple[SkillLibrary, list[EpochRow], list[EpochStats]]:
+    """Evolve ``library`` on ``train`` for ``config.epochs`` epochs.
+
+    Row ``e`` measures the library as it enters epoch ``e`` (the last row the
+    final library) and carries the stats of the epoch that produced it.
+    ``holdout=None`` is the leaky protocol: the held-out pass rate is the
+    train pass rate and no second evaluation runs. ``evaluate_tasks`` and
+    ``run_epoch`` are looked up as module globals on each call, so wrappers
+    installed on this module see every epoch.
+    """
+    rows: list[EpochRow] = []
+    stats_list: list[EpochStats] = []
+    for epoch in range(config.epochs + 1):
+        holdout_rate = None
+        if holdout is not None:
+            holdout_rate = pass_rate(evaluate_tasks(holdout, library, world, config, providers.embedder))
+        if epoch < config.epochs:
+            records, new_library, stats = run_epoch(
+                library, train, world, providers, config, clock=clock, dump_dir=dump_dir
+            )
+        else:
+            records = evaluate_tasks(train, library, world, config, providers.embedder)
+            new_library, stats = library, None
+        train_rate = pass_rate(records)
+        pending = stats_list[-1] if stats_list else None
+        rows.append(
+            EpochRow(
+                epoch=epoch,
+                library_size=len(library),
+                train_pass_rate=train_rate,
+                holdout_pass_rate=train_rate if holdout_rate is None else holdout_rate,
+                n_failures=pending.n_failures if pending else None,
+                n_candidates=pending.n_candidates if pending else None,
+                n_retained=pending.n_retained if pending else None,
+                mean_f_tag=pending.mean_f_tag if pending else None,
+                mean_alignment=pending.mean_alignment if pending else None,
+                tokens_used=pending.tokens_used if pending else 0,
+                wall_clock_ms=pending.wall_clock_ms if pending else 0,
+            )
+        )
+        if stats is not None:
+            stats_list.append(stats)
+        library = new_library
+    return library, rows, stats_list
+
+
 def run_kfold(
     config: RunConfig,
     world: SyntheticWorld,
@@ -596,9 +602,10 @@ def run_kfold(
 ) -> EvolutionReport:
     """Evolve on all folds but one and score the held-out fold, per run seed.
 
-    With ``folds=1`` evolution and evaluation share the same tasks; the
-    report is flagged leaky. ``task_transform`` is an optional hook applied
-    to the task list up front (e.g. paraphrasing descriptions).
+    With ``folds=1`` evolution and evaluation share the same tasks; each cell
+    is then ``evolve_library``'s leaky cell and the report is flagged leaky.
+    ``task_transform`` is an optional hook applied to the task list up front
+    (e.g. paraphrasing descriptions).
     """
     factory = provider_factory or mock_provider_factory()
     tasks: Sequence[Task] = world.tasks
@@ -622,47 +629,14 @@ def run_kfold(
         # One LP memo per run seed, like the embedding cache.
         with lp_memo():
             for fold_idx in range(config.folds):
-                holdout = fold_lists[fold_idx]
-                if leaky:
-                    train = list(holdout)
-                else:
-                    train = [t for i, lst in enumerate(fold_lists) if i != fold_idx for t in lst]
-                    train.sort(key=lambda t: t.id)
+                # The leaky cell trains on its only fold and holds nothing out.
+                holdout = None if leaky else fold_lists[fold_idx]
+                train = sorted(
+                    (t for i, lst in enumerate(fold_lists) if leaky or i != fold_idx for t in lst),
+                    key=lambda t: t.id,
+                )
                 library = apply_label_scale(world, config.label_scale, run_seed)
-
-                rows: list[EpochRow] = []
-                pending: EpochStats | None = None
-                for epoch in range(config.epochs + 1):
-                    holdout_records = evaluate_tasks(
-                        holdout, library, world, config, providers.embedder
-                    )
-                    if epoch < config.epochs:
-                        records, new_library, stats = run_epoch(
-                            library, train, world, providers, config, clock=clock
-                        )
-                        train_rate = pass_rate(records)
-                    else:
-                        train_rate = pass_rate(
-                            evaluate_tasks(train, library, world, config, providers.embedder)
-                        )
-                    rows.append(
-                        EpochRow(
-                            epoch=epoch,
-                            library_size=len(library),
-                            train_pass_rate=train_rate,
-                            holdout_pass_rate=pass_rate(holdout_records),
-                            n_failures=pending.n_failures if pending else None,
-                            n_candidates=pending.n_candidates if pending else None,
-                            n_retained=pending.n_retained if pending else None,
-                            mean_f_tag=pending.mean_f_tag if pending else None,
-                            mean_alignment=pending.mean_alignment if pending else None,
-                            tokens_used=pending.tokens_used if pending else 0,
-                            wall_clock_ms=pending.wall_clock_ms if pending else 0,
-                        )
-                    )
-                    if epoch < config.epochs:
-                        pending = stats
-                        library = new_library
+                _, rows, _ = _evolve_cell(library, train, holdout, world, providers, config, clock)
                 cells.append(CellResult(fold=fold_idx, run=run_idx, seed=run_seed, rows=tuple(rows)))
 
     return EvolutionReport(
@@ -687,37 +661,10 @@ def evolve_library(
     providers = replace(providers, embedder=CachedEmbedder(providers.embedder))
     library = apply_label_scale(world, config.label_scale, config.seed)
     tasks = sorted(world.tasks, key=lambda t: t.id)
-    rows: list[EpochRow] = []
-    stats_list: list[EpochStats] = []
-    pending: EpochStats | None = None
     with lp_memo():
-        for epoch in range(config.epochs + 1):
-            if epoch < config.epochs:
-                records, new_library, stats = run_epoch(
-                    library, tasks, world, providers, config, clock=clock, dump_dir=dump_dir
-                )
-                stats_list.append(stats)
-                train_rate = pass_rate(records)
-            else:
-                train_rate = pass_rate(evaluate_tasks(tasks, library, world, config, providers.embedder))
-            rows.append(
-                EpochRow(
-                    epoch=epoch,
-                    library_size=len(library),
-                    train_pass_rate=train_rate,
-                    holdout_pass_rate=train_rate,
-                    n_failures=pending.n_failures if pending else None,
-                    n_candidates=pending.n_candidates if pending else None,
-                    n_retained=pending.n_retained if pending else None,
-                    mean_f_tag=pending.mean_f_tag if pending else None,
-                    mean_alignment=pending.mean_alignment if pending else None,
-                    tokens_used=pending.tokens_used if pending else 0,
-                    wall_clock_ms=pending.wall_clock_ms if pending else 0,
-                )
-            )
-            if epoch < config.epochs:
-                pending = stats
-                library = new_library
+        library, rows, stats_list = _evolve_cell(
+            library, tasks, None, world, providers, config, clock, dump_dir
+        )
     report = EvolutionReport(
         config=config.to_dict(),
         leaky=True,

@@ -22,7 +22,7 @@ from skillforge.errors import ConfigError, InputError, ProviderError, ScoringErr
 from skillforge.evolve import CandidateSkill
 from skillforge.model import SkillLibrary, Task, add_skills
 from skillforge.providers.base import EmbeddingProvider, LikelihoodProvider
-from skillforge.tags import EquivalenceIndex, TagSet
+from skillforge.tags import EquivalenceIndex, TagSet, prf
 
 logger = logging.getLogger(__name__)
 
@@ -78,11 +78,7 @@ def knowledge_coverage(
             "empty target tag set for candidate %s; recall treated as 0", candidate.skill.id
         )
         return 0.0, 0.0, 0.0
-    intersection = len(predicted & reference)
-    p = intersection / len(predicted)
-    r = intersection / len(reference)
-    f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f
+    return prf(len(predicted & reference), len(predicted), len(reference))
 
 
 def alignment_score(

@@ -234,7 +234,8 @@ def semantic_intersection(a: Iterable[str], b: Iterable[str], index: Equivalence
     return len(index.canonical_set(a) & index.canonical_set(b))
 
 
-def _prf(intersection: int, predicted: int, reference: int) -> tuple[float, float, float]:
+def prf(intersection: int, predicted: int, reference: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 from set sizes; an empty side scores 0."""
     p = intersection / predicted if predicted else 0.0
     r = intersection / reference if reference else 0.0
     f = 2 * p * r / (p + r) if p + r > 0 else 0.0
@@ -255,10 +256,10 @@ def tag_quality_metrics(
     predicted: TagSet, reference: TagSet, index: EquivalenceIndex
 ) -> TagQualityReport:
     """Exact-string and class-canonical precision/recall/F1."""
-    ep, er, ef = _prf(len(predicted & reference), len(predicted), len(reference))
+    ep, er, ef = prf(len(predicted & reference), len(predicted), len(reference))
     cp = index.canonical_set(predicted)
     cr = index.canonical_set(reference)
-    sp, sr, sf = _prf(len(cp & cr), len(cp), len(cr))
+    sp, sr, sf = prf(len(cp & cr), len(cp), len(cr))
     return TagQualityReport(ep, er, ef, sp, sr, sf)
 
 

@@ -20,13 +20,11 @@ from skillforge.harness import (
     EvolutionReport,
     ProviderBundle,
     RunConfig,
-    UsageMeter,
     apply_label_scale,
     average_ranks,
     emit_report,
     evaluate_tasks,
     evolve_library,
-    metered,
     mock_provider_factory,
     pass_rate,
     run_epoch,
@@ -208,14 +206,46 @@ def test_run_epoch_grows_library_by_retention_rule():
     assert stats.n_retained == retention_count(len(failures), 0.2)
 
 
-def test_run_epoch_token_ledger_matches_independent_meter():
+class RecordingChat:
+    """Forwards to a chat provider and records each reply's tokens."""
+
+    def __init__(self, inner, recorded):
+        self.inner = inner
+        self.recorded = recorded
+
+    def complete(self, request):
+        response = self.inner.complete(request)
+        self.recorded.append(response.tokens_in + response.tokens_out)
+        return response
+
+
+class RecordingLikelihood:
+    """Forwards to a likelihood provider and records each result's tokens."""
+
+    def __init__(self, inner, recorded):
+        self.inner = inner
+        self.recorded = recorded
+
+    def score_likelihood(self, condition, continuation):
+        result = self.inner.score_likelihood(condition, continuation)
+        self.recorded.append(result.token_count)
+        return result
+
+
+@pytest.mark.parametrize("max_workers", [1, 4])
+def test_run_epoch_token_ledger_matches_independent_meter(max_workers):
     world = _world(n_tasks=20)
     library = world.initial_library()
-    outer = UsageMeter()
-    providers = metered(mock_provider_factory()(7), outer)
-    _, _, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
-    assert stats.tokens_used == outer.tokens
-    assert outer.tokens > 0
+    bundle = mock_provider_factory()(7)
+    recorded = []
+    providers = replace(
+        bundle,
+        chat=RecordingChat(bundle.chat, recorded),
+        likelihood=RecordingLikelihood(bundle.likelihood, recorded),
+    )
+    config = RunConfig(seed=7, max_workers=max_workers)
+    _, _, stats = run_epoch(library, list(world.tasks), world, providers, config)
+    assert stats.tokens_used == sum(recorded) > 0
 
 
 def test_kfold_partition_has_no_leakage():
@@ -233,6 +263,58 @@ def test_kfold_single_fold_is_flagged_leaky():
     report = run_kfold(RunConfig(seed=7, folds=1, runs=1, epochs=1), world, mock_provider_factory())
     assert report.leaky is True
     assert report.to_dict()["leaky"] is True
+
+
+@pytest.mark.parametrize(
+    ("world_seed", "n_tasks", "strategy", "noise_rate"),
+    [(7, 20, "greedy", 0.0), (3, 40, "lp_round", 0.5), (11, 60, "primal_dual", 1.0)],
+)
+def test_single_fold_kfold_report_equals_evolve_library(world_seed, n_tasks, strategy, noise_rate):
+    world = _world(seed=world_seed, n_tasks=n_tasks)
+    config = RunConfig(seed=world_seed, folds=1, runs=1, strategy=strategy)
+    factory = mock_provider_factory(noise_rate=noise_rate)
+    kfold = run_kfold(config, world, factory)
+    _, evolved, _ = evolve_library(config, world, factory(config.seed))
+    assert strip_wall_clock(kfold.to_dict()) == strip_wall_clock(evolved.to_dict())
+
+
+@pytest.mark.parametrize(("folds", "evaluations_per_epoch"), [(1, 1), (2, 2)])
+def test_kfold_evaluations_per_cell(monkeypatch, folds, evaluations_per_epoch):
+    # The leaky cell reuses the train evaluation as its held-out one.
+    import skillforge.harness as harness
+
+    calls = []
+    evaluate = harness.evaluate_tasks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_tasks", counted)
+    config = RunConfig(seed=7, epochs=2, folds=folds, runs=2)
+    run_kfold(config, _world(n_tasks=20), mock_provider_factory())
+    cells = config.folds * config.runs
+    assert len(calls) == cells * evaluations_per_epoch * (config.epochs + 1)
+
+
+def test_wrapped_run_epoch_sees_every_epoch_of_both_entry_points(monkeypatch):
+    import skillforge.harness as harness
+
+    seen = []
+    step = harness.run_epoch
+
+    def spy(library, *args, **kwargs):
+        seen.append(library.epoch)
+        return step(library, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_epoch", spy)
+    world = _world(n_tasks=20)
+    config = RunConfig(seed=7, epochs=2, folds=2, runs=2)
+    run_kfold(config, world, mock_provider_factory())
+    assert seen == [0, 1] * (config.folds * config.runs)
+    seen.clear()
+    evolve_library(config, world, mock_provider_factory()(7))
+    assert seen == [0, 1]
 
 
 def test_kfold_rejects_more_folds_than_tasks():
