@@ -31,6 +31,7 @@ from skillforge.providers.base import (
     DEFAULT_TEMPERATURE,
     ChatProvider,
     ChatRequest,
+    accept_reply,
 )
 from skillforge.tags import EquivalenceIndex, TagSet, generate_skill_tags
 
@@ -196,6 +197,7 @@ def _complete_one(
             reply = chat.complete(request)
             try:
                 parsed = parse_skill_response(reply.text)
+                accept_reply(chat, request, reply)
                 break
             except ParseError as exc:
                 logger.warning(

@@ -8,7 +8,11 @@ the epochs of every entry point. The k-fold protocol runs it per fold and run
 seed, evolving on all folds but one and measuring pass rate on the held-out
 fold; ``evolve_library`` runs it once on every task with nothing held out,
 which is the leaky protocol that ``folds=1`` also gets. Epoch 0 is always
-evaluated first so the no-evolution baseline anchors each report.
+evaluated first so the no-evolution baseline anchors each report. Each run
+(run seed or ``evolve_library`` call) sends its provider calls through one
+``_Session``, which memoizes accepted temperature-0 chat replies, likelihood
+scores and embeddings; each epoch's token meter sits above it and so also
+counts the replies it serves.
 
 Wall-clock numbers come from an injectable monotonic clock and are excluded
 from determinism comparisons (see ``strip_wall_clock``).
@@ -46,6 +50,7 @@ from skillforge.providers.base import (
     EmbeddingProvider,
     LikelihoodProvider,
     LikelihoodResult,
+    accept_reply,
     validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
@@ -150,6 +155,9 @@ class _TokenMeter:
         self._add(response.tokens_in + response.tokens_out)
         return response
 
+    def accept(self, request: ChatRequest, reply: ChatResponse) -> None:
+        accept_reply(self._chat, request, reply)
+
     def score_likelihood(self, condition: str, continuation: str) -> LikelihoodResult:
         result = self._likelihood.score_likelihood(condition, continuation)
         self._add(result.token_count)
@@ -160,25 +168,47 @@ class _TokenMeter:
             self.tokens += tokens
 
 
-class CachedEmbedder:
-    """Thread-safe text -> vector memo around one embedder, kept for one run.
+class _Session:
+    """One run's stand-in for all three roles of a bundle, memoizing replies.
 
-    Inputs are validated on every call, hits included, and only texts not
-    seen before reach the inner embedder, each once. This relies on the
-    embedder giving a text the same vector whatever batch it arrives in.
+    ``complete`` serves a temperature-0 request the reply a consumer
+    ``accept``-ed for it, so re-asks and warmer requests reach the provider;
+    ``score_likelihood`` keeps each (condition, continuation) score; ``embed``
+    validates every call, hits included, and sends each text to the embedder
+    once (a text must get the same vector in any batch). A raising call stores
+    nothing. Chat and likelihood misses are sent unlocked, so two threads
+    missing on one request at once may both send it.
     """
 
-    def __init__(self, inner: EmbeddingProvider) -> None:
-        self._inner = inner
+    chat = embedder = likelihood = property(lambda self: self)
+
+    def __init__(self, providers: ProviderBundle) -> None:
+        self._providers = providers
         self._lock = threading.Lock()
+        self._replies: dict[ChatRequest, ChatResponse] = {}
+        self._scores: dict[tuple[str, str], LikelihoodResult] = {}
         self._vectors: dict[str, np.ndarray] = {}
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        reply = self._replies.get(request)
+        return reply if reply is not None else self._providers.chat.complete(request)
+
+    def accept(self, request: ChatRequest, reply: ChatResponse) -> None:
+        if request.temperature == 0.0:
+            self._replies[request] = reply
+
+    def score_likelihood(self, condition: str, continuation: str) -> LikelihoodResult:
+        key = (condition, continuation)
+        if key not in self._scores:
+            self._scores[key] = self._providers.likelihood.score_likelihood(condition, continuation)
+        return self._scores[key]
 
     def embed(self, texts):
         texts = validate_embed_inputs(texts)
         with self._lock:
             missing = [t for t in dict.fromkeys(texts) if t not in self._vectors]
             if missing:
-                self._vectors.update(zip(missing, self._inner.embed(missing)))
+                self._vectors.update(zip(missing, self._providers.embedder.embed(missing)))
             return np.array([self._vectors[t] for t in texts])
 
 
@@ -354,9 +384,7 @@ def run_epoch(
 
     scored = [c for c in parallel_map(_score, candidates, max_workers=config.max_workers) if c]
 
-    updated, retained, rows = filter_and_update(
-        scored, library, config.filter_ratio, eq, providers.embedder
-    )
+    updated, retained, rows = filter_and_update(scored, library, config.filter_ratio)
     stats = EpochStats(
         n_failures=len(failures),
         n_candidates=len(scored),
@@ -624,9 +652,9 @@ def run_kfold(
         run_seed = config.seed + run_idx
         providers = factory(run_seed)
         audit = providers.audit_names()
-        providers = replace(providers, embedder=CachedEmbedder(providers.embedder))
+        providers = _Session(providers)
         fold_lists = _partition_folds(tasks, config.folds, run_seed)
-        # One LP memo per run seed, like the embedding cache.
+        # One LP memo per run seed, like the provider session.
         with lp_memo():
             for fold_idx in range(config.folds):
                 # The leaky cell trains on its only fold and holds nothing out.
@@ -658,7 +686,7 @@ def evolve_library(
     rows) are returned alongside for CSV dumps.
     """
     audit = providers.audit_names()
-    providers = replace(providers, embedder=CachedEmbedder(providers.embedder))
+    providers = _Session(providers)
     library = apply_label_scale(world, config.label_scale, config.seed)
     tasks = sorted(world.tasks, key=lambda t: t.id)
     with lp_memo():

@@ -74,6 +74,12 @@ class LikelihoodProvider(Protocol):
     def score_likelihood(self, condition: str, continuation: str) -> LikelihoodResult: ...
 
 
+def accept_reply(chat: ChatProvider, request: ChatRequest, reply: ChatResponse) -> None:
+    """Tell a memoizing ``chat`` (one with ``accept``) that its consumer took
+    ``reply``; only accepted replies may be served again."""
+    getattr(chat, "accept", lambda request, reply: None)(request, reply)
+
+
 def validate_embed_inputs(texts: Sequence[str]) -> list[str]:
     texts = list(texts)
     for text in texts:

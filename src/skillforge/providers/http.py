@@ -16,8 +16,8 @@ Request and response shapes:
 
 Prompt text is forwarded byte-for-byte; the adapter never rewrites payload
 strings. Transport failures and HTTP 5xx responses are retried with
-exponential backoff, for at most ``retries`` attempts in all; 4xx responses
-are not retried.
+exponential backoff, for at most ``retries`` attempts in all, with one
+warning logged per retry; 4xx responses are not retried.
 
 Endpoints come from ``SKILLFORGE_CHAT_URL``, ``SKILLFORGE_EMBED_URL``,
 ``SKILLFORGE_LOGPROB_URL``, and ``SKILLFORGE_API_KEY``.
@@ -25,6 +25,7 @@ Endpoints come from ``SKILLFORGE_CHAT_URL``, ``SKILLFORGE_EMBED_URL``,
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from collections.abc import Callable, Sequence
@@ -40,6 +41,8 @@ from skillforge.providers.base import (
     validate_continuation,
     validate_embed_inputs,
 )
+
+logger = logging.getLogger(__name__)
 
 ENV_CHAT_URL = "SKILLFORGE_CHAT_URL"
 ENV_EMBED_URL = "SKILLFORGE_EMBED_URL"
@@ -118,6 +121,7 @@ class _HttpBase:
             except ProviderError as exc:
                 if not exc.retryable or attempt == attempts:
                     raise
+                logger.warning("retrying %s after attempt %d of %d failed: %s", url, attempt, attempts, exc)
                 self.config.sleep(delay)
                 delay *= 2
         raise ProviderError("unreachable retry state")  # pragma: no cover

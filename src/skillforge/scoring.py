@@ -21,7 +21,7 @@ from pathlib import Path
 from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError
 from skillforge.evolve import CandidateSkill
 from skillforge.model import SkillLibrary, Task, add_skills
-from skillforge.providers.base import EmbeddingProvider, LikelihoodProvider
+from skillforge.providers.base import LikelihoodProvider
 from skillforge.tags import EquivalenceIndex, TagSet, prf
 
 logger = logging.getLogger(__name__)
@@ -155,15 +155,9 @@ def filter_and_update(
     candidates: Sequence[CandidateSkill],
     library: SkillLibrary,
     ratio: float = DEFAULT_FILTER_RATIO,
-    index: EquivalenceIndex | None = None,
-    embedder: EmbeddingProvider | None = None,
 ) -> tuple[SkillLibrary, tuple[CandidateSkill, ...], list[dict]]:
-    """Keep the top candidates by combined score and fold them into the library.
-
-    Retained candidates' tag sets are registered in the equivalence index
-    (when one is supplied) so later epochs see them. Returns the updated
-    library, the retained candidates, and one report row per candidate.
-    """
+    """Keep the top candidates by combined score and fold them into the library;
+    return the new library, the retained candidates and one row per candidate."""
     keep = retention_count(len(candidates), ratio)
     for candidate in candidates:
         if candidate.scores is None:
@@ -188,13 +182,7 @@ def filter_and_update(
             }
         )
 
-    updated = add_skills(library, [c.skill for c in retained])
-    if index is not None and embedder is not None:
-        new_tags: set[str] = set()
-        for candidate in retained:
-            new_tags |= candidate.skill.tags
-        index.add_tags(new_tags, embedder)
-    return updated, retained, rows
+    return add_skills(library, [c.skill for c in retained]), retained, rows
 
 
 def write_score_csv(rows: Sequence[dict], path: str | Path) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 from skillforge import prompts
 from skillforge.errors import ConfigError, InputError, MissingTagError, TaggingError
 from skillforge.model import FailurePair, Skill, SkillLibrary
-from skillforge.providers.base import ChatProvider, ChatRequest, EmbeddingProvider
+from skillforge.providers.base import ChatProvider, ChatRequest, EmbeddingProvider, accept_reply
 
 logger = logging.getLogger(__name__)
 
@@ -117,6 +117,7 @@ def _tags_from_chat(request: ChatRequest, chat: ChatProvider, what: str) -> TagS
         last_reply = reply.text
         tags = parse_tag_list(reply.text)
         if tags:
+            accept_reply(chat, request, reply)
             return frozenset(tags)
     raise TaggingError(f"no parseable tags for {what} after {TAG_RETRIES} retries: {last_reply[:120]!r}")
 

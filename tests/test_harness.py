@@ -14,9 +14,8 @@ import pytest
 from skillforge import prompts
 from skillforge.cover import SelectionResult
 from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError
-from skillforge.evolve import CandidateSkill
+from skillforge.evolve import CandidateSkill, GenerationConfig, generate_candidates
 from skillforge.harness import (
-    CachedEmbedder,
     EvolutionReport,
     ProviderBundle,
     RunConfig,
@@ -34,15 +33,18 @@ from skillforge.harness import (
     spearman,
     strip_wall_clock,
     sweep,
+    _Session,
+    _TokenMeter,
 )
 from skillforge.model import EvaluationRecord, SkillLibrary, Task, Trajectory, collect_failures
+from skillforge.providers.base import ChatRequest
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
 from skillforge.retrieval import build_index, retrieve
 from skillforge.scoring import retention_count
-from skillforge.tags import EquivalenceIndex
+from skillforge.tags import EquivalenceIndex, generate_target_tags
 from skillforge.world import WorldConfig, generate_world
 
-from conftest import StubLikelihood, make_skill
+from conftest import ScriptedChat, StubLikelihood, make_pair, make_skill
 
 
 class FakeClock:
@@ -666,9 +668,23 @@ def _counting_factory(embedders):
     return factory
 
 
+def _session(chat=None, embedder=None, likelihood=None):
+    return _Session(
+        ProviderBundle(
+            chat=chat or MockChatProvider(seed=7),
+            embedder=embedder or MockEmbedder(),
+            likelihood=likelihood or MockLikelihoodScorer(seed=7),
+        )
+    )
+
+
+def _pass_through(monkeypatch):
+    monkeypatch.setattr("skillforge.harness._Session", lambda providers: providers)
+
+
 def test_cached_embedder_returns_the_inner_rows_and_validates_hits():
     inner = CountingEmbedder()
-    cache = CachedEmbedder(inner)
+    cache = _session(embedder=inner)
     cache.embed(["a_tag", "b_tag", "a_tag"])
     again = cache.embed(["b_tag", "a_tag"])
     assert inner.seen == {"a_tag": 1, "b_tag": 1}
@@ -688,7 +704,7 @@ class SlowCountingEmbedder(CountingEmbedder):
 
 def test_cached_embedder_sends_each_text_once_under_thread_contention():
     inner = SlowCountingEmbedder()
-    cache = CachedEmbedder(inner)
+    cache = _session(embedder=inner)
     texts = [f"tag_{i}" for i in range(60)]
     results = {}
     start = threading.Barrier(8, timeout=30)
@@ -722,7 +738,7 @@ def test_kfold_embeds_each_text_once_per_run_with_an_unchanged_report(monkeypatc
     assert all(embedder.seen and max(embedder.seen.values()) == 1 for embedder in embedders)
     assert cached.providers == ("MockChatProvider", "CountingEmbedder", "MockLikelihoodScorer")
 
-    monkeypatch.setattr("skillforge.harness.CachedEmbedder", lambda inner: inner)
+    _pass_through(monkeypatch)
     uncached_embedders = []
     uncached = run_kfold(config, world, _counting_factory(uncached_embedders))
     assert max(uncached_embedders[0].seen.values()) > 1
@@ -737,10 +753,186 @@ def test_evolve_library_embeds_each_text_once_with_unchanged_outputs(monkeypatch
     assert max(embedders[0].seen.values()) == 1
     assert report.providers == ("MockChatProvider", "CountingEmbedder", "MockLikelihoodScorer")
 
-    monkeypatch.setattr("skillforge.harness.CachedEmbedder", lambda inner: inner)
+    _pass_through(monkeypatch)
     plain_library, plain_report, _ = evolve_library(config, world, _counting_factory([])(7))
     assert library == plain_library
     assert strip_wall_clock(report.to_dict()) == strip_wall_clock(plain_report.to_dict())
+
+
+GOOD_SKILL_REPLY = "NAME: sample routine\nDESCRIPTION: does things\nBODY:\nstep one\nstep two"
+
+
+def test_session_asks_again_after_a_rejected_reply_and_serves_the_accepted_one():
+    pair = make_pair("task-001")
+    tag_chat = ScriptedChat(["", "alpha_tag"])
+    session = _session(chat=tag_chat)
+    first, second = _TokenMeter(session), _TokenMeter(session)
+    assert generate_target_tags(pair, first) == {"alpha_tag"}
+    assert len(tag_chat.requests) == 2  # the unparseable reply was not served to the re-ask
+    assert generate_target_tags(pair, second) == {"alpha_tag"}
+    assert len(tag_chat.requests) == 2
+    assert second.tokens == len(tag_chat.requests[0].user.split()) + 1  # served replies are metered
+
+    gen_chat = ScriptedChat(["not a skill", GOOD_SKILL_REPLY, "some_tag"])
+    session = _session(chat=gen_chat)
+    index = EquivalenceIndex.build({"csv_parsing"}, MockEmbedder())
+    targets = {"task-001": frozenset({"csv_parsing"})}
+    runs = [
+        generate_candidates([pair], SkillLibrary(), index, _TokenMeter(session), GenerationConfig(), targets)
+        for _ in range(2)
+    ]
+    assert len(gen_chat.requests) == 3  # bad + re-ask, then the skill-tag request
+    assert runs[0] == runs[1] and runs[0][0].skill.tags == {"some_tag"}
+
+
+class FlakyLikelihood(MockLikelihoodScorer):
+    def __init__(self):
+        super().__init__(seed=7)
+        self.calls = []
+
+    def score_likelihood(self, condition, continuation):
+        self.calls.append((condition, continuation))
+        if len(self.calls) == 1:
+            raise ProviderError("server error 503", retryable=True)
+        return super().score_likelihood(condition, continuation)
+
+
+def test_session_does_not_memoize_a_raising_likelihood_call():
+    inner = FlakyLikelihood()
+    session = _session(likelihood=inner)
+    with pytest.raises(ProviderError):
+        session.score_likelihood("", "some body text")
+    result = session.score_likelihood("", "some body text")
+    assert len(inner.calls) == 2
+    assert session.score_likelihood("", "some body text") == result
+    assert session.score_likelihood("some task", "some body text") != result
+    assert len(inner.calls) == 3
+
+
+def test_session_sends_every_warm_request():
+    chat = ScriptedChat(["alpha_tag"])
+    session = _session(chat=chat)
+    warm = ChatRequest(system="s", user="u", temperature=0.7)
+    for _ in range(3):
+        session.accept(warm, session.complete(warm))
+    assert chat.requests == [warm] * 3
+    cold = replace(warm, temperature=0.0)
+    session.accept(cold, session.complete(cold))
+    session.complete(cold)
+    assert len(chat.requests) == 4
+
+
+class CountingChat(MockChatProvider):
+    def __init__(self, seen, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = seen
+
+    def complete(self, request):
+        self.seen[request] += 1
+        return super().complete(request)
+
+
+class CountingLikelihood(MockLikelihoodScorer):
+    def __init__(self, seen, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = seen
+
+    def score_likelihood(self, condition, continuation):
+        self.seen[(condition, continuation)] += 1
+        return super().score_likelihood(condition, continuation)
+
+
+def _recording_factory(counters, noise_rate=0.5):
+    """Mock bundles that count, per run seed, each chat request and likelihood pair."""
+
+    def factory(seed):
+        counters.append((Counter(), Counter()))
+        chats, pairs = counters[-1]
+        return ProviderBundle(
+            chat=CountingChat(chats, seed=seed, noise_rate=noise_rate),
+            embedder=MockEmbedder(),
+            likelihood=CountingLikelihood(pairs, seed=seed),
+        )
+
+    return factory
+
+
+def test_session_memo_under_thread_contention():
+    pairs = Counter()
+    chats = Counter()
+    session = _session(chat=CountingChat(chats, seed=7), likelihood=CountingLikelihood(pairs, seed=7))
+    bodies = [f"step {i} of the routine" for i in range(40)]
+    requests = [ChatRequest(system="s", user=f"alpha_{i}_tag") for i in range(40)]
+    results = {}
+    start = threading.Barrier(8, timeout=30)
+
+    def work(worker):
+        start.wait()
+        shift = worker * 5
+        out = []
+        for body, request in zip(bodies[shift:] + bodies[:shift], requests[shift:] + requests[:shift]):
+            reply = session.complete(request)
+            session.accept(request, reply)
+            out.append((body, request, session.score_likelihood("task", body), reply))
+        results[worker] = out
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == len(threads)
+    mock_chat, mock_likelihood = MockChatProvider(seed=7), MockLikelihoodScorer(seed=7)
+    for out in results.values():
+        for body, request, score, reply in out:
+            assert score == mock_likelihood.score_likelihood("task", body)
+            assert reply == mock_chat.complete(request)
+    sent = (sum(chats.values()), sum(pairs.values()))
+    for body, request in zip(bodies, requests):
+        session.complete(request)
+        session.score_likelihood("task", body)
+    assert (sum(chats.values()), sum(pairs.values())) == sent  # every key ended up memoized
+    assert set(chats) == set(requests) and set(pairs) == {("task", b) for b in bodies}
+
+
+def _sent(counters):
+    return sum(sum(chats.values()) + sum(pairs.values()) for chats, pairs in counters)
+
+
+def test_kfold_session_sends_no_chat_request_or_likelihood_pair_twice(monkeypatch):
+    world = _world(n_tasks=40)
+    config = _quick_config(runs=2, folds=3, max_workers=1)
+    counters = []
+    run_kfold(config, world, _recording_factory(counters))
+    assert len(counters) == config.runs
+    for chats, pairs in counters:
+        assert chats and max(chats.values()) == 1
+        assert pairs and max(pairs.values()) == 1
+
+    _pass_through(monkeypatch)
+    plain_counters = []
+    run_kfold(config, world, _recording_factory(plain_counters))
+    assert _sent(counters) < _sent(plain_counters)
+
+
+def test_session_keeps_tokens_used_per_epoch(monkeypatch):
+    world = _world(n_tasks=40)
+    config = _quick_config(runs=2, folds=3)
+    report = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
+    _pass_through(monkeypatch)
+    plain = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
+
+    def tokens(r):
+        return [row.tokens_used for cell in r.cells for row in cell.rows]
+
+    assert tokens(report) == tokens(plain)
+    assert sum(tokens(report)) > 0
 
 
 class FaultyChat(MockChatProvider):

@@ -1,0 +1,56 @@
+"""Reports must not depend on the interpreter's string hash seed.
+
+Each run happens in a fresh interpreter under ``PYTHONHASHSEED`` 0-3, so any
+set- or dict-order dependence (in the engine or in the per-run provider
+session's memo) shows up as differing digests. ``lp_round`` is left out: its
+LP linking rows iterate a set (``cover.lp_round_select``), and making that
+order fixed moves a pinned benchmark digest, so it waits for a re-pin.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import hashlib, json
+from skillforge.harness import RunConfig, evolve_library, mock_provider_factory, run_kfold, strip_wall_clock
+from skillforge.world import WorldConfig, generate_world
+
+def digest(report):
+    text = json.dumps(strip_wall_clock(report.to_dict()), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+world = generate_world(WorldConfig(seed=7, n_tasks=40))
+out = {}
+for strategy in ("greedy", "primal_dual"):
+    config = RunConfig(seed=7, strategy=strategy)
+    out[strategy] = digest(run_kfold(config, world, mock_provider_factory(noise_rate=0.5)))
+config = RunConfig(seed=7)
+_, report, _ = evolve_library(config, world, mock_provider_factory(noise_rate=3.0)(7))
+out["evolve"] = digest(report)
+print(json.dumps(out))
+"""
+
+
+def test_reports_are_equal_under_every_hash_seed():
+    procs = []
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(SRC))
+        procs.append(
+            subprocess.Popen(
+                [sys.executable, "-c", SCRIPT], env=env, stdout=subprocess.PIPE, text=True
+            )
+        )
+    digests = []
+    for proc in procs:
+        stdout, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        digests.append(json.loads(stdout))
+    assert set(digests[0]) == {"greedy", "primal_dual", "evolve"}
+    assert all(d == digests[0] for d in digests[1:])

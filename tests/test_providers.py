@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 
 import numpy as np
@@ -172,6 +173,25 @@ def test_http_retries_transient_failures_with_backoff():
     assert response.text == "recovered"
     assert len(attempts) == 3
     assert delays == [0.5, 1.0]
+
+
+def test_http_logs_one_warning_per_retry(caplog):
+    attempts = []
+
+    def transport(url, payload, headers):
+        attempts.append(url)
+        if len(attempts) < 3:
+            raise ProviderError(f"boom {len(attempts)}", retryable=True)
+        return {"choices": [{"message": {"content": "recovered"}}], "usage": {}}
+
+    with caplog.at_level(logging.WARNING, logger="skillforge.providers.http"):
+        response = HttpChatProvider(_config(transport)).complete(ChatRequest(system="s", user="u"))
+    assert response.text == "recovered"
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        "retrying http://chat after attempt 1 of 3 failed: boom 1",
+        "retrying http://chat after attempt 2 of 3 failed: boom 2",
+    ]
 
 
 def test_http_does_not_retry_permanent_errors():

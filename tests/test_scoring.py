@@ -213,16 +213,6 @@ def test_filter_rejects_unscored_candidates():
         filter_and_update([_candidate()], SkillLibrary(), 0.2)
 
 
-def test_filter_registers_retained_tags_in_index():
-    from conftest import GroupEmbedder
-
-    index = make_index(["seed_tag"])
-    embedder = GroupEmbedder()
-    candidates = [_scored("c1", combined=0.9)]
-    filter_and_update(candidates, SkillLibrary(), 1.0, index=index, embedder=embedder)
-    assert "a" in index  # the candidate's tag is now known
-
-
 def test_ranking_tie_breaks_combined_then_f_tag_then_id():
     candidates = [
         _scored("c_b", combined=0.8, f_tag=0.5),
