@@ -100,14 +100,6 @@ class SelectionResult:
     uncovered: frozenset[str]
     irrelevant_count: int
 
-    def snapshot(self) -> dict:
-        return {
-            "selected": list(self.selected),
-            "covered": sorted(self.covered),
-            "uncovered": sorted(self.uncovered),
-            "irrelevant_count": self.irrelevant_count,
-        }
-
 
 def _union(class_sets: Iterable[frozenset[str]]) -> frozenset[str]:
     """Union of skill class sets, e.g. of a selection or a whole library."""

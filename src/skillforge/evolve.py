@@ -26,13 +26,7 @@ from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
 from skillforge.errors import GenerationError, InputError, ParseError, ProviderError, TaggingError
 from skillforge.model import ORIGIN_EVOLVED, FailurePair, Skill, SkillLibrary
-from skillforge.providers.base import (
-    DEFAULT_MAX_TOKENS,
-    DEFAULT_TEMPERATURE,
-    ChatProvider,
-    ChatRequest,
-    accept_reply,
-)
+from skillforge.providers.base import ChatProvider, ChatRequest, accept_reply
 from skillforge.tags import EquivalenceIndex, TagSet, generate_skill_tags
 
 if TYPE_CHECKING:
@@ -48,22 +42,6 @@ _BODY_RE = re.compile(r"^BODY:\s*\n?(.*)\Z", re.MULTILINE | re.DOTALL)
 
 
 @dataclass(frozen=True)
-class GenerationConfig:
-    temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    candidates_per_pair: int = 1
-    epoch: int = 0
-
-    def __post_init__(self) -> None:
-        if self.candidates_per_pair < 1:
-            raise InputError("candidates_per_pair must be at least 1")
-        if self.max_tokens < 1:
-            raise InputError("max_tokens must be at least 1")
-        if self.epoch < 0:
-            raise InputError("epoch must be non-negative")
-
-
-@dataclass(frozen=True)
 class CandidateSkill:
     """A generated skill plus the selection snapshot that produced it."""
 
@@ -73,8 +51,9 @@ class CandidateSkill:
     scores: ScoreRecord | None = None
 
 
-def candidate_id(epoch: int, pair_id: str, seq: int) -> str:
-    return f"evo-{epoch}-{pair_id}-{seq}"
+def candidate_id(epoch: int, pair_id: str) -> str:
+    # The fixed "-0" suffix keeps the ids in saved libraries and pinned reports.
+    return f"evo-{epoch}-{pair_id}-0"
 
 
 def build_cover_instance(
@@ -92,7 +71,6 @@ def assemble_generation_prompt(
     selection: SelectionResult,
     sources: Sequence[Skill],
     uncovered: Sequence[str],
-    config: GenerationConfig = GenerationConfig(),
 ) -> ChatRequest:
     """Deterministically render the generation request for one failure pair."""
     if tuple(s.id for s in sources) != selection.selected:
@@ -122,12 +100,7 @@ def assemble_generation_prompt(
         lines.append(prompts.NO_UNCOVERED)
     lines.append("")
     lines.append(prompts.GENERATION_INSTRUCTION)
-    return ChatRequest(
-        system=prompts.GENERATE_SYSTEM,
-        user="\n".join(lines),
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
-    )
+    return ChatRequest(system=prompts.GENERATE_SYSTEM, user="\n".join(lines))
 
 
 def parse_skill_response(text: str) -> tuple[str, str, str]:
@@ -148,20 +121,20 @@ def generate_candidates(
     library: SkillLibrary,
     index: EquivalenceIndex,
     chat: ChatProvider,
-    config: GenerationConfig,
+    epoch: int,
     target_tags: Mapping[str, TagSet],
     strategy: str = "greedy",
     dump_dir: str | Path | None = None,
     max_workers: int = DEFAULT_MAX_WORKERS,
 ) -> list[CandidateSkill]:
-    """Generate one or more candidate skills per failure pair.
+    """Generate one candidate skill per failure pair for library ``epoch``.
 
     ``target_tags`` maps each failing task id to its inferred required tag
     set; every tag must already be present in ``index``, as must the tags of
     every library skill. Provider calls run with bounded parallelism over the
-    pairs; collection order is canonical (pair id, then sequence number).
+    pairs; candidates come back in pair-id order.
     """
-    prepped: list[tuple[str, SelectionResult, ChatRequest, int]] = []
+    prepped: list[tuple[str, SelectionResult, ChatRequest]] = []
     for pair in sorted(failures, key=lambda p: p.task.id):
         pair_id = pair.task.id
         if pair_id not in target_tags:
@@ -170,27 +143,24 @@ def generate_candidates(
         selection = select_sources(instance, strategy)
         sources = [library.get(sid) for sid in selection.selected]
         uncovered = sorted(selection.uncovered)
-        request = assemble_generation_prompt(pair, selection, sources, uncovered, config)
+        request = assemble_generation_prompt(pair, selection, sources, uncovered)
         if dump_dir is not None:
-            _dump_prompt(Path(dump_dir), config.epoch, pair_id, request)
-        for seq in range(config.candidates_per_pair):
-            prepped.append((pair_id, selection, request, seq))
+            _dump_prompt(Path(dump_dir), epoch, pair_id, request)
+        prepped.append((pair_id, selection, request))
 
     skills = parallel_map(
-        lambda item: _complete_one(chat, item[2], config, item[0], item[3]),
+        lambda item: _complete_one(chat, item[2], epoch, item[0]),
         prepped,
         max_workers=max_workers,
     )
     return [
         CandidateSkill(skill=skill, source_pair_id=pair_id, selection=selection)
-        for (pair_id, selection, _, _), skill in zip(prepped, skills)
+        for (pair_id, selection, _), skill in zip(prepped, skills)
         if skill is not None
     ]
 
 
-def _complete_one(
-    chat: ChatProvider, request: ChatRequest, config: GenerationConfig, pair_id: str, seq: int
-) -> Skill | None:
+def _complete_one(chat: ChatProvider, request: ChatRequest, epoch: int, pair_id: str) -> Skill | None:
     parsed = None
     try:
         for attempt in range(PARSE_REASKS + 1):
@@ -208,13 +178,13 @@ def _complete_one(
             return None
         name, description, body = parsed
         skill = Skill(
-            id=candidate_id(config.epoch, pair_id, seq),
+            id=candidate_id(epoch, pair_id),
             name=name,
             description=description,
             body=body,
             tags=frozenset(),
             origin=ORIGIN_EVOLVED,
-            created_epoch=config.epoch,
+            created_epoch=epoch,
         )
         return replace(skill, tags=generate_skill_tags(skill, chat))
     except (GenerationError, ProviderError, TaggingError) as exc:

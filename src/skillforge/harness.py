@@ -35,7 +35,7 @@ import numpy as np
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import lp_memo
 from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError, TaggingError
-from skillforge.evolve import CandidateSkill, GenerationConfig, generate_candidates
+from skillforge.evolve import CandidateSkill, generate_candidates
 from skillforge.model import (
     EvaluationRecord,
     SkillLibrary,
@@ -56,10 +56,11 @@ from skillforge.providers.base import (
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
 from skillforge.retrieval import build_index, retrieve
 from skillforge.scoring import (
+    DEFAULT_FILTER_RATIO,
+    alignment_score,
     filter_and_update,
     retention_count,
     score_candidate,
-    sigmoid,
 )
 from skillforge.tags import EquivalenceIndex, TagSet, generate_target_tags
 from skillforge.world import SyntheticWorld, WorldConfig, generate_transfer_worlds, generate_world
@@ -77,11 +78,11 @@ SWEEP_DIMENSIONS = ("epochs", "filter_ratio", "label_scale", "transfer")
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings. ``max_workers`` bounds the thread pools of the
-    stages that call providers (target-tag inference, generation, scoring)
-    and of sweep cells; evaluation always runs serially."""
+    stages that call providers (target-tag inference, generation, scoring);
+    evaluation and sweep cells always run serially."""
 
     epochs: int = 3
-    filter_ratio: float = 0.2
+    filter_ratio: float = DEFAULT_FILTER_RATIO
     strategy: str = "greedy"
     delta: float = 0.9
     retrieval_k: int = 5
@@ -123,16 +124,14 @@ class ProviderBundle:
         )
 
 
-def mock_provider_factory(
-    noise_rate: float = 0.0, embed_seed: int = 0
-) -> Callable[[int], ProviderBundle]:
-    """Factory of seeded mock bundles; the embedder seed stays fixed because
-    the embedding model does not change between runs."""
+def mock_provider_factory(noise_rate: float = 0.0) -> Callable[[int], ProviderBundle]:
+    """Factory of seeded mock bundles; the embedder takes no seed because the
+    embedding model does not change between runs."""
 
     def factory(seed: int) -> ProviderBundle:
         return ProviderBundle(
             chat=MockChatProvider(seed=seed, noise_rate=noise_rate),
-            embedder=MockEmbedder(seed=embed_seed),
+            embedder=MockEmbedder(),
             likelihood=MockLikelihoodScorer(seed=seed),
         )
 
@@ -349,13 +348,12 @@ def run_epoch(
         all_targets |= tags
     eq.add_tags(all_targets, providers.embedder)
 
-    generation = GenerationConfig(epoch=library.epoch)
     candidates = generate_candidates(
         ordered,
         library,
         eq,
         meter,
-        generation,
+        library.epoch,
         target_tags,
         strategy=config.strategy,
         dump_dir=dump_dir,
@@ -726,12 +724,12 @@ def sweep(
     rows: list[dict] = []
     if dimension in grids:
         values, vary = grids[dimension]
-        reports = parallel_map(
-            lambda value: run_kfold(vary(value), world, factory, clock=clock),
-            values,
-            max_workers=config.max_workers,
-        )
-        rows = [_sweep_row(dimension, value, report) for value, report in zip(values, reports)]
+        # Cells run one after another: each cell's stages open their own
+        # pools, so running cells in a pool too would exceed max_workers.
+        rows = [
+            _sweep_row(dimension, value, run_kfold(vary(value), world, factory, clock=clock))
+            for value in values
+        ]
     else:
         world_a, world_b = generate_transfer_worlds(world_config)
         named = {"A": world_a, "B": world_b}
@@ -830,8 +828,8 @@ def scorer_sensitivity(
 
     Each scorer uses its own token counts. Reported per scorer: mean
     alignment, mean absolute difference from the reference, Spearman
-    correlation of the alignment rankings, and the overlap of the top-20%
-    candidate sets (the filter rule's retention count).
+    correlation of the alignment rankings, and the overlap of the top
+    ``DEFAULT_FILTER_RATIO`` candidate sets (the filter rule's retention count).
     """
     if len(candidates) < 2:
         raise InputError("scorer sensitivity needs at least 2 candidates")
@@ -839,21 +837,12 @@ def scorer_sensitivity(
         raise InputError("scorer sensitivity needs at least 1 scorer")
 
     ordered = sorted(candidates, key=lambda c: c.skill.id)
-    alignments: list[list[float]] = []
-    for scorer in scorers:
-        values = []
-        for candidate in ordered:
-            task = tasks_by_id[candidate.source_pair_id]
-            conditional = scorer.score_likelihood(task.description, candidate.skill.body)
-            unconditional = scorer.score_likelihood("", candidate.skill.body)
-            values.append(
-                sigmoid(
-                    (conditional.sum_logprob - unconditional.sum_logprob) / conditional.token_count
-                )
-            )
-        alignments.append(values)
+    alignments = [
+        [alignment_score(c, tasks_by_id[c.source_pair_id], scorer)[0] for c in ordered]
+        for scorer in scorers
+    ]
 
-    k = retention_count(len(ordered), 0.2)
+    k = retention_count(len(ordered), DEFAULT_FILTER_RATIO)
 
     def top_set(values: Sequence[float]) -> frozenset[str]:
         ranked = sorted(

@@ -140,21 +140,6 @@ class Trajectory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple((str(a), str(o)) for a, o in self.steps))
 
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "steps": [{"action": a, "observation": o} for a, o in self.steps],
-            "final_output": self.final_output,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> Trajectory:
-        return cls(
-            task_id=raw["task_id"],
-            steps=tuple((s["action"], s["observation"]) for s in raw.get("steps", [])),
-            final_output=raw.get("final_output", ""),
-        )
-
 
 @dataclass(frozen=True)
 class EvaluationRecord:
@@ -197,29 +182,18 @@ def load_library(path: str | Path) -> SkillLibrary:
     An empty file yields an empty library at epoch 0. A metadata line (any
     object with a ``format`` key) may appear first and carries the epoch.
     """
-    path = Path(path)
     epoch = 0
     skills: list[Skill] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(raw, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            if raw.get("format") == LIBRARY_FORMAT:
-                epoch = int(raw.get("epoch", 0))
-                continue
-            skill = Skill.from_dict(raw)
-            if skill.id in seen:
-                raise IntegrityError(f"duplicate skill id {skill.id!r} at line {lineno}")
-            seen.add(skill.id)
-            skills.append(skill)
+    for lineno, raw in _iter_jsonl(path):
+        if raw.get("format") == LIBRARY_FORMAT:
+            epoch = int(raw.get("epoch", 0))
+            continue
+        skill = Skill.from_dict(raw)
+        if skill.id in seen:
+            raise IntegrityError(f"duplicate skill id {skill.id!r} at line {lineno}")
+        seen.add(skill.id)
+        skills.append(skill)
     return SkillLibrary(skills=tuple(skills), epoch=epoch)
 
 
@@ -281,34 +255,17 @@ def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
     )
 
 
-def load_trajectories(path: str | Path) -> tuple[Trajectory, ...]:
-    """Load trajectories from JSONL, one trajectory object per line."""
-    out = []
-    for lineno, raw in _iter_jsonl(path):
-        try:
-            out.append(Trajectory.from_dict(raw))
-        except KeyError as exc:
-            raise ParseError(f"trajectory record missing field {exc}", line=lineno) from exc
-    return tuple(out)
-
-
-def save_trajectories(trajectories: Sequence[Trajectory], path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(
-            json.dumps(t.to_dict(), separators=(",", ":"), ensure_ascii=True) + "\n"
-            for t in trajectories
-        ),
-        encoding="utf-8",
-    )
-
-
 def _iter_jsonl(path: str | Path):
+    """Yield (line number, object) for each non-blank line of a JSONL file."""
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            if not isinstance(raw, dict):
+                raise ParseError("expected a JSON object", line=lineno)
+            yield lineno, raw

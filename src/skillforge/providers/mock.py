@@ -2,7 +2,8 @@
 
 Every mock is a pure function of (seed, call inputs): repeated calls are
 bit-identical and instances are stateless, so they are safe to share across
-threads. No mock performs any I/O.
+threads. The embedder has no seed, since one embedding model serves every
+run. No mock performs any I/O.
 
 The mock chat provider understands the three prompt roles used by the engine
 (skill tagging, target tagging, candidate generation) and answers from the
@@ -32,6 +33,8 @@ from skillforge.providers.base import (
 # A snake_case token with at least one underscore, e.g. pdf_text_extraction.
 TAG_TOKEN_RE = re.compile(r"\b[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b")
 WORD_RE = re.compile(r"[a-z0-9]+")
+
+EMBED_DIM = 64
 
 
 def _digest(seed: int, *parts: str) -> bytes:
@@ -64,23 +67,19 @@ def extract_tag_tokens(text: str) -> list[str]:
 
 
 class MockEmbedder:
-    """Feature-hashing embedder over character trigrams, L2 normalized."""
-
-    def __init__(self, dim: int = 64, seed: int = 0) -> None:
-        if dim < 2:
-            raise InputError("embedding dimension must be at least 2")
-        self.dim = dim
-        self.seed = seed
+    """Feature-hashing embedder over character trigrams into ``EMBED_DIM``
+    dimensions, L2 normalized. It has no seed: every instance hashes with
+    seed 0, so a text gets the same vector in every run."""
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         texts = validate_embed_inputs(texts)
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        out = np.zeros((len(texts), EMBED_DIM), dtype=np.float64)
         for row, text in enumerate(texts):
             padded = f"#{text}#"
             for i in range(len(padded) - 2):
                 gram = padded[i : i + 3]
-                d = _digest(self.seed, "embed", gram)
-                index = int.from_bytes(d[:4], "big") % self.dim
+                d = _digest(0, "embed", gram)
+                index = int.from_bytes(d[:4], "big") % EMBED_DIM
                 sign = 1.0 if d[4] & 1 else -1.0
                 out[row, index] += sign
             norm = np.linalg.norm(out[row])
@@ -201,16 +200,13 @@ class MockLikelihoodScorer:
 
     Each continuation token gets a seeded base log-probability in [-4, -2].
     Tokens that also occur in the condition earn a seed-weighted bonus in
-    [0.5, 1.5] x ``overlap_bonus``, so conditioning on matching text strictly
-    raises the sum, while scorers with different seeds stay positively
-    correlated without agreeing exactly.
+    [0.5, 1.5], so conditioning on matching text strictly raises the sum,
+    while scorers with different seeds stay positively correlated without
+    agreeing exactly.
     """
 
-    def __init__(self, seed: int = 0, overlap_bonus: float = 1.0) -> None:
-        if overlap_bonus <= 0:
-            raise InputError("overlap_bonus must be positive")
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.overlap_bonus = overlap_bonus
 
     @property
     def name(self) -> str:
@@ -226,5 +222,5 @@ class MockLikelihoodScorer:
         for token in tokens:
             total += -(2.0 + 2.0 * _unit_float(self.seed, "tok", token))
             if token in condition_tokens:
-                total += self.overlap_bonus * (0.5 + _unit_float(self.seed, "bonus", token))
+                total += 0.5 + _unit_float(self.seed, "bonus", token)
         return LikelihoodResult(sum_logprob=total, token_count=len(tokens))

@@ -154,7 +154,7 @@ def rank_candidates(candidates: Sequence[CandidateSkill]) -> list[CandidateSkill
 def filter_and_update(
     candidates: Sequence[CandidateSkill],
     library: SkillLibrary,
-    ratio: float = DEFAULT_FILTER_RATIO,
+    ratio: float,
 ) -> tuple[SkillLibrary, tuple[CandidateSkill, ...], list[dict]]:
     """Keep the top candidates by combined score and fold them into the library;
     return the new library, the retained candidates and one row per candidate."""

@@ -56,10 +56,6 @@ def normalize_tag(raw: str) -> str:
     return text
 
 
-def normalize_tag_set(raw_tags: Iterable[str]) -> TagSet:
-    return frozenset(normalize_tag(t) for t in raw_tags)
-
-
 def parse_tag_list(text: str) -> list[str]:
     """Parse a model's tag list reply.
 
@@ -224,15 +220,6 @@ class EquivalenceIndex:
         for tag in sorted(self._parent):
             grouped.setdefault(self._parent[tag], []).append(tag)
         return {rep: tuple(members) for rep, members in sorted(grouped.items())}
-
-    def dump(self, path: str | Path) -> None:
-        mapping = {tag: self._parent[tag] for tag in sorted(self._parent)}
-        Path(path).write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def semantic_intersection(a: Iterable[str], b: Iterable[str], index: EquivalenceIndex) -> int:
-    """Size of the class-canonical intersection of two tag sets."""
-    return len(index.canonical_set(a) & index.canonical_set(b))
 
 
 def prf(intersection: int, predicted: int, reference: int) -> tuple[float, float, float]:

@@ -62,6 +62,8 @@ TAG_VOCABULARY = (
 METADATA_REQUIRED_TAGS = "required_tags"
 METADATA_COVERABLE = "coverable"
 
+TRANSFER_OVERLAP = 0.3
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -241,15 +243,11 @@ def load_world(directory: str | Path) -> SyntheticWorld:
     )
 
 
-def generate_transfer_worlds(
-    base: WorldConfig, overlap_fraction: float = 0.3
-) -> tuple[SyntheticWorld, SyntheticWorld]:
-    """Two worlds whose tag universes share roughly ``overlap_fraction`` tags."""
-    if not 0.0 <= overlap_fraction <= 1.0:
-        raise ConfigError("overlap_fraction must lie in [0, 1]")
+def generate_transfer_worlds(base: WorldConfig) -> tuple[SyntheticWorld, SyntheticWorld]:
+    """Two worlds whose tag universes share roughly ``TRANSFER_OVERLAP`` of their tags."""
     rng = random.Random(base.seed ^ 0x5EED)
     n = base.n_tags
-    n_shared = round(n * overlap_fraction)
+    n_shared = round(n * TRANSFER_OVERLAP)
     needed = 2 * n - n_shared
     if needed > len(TAG_VOCABULARY):
         raise ConfigError("vocabulary too small for the requested transfer universes")

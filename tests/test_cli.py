@@ -152,6 +152,13 @@ def test_tag_command_infers_task_target_tags(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8")) == {"t1": ["csv_parsing"]}
 
 
+def test_tag_command_rejects_a_non_object_task_line(tmp_path, capsys):
+    src = tmp_path / "bad.jsonl"
+    src.write_text('{"id":"t1","description":"Task t1"}\n[1, 2]\n', encoding="utf-8")
+    assert dispatch(["tag", "--mock", "--tasks", str(src), "--out", str(tmp_path / "x.json")]) == 2
+    assert "error: line 2: expected a JSON object" in capsys.readouterr().err
+
+
 def test_tag_requires_exactly_one_input(tmp_path):
     assert dispatch(["tag", "--mock", "--out", str(tmp_path / "x")]) == 2
 

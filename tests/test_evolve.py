@@ -5,7 +5,6 @@ import pytest
 from skillforge.cover import SelectionResult
 from skillforge.errors import GenerationError, InputError, ParseError, ProviderError
 from skillforge.evolve import (
-    GenerationConfig,
     assemble_generation_prompt,
     build_cover_instance,
     candidate_id,
@@ -126,7 +125,7 @@ def test_prompt_rejects_mismatched_sources():
 def test_zero_failures_yield_zero_candidates():
     library = SkillLibrary(skills=(make_skill("s1"),))
     index = _index_over(["csv_parsing"])
-    out = generate_candidates([], library, index, MockChatProvider(), GenerationConfig(), {})
+    out = generate_candidates([], library, index, MockChatProvider(), 0, {})
     assert out == []
 
 
@@ -138,8 +137,7 @@ def test_three_failures_yield_three_candidates_with_sequential_ids():
     ]
     targets = {p.task.id: frozenset({"csv_parsing"}) for p in pairs}
     index = _index_over(["csv_parsing"])
-    config = GenerationConfig(epoch=2)
-    out = generate_candidates(pairs, library, index, MockChatProvider(seed=1), config, targets)
+    out = generate_candidates(pairs, library, index, MockChatProvider(seed=1), 2, targets)
     assert [c.skill.id for c in out] == [
         "evo-2-task-000-0",
         "evo-2-task-001-0",
@@ -155,7 +153,7 @@ def test_candidate_tags_include_uncovered_target_tag():
     targets = {"task-009": frozenset({"csv_parsing", "t9_special"})}
     index = _index_over(["csv_parsing", "t9_special"])
     out = generate_candidates(
-        [pair], library, index, MockChatProvider(seed=4), GenerationConfig(), targets
+        [pair], library, index, MockChatProvider(seed=4), 0, targets
     )
     assert len(out) == 1
     candidate = out[0]
@@ -170,8 +168,8 @@ def test_generation_is_reproducible():
     targets = {p.task.id: frozenset({"csv_parsing"}) for p in pairs}
     index = _index_over(["csv_parsing"])
     chat = MockChatProvider(seed=9)
-    first = generate_candidates(pairs, library, index, chat, GenerationConfig(), targets)
-    second = generate_candidates(pairs, library, index, chat, GenerationConfig(), targets)
+    first = generate_candidates(pairs, library, index, chat, 0, targets)
+    second = generate_candidates(pairs, library, index, chat, 0, targets)
     assert first == second
 
 
@@ -182,12 +180,12 @@ def test_unparseable_reply_is_reasked_then_pair_skipped():
     index = _index_over(["csv_parsing"])
 
     garbage = ScriptedChat(["not a skill"])
-    out = generate_candidates([pair], library, index, garbage, GenerationConfig(), targets)
+    out = generate_candidates([pair], library, index, garbage, 0, targets)
     assert out == []
     assert len(garbage.requests) == 3  # one ask plus two re-asks
 
     flaky = ScriptedChat(["bad", "bad", GOOD_REPLY, "some_tag"])
-    out = generate_candidates([pair], library, index, flaky, GenerationConfig(), targets)
+    out = generate_candidates([pair], library, index, flaky, 0, targets)
     assert len(out) == 1
     assert out[0].skill.tags == frozenset({"some_tag"})
 
@@ -203,7 +201,7 @@ def test_provider_hard_failure_skips_pair():
         SkillLibrary(),
         _index_over(["csv_parsing"]),
         Failing(),
-        GenerationConfig(),
+        0,
         {"task-001": frozenset({"csv_parsing"})},
     )
     assert out == []
@@ -222,7 +220,7 @@ def test_empty_completion_skips_only_its_pair():
         SkillLibrary(),
         _index_over(["csv_parsing"]),
         EmptyForOne(seed=1),
-        GenerationConfig(),
+        0,
         {p.task.id: frozenset({"csv_parsing"}) for p in pairs},
     )
     assert [c.source_pair_id for c in out] == ["task-001", "task-003"]
@@ -232,23 +230,8 @@ def test_missing_target_tags_is_an_input_error():
     pair = make_pair("task-001")
     with pytest.raises(InputError):
         generate_candidates(
-            [pair], SkillLibrary(), _index_over(["x_y"]), MockChatProvider(), GenerationConfig(), {}
+            [pair], SkillLibrary(), _index_over(["x_y"]), MockChatProvider(), 0, {}
         )
-
-
-def test_candidate_count_bounded_by_config():
-    library = SkillLibrary()
-    pairs = [make_pair("task-001")]
-    targets = {"task-001": frozenset({"csv_parsing"})}
-    out = generate_candidates(
-        pairs,
-        library,
-        _index_over(["csv_parsing"]),
-        MockChatProvider(seed=2),
-        GenerationConfig(candidates_per_pair=2),
-        targets,
-    )
-    assert [c.skill.id for c in out] == ["evo-0-task-001-0", "evo-0-task-001-1"]
 
 
 def test_build_cover_instance_canonicalizes_through_index():
@@ -271,7 +254,7 @@ def test_dump_prompts_writes_files(tmp_path):
         library,
         _index_over(["csv_parsing"]),
         MockChatProvider(seed=2),
-        GenerationConfig(epoch=1),
+        1,
         targets,
         dump_dir=tmp_path / "prompts",
     )
@@ -281,7 +264,7 @@ def test_dump_prompts_writes_files(tmp_path):
 
 
 def test_candidate_id_format():
-    assert candidate_id(3, "task-042", 0) == "evo-3-task-042-0"
+    assert candidate_id(3, "task-042") == "evo-3-task-042-0"
 
 
 def test_empty_target_tag_set_still_generates_a_candidate():
@@ -293,7 +276,7 @@ def test_empty_target_tag_set_still_generates_a_candidate():
         SkillLibrary(),
         _index_over([]),
         MockChatProvider(seed=2),
-        GenerationConfig(),
+        0,
         {"task-001": frozenset()},
     )
     assert len(out) == 1

@@ -13,9 +13,10 @@ import pytest
 
 from skillforge import prompts
 from skillforge.cover import SelectionResult
-from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError
-from skillforge.evolve import CandidateSkill, GenerationConfig, generate_candidates
+from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError, ScoringError
+from skillforge.evolve import CandidateSkill, generate_candidates
 from skillforge.harness import (
+    RATIO_SWEEP_VALUES,
     EvolutionReport,
     ProviderBundle,
     RunConfig,
@@ -421,6 +422,42 @@ def test_sweep_epochs_grid_starts_at_base():
     assert all(row["base_pass_rate"] == zero["base_pass_rate"] for row in rows)
 
 
+class GaugedChat(MockChatProvider):
+    """Mock chat that sleeps in each call and records the peak number of
+    calls in flight across every bundle sharing ``gauge``."""
+
+    def __init__(self, gauge, **kwargs):
+        super().__init__(**kwargs)
+        self.gauge = gauge
+
+    def complete(self, request):
+        with self.gauge["lock"]:
+            self.gauge["now"] += 1
+            self.gauge["peak"] = max(self.gauge["peak"], self.gauge["now"])
+        try:
+            time.sleep(0.002)
+            return super().complete(request)
+        finally:
+            with self.gauge["lock"]:
+                self.gauge["now"] -= 1
+
+
+def test_sweep_keeps_provider_calls_within_max_workers():
+    gauge = {"lock": threading.Lock(), "now": 0, "peak": 0}
+
+    def factory(seed):
+        return ProviderBundle(
+            chat=GaugedChat(gauge, seed=seed),
+            embedder=MockEmbedder(),
+            likelihood=MockLikelihoodScorer(seed=seed),
+        )
+
+    config = RunConfig(seed=7, epochs=1, folds=2, runs=1, max_workers=2)
+    rows = sweep(config, "filter_ratio", world=_world(n_tasks=30), provider_factory=factory)
+    assert len(rows) == len(RATIO_SWEEP_VALUES)
+    assert 1 <= gauge["peak"] <= config.max_workers
+
+
 def test_run_epoch_skips_pairs_whose_tagging_fails():
     from skillforge import prompts
     from skillforge.providers.mock import MockChatProvider
@@ -518,6 +555,17 @@ def test_scorer_sensitivity_needs_two_candidates():
     candidates, tasks = _sensitivity_fixture()
     with pytest.raises(InputError):
         scorer_sensitivity(candidates[:1], tasks, [_scorer_with_gaps([0.1], "ref")])
+
+
+def test_scorer_sensitivity_reports_a_failing_scorer_as_a_scoring_error():
+    candidates, tasks = _sensitivity_fixture()
+
+    class Down:
+        def score_likelihood(self, condition, continuation):
+            raise ProviderError("down", retryable=False)
+
+    with pytest.raises(ScoringError, match="c0"):
+        scorer_sensitivity(candidates, tasks, [_scorer_with_gaps([0.4, 0.3, 0.2, 0.1], "ref"), Down()])
 
 
 def test_scorer_sensitivity_uses_each_scorers_token_count():
@@ -778,7 +826,7 @@ def test_session_asks_again_after_a_rejected_reply_and_serves_the_accepted_one()
     index = EquivalenceIndex.build({"csv_parsing"}, MockEmbedder())
     targets = {"task-001": frozenset({"csv_parsing"})}
     runs = [
-        generate_candidates([pair], SkillLibrary(), index, _TokenMeter(session), GenerationConfig(), targets)
+        generate_candidates([pair], SkillLibrary(), index, _TokenMeter(session), 0, targets)
         for _ in range(2)
     ]
     assert len(gen_chat.requests) == 3  # bad + re-ask, then the skill-tag request

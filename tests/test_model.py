@@ -204,17 +204,24 @@ def test_trajectory_task_mismatch_rejected():
 
 
 def test_task_and_trajectory_files_round_trip(tmp_path):
-    from skillforge.model import load_tasks, load_trajectories, save_tasks, save_trajectories
+    from skillforge.model import load_tasks, save_tasks
 
     tasks = (
         Task(id="t1", description="first task", metadata={"fold": "0"}),
         Task(id="t2", description="second task"),
     )
-    trajectories = (
-        Trajectory(task_id="t1", steps=(("act", "obs"), ("act2", "obs2")), final_output="done"),
-        Trajectory(task_id="t2"),
-    )
     save_tasks(tasks, tmp_path / "tasks.jsonl")
-    save_trajectories(trajectories, tmp_path / "traj.jsonl")
     assert load_tasks(tmp_path / "tasks.jsonl") == tasks
-    assert load_trajectories(tmp_path / "traj.jsonl") == trajectories
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null"])
+def test_task_and_library_loaders_reject_a_non_object_line(tmp_path, line):
+    from skillforge.model import load_tasks
+
+    path = tmp_path / "tasks.jsonl"
+    path.write_text('{"id":"t1","description":"first task"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2: expected a JSON object"):
+        load_tasks(path)
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2: expected a JSON object"):
+        load_library(path)

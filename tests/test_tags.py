@@ -18,7 +18,6 @@ from skillforge.tags import (
     normalize_tag,
     parse_tag_list,
     self_consistency,
-    semantic_intersection,
     tag_quality_metrics,
 )
 
@@ -159,17 +158,6 @@ def test_missing_tag_raises_index_error():
         index.canonical_set(["known_tag", "unknown_tag"])
 
 
-def test_semantic_intersection_cases():
-    index = make_index(["t1", "t1_prime", "t2", "t3"], groups=[("t1", "t1_prime")])
-    a = frozenset({"t1", "t2"})
-    b = frozenset({"t1_prime", "t3"})
-    assert semantic_intersection(a, b, index) == 1
-    assert semantic_intersection(a, a, index) == len(index.canonical_set(a))
-    assert semantic_intersection(frozenset({"t2"}), frozenset({"t3"}), index) == 0
-    # symmetry
-    assert semantic_intersection(a, b, index) == semantic_intersection(b, a, index)
-
-
 def test_tag_quality_identity_is_all_ones():
     index = make_index(["a", "b"])
     report = tag_quality_metrics(frozenset({"a", "b"}), frozenset({"a", "b"}), index)
@@ -255,19 +243,6 @@ def test_self_consistency_needs_two_runs():
     index = make_index(["a"])
     with pytest.raises(InputError):
         self_consistency([frozenset({"a"})], index)
-
-
-def test_index_dump_maps_each_tag_to_its_representative(tmp_path):
-    import json
-
-    index = make_index(["b_tag", "a_tag", "a_alias"], groups=[("a_tag", "a_alias")])
-    path = tmp_path / "index.json"
-    index.dump(path)
-    assert json.loads(path.read_text(encoding="utf-8")) == {
-        "a_alias": "a_alias",
-        "a_tag": "a_alias",
-        "b_tag": "b_tag",
-    }
 
 
 class _PairwiseIndex(EquivalenceIndex):

@@ -60,7 +60,7 @@ def test_initial_skills_cover_exactly_the_covered_universe():
 
 def test_vocabulary_stays_distinct_under_mock_embedder():
     # The equivalence threshold is 0.9; planted tags must never merge.
-    vectors = MockEmbedder(seed=0).embed(list(TAG_VOCABULARY))
+    vectors = MockEmbedder().embed(list(TAG_VOCABULARY))
     for i, j in itertools.combinations(range(len(TAG_VOCABULARY)), 2):
         assert float(np.dot(vectors[i], vectors[j])) < 0.9
 
@@ -84,7 +84,7 @@ def test_fully_covered_world_rejects_uncoverable_tasks():
 
 
 def test_transfer_worlds_share_the_requested_overlap():
-    world_a, world_b = generate_transfer_worlds(WorldConfig(seed=7), overlap_fraction=0.3)
+    world_a, world_b = generate_transfer_worlds(WorldConfig(seed=7))
     shared = set(world_a.tag_universe) & set(world_b.tag_universe)
     assert len(shared) == 3
     assert len(world_a.tag_universe) == len(world_b.tag_universe) == 10
