@@ -28,6 +28,8 @@ import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,7 @@ from skillforge.providers.base import (
     validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
-from skillforge.retrieval import build_index, retrieve
+from skillforge.retrieval import Bm25Index, build_index, retrieve, token_memo
 from skillforge.scoring import (
     DEFAULT_FILTER_RATIO,
     alignment_score,
@@ -214,51 +216,48 @@ class _Session:
 def simulate_agent(
     task: Task,
     hits: Sequence[tuple[str, float]],
-    skill_classes: Mapping[str, TagSet],
-    world: SyntheticWorld,
-    eq: EquivalenceIndex,
+    skill_masks: Mapping[str, int],
+    required_mask: int,
+    class_names: Sequence[str],
+    coverage_threshold: float,
 ) -> EvaluationRecord:
     """Oracle agent for the synthetic world, judging one task.
 
-    ``hits`` are the task's retrieved (skill id, score) pairs and
-    ``skill_classes`` maps each library skill id to the ``eq`` classes of its
-    tags. The task succeeds when the hits' classes cover at least the world's
-    coverage threshold of the task's required tag classes. The trajectory
-    records the retrieved skill ids and, on failure, the missing tags, which
-    is what later tag inference reads.
+    Equivalence classes are bits: ``class_names[i]`` names bit ``i``.
+    ``hits`` are the task's retrieved (skill id, score) pairs,
+    ``skill_masks`` maps each library skill id to the mask of its tags'
+    classes and ``required_mask`` is the mask of the task's required classes.
+    The task succeeds when the OR of its hits' masks covers at least
+    ``coverage_threshold`` of the required classes; ``int.bit_count`` gives
+    the same integer ratio a set intersection would. The trajectory records
+    the retrieved skill ids and, on failure, the missing classes, which is
+    what later tag inference reads; ``class_names`` is sorted, so the missing
+    names come out sorted, built only for a failure.
     """
-    required_classes = eq.canonical_set(world.required_tags(task))
-    retrieved_classes = frozenset().union(*(skill_classes[skill_id] for skill_id, _ in hits))
+    retrieved_mask = 0
+    for skill_id, _ in hits:
+        retrieved_mask |= skill_masks[skill_id]
+    n_required = required_mask.bit_count()
+    fraction = (required_mask & retrieved_mask).bit_count() / n_required if n_required else 1.0
+    success = fraction >= coverage_threshold - 1e-9
 
-    covered = required_classes & retrieved_classes
-    fraction = len(covered) / len(required_classes) if required_classes else 1.0
-    success = fraction >= world.coverage_threshold - 1e-9
-
-    retrieved_note = ", ".join(sid for sid, _ in hits) if hits else "none"
+    retrieved_note = ", ".join([sid for sid, _ in hits]) if hits else "none"
     steps = [("retrieve_skills", f"retrieved: {retrieved_note}")]
     if success:
         steps.append(("check_coverage", "all required capabilities covered"))
         final = "success"
     else:
-        missing = sorted(required_classes - retrieved_classes)
+        missing, missing_mask = [], required_mask & ~retrieved_mask
+        while missing_mask:
+            low = missing_mask & -missing_mask
+            missing.append(class_names[low.bit_length() - 1])
+            missing_mask ^= low
         steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
         final = f"failure: missing {', '.join(missing)}"
     trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
     return EvaluationRecord(
         task=task, trajectory=trajectory, quality=1 if success else 0, tokens_used=0, wall_clock_ms=0
     )
-
-
-def _evaluation_index(
-    library: SkillLibrary, tasks: Sequence[Task], world: SyntheticWorld, config: RunConfig,
-    embedder: EmbeddingProvider,
-) -> EquivalenceIndex:
-    tags: set[str] = set()
-    for skill in library:
-        tags |= skill.tags
-    for task in tasks:
-        tags |= world.required_tags(task)
-    return EquivalenceIndex.build(tags, embedder, config.delta)
 
 
 def evaluate_tasks(
@@ -268,21 +267,39 @@ def evaluate_tasks(
     config: RunConfig,
     embedder: EmbeddingProvider,
     eq: EquivalenceIndex | None = None,
+    index: Bm25Index | None = None,
 ) -> list[EvaluationRecord]:
     """Judge every task against ``library`` with one batched retrieval.
 
-    ``eq`` is the evaluation's equivalence index over the library's tags and
-    the tasks' required tags; it is built here when not given. Evaluation
-    calls no provider beyond that build, so the tasks run serially.
+    The library's tags and the tasks' required tags (parsed once per task)
+    are added to ``eq``, a fresh equivalence index when not given; a caller
+    that passes one keeps it for later stages. ``index`` is ``library``'s
+    BM25 index, built here when not given. Each class gets one bit, in sorted
+    order of the class names, and each skill and task the Python-int mask of
+    its tags' classes, which ``simulate_agent`` judges. Evaluation calls no
+    provider beyond ``eq``'s embeddings, so the tasks run serially.
     """
-    index = build_index(library)
+    if index is None:
+        index = build_index(library)
     if eq is None:
-        eq = _evaluation_index(library, tasks, world, config, embedder)
-    skill_classes = {skill.id: eq.canonical_set(skill.tags) for skill in library}
+        eq = EquivalenceIndex(config.delta)
+    required = [world.required_tags(task) for task in tasks]
+    tags = set().union(*(skill.tags for skill in library), *required)
+    eq.add_tags(tags, embedder)
+    class_of = {tag: eq.representative(tag) for tag in tags}
+    class_names = sorted(set(class_of.values()))
+    bit = {name: 1 << i for i, name in enumerate(class_names)}
+    tag_bit = {tag: bit[name] for tag, name in class_of.items()}
+
+    def mask(tag_set: TagSet) -> int:
+        return reduce(or_, map(tag_bit.__getitem__, tag_set), 0)
+
+    skill_masks = {skill.id: mask(skill.tags) for skill in library}
     hits = retrieve(index, [task.description for task in tasks], config.retrieval_k)
+    threshold = world.coverage_threshold
     return [
-        simulate_agent(task, task_hits, skill_classes, world, eq)
-        for task, task_hits in zip(tasks, hits)
+        simulate_agent(task, task_hits, skill_masks, mask(task_required), class_names, threshold)
+        for task, task_hits, task_required in zip(tasks, hits, required)
     ]
 
 
@@ -314,15 +331,18 @@ def run_epoch(
     config: RunConfig,
     clock: Callable[[], float] = time.monotonic,
     dump_dir: str | Path | None = None,
+    index: Bm25Index | None = None,
 ) -> tuple[list[EvaluationRecord], SkillLibrary, EpochStats]:
     """One full evolution epoch over ``tasks``; returns the evaluation records
-    (measured on the incoming library), the updated library, and the stats row."""
+    (measured on the incoming library), the updated library, and the stats row.
+    ``index`` is the incoming library's BM25 index, built when not given."""
     meter = _TokenMeter(providers)
     started = clock()
 
-    # The evaluation index is reused below, growing by target and candidate tags.
-    eq = _evaluation_index(library, tasks, world, config, providers.embedder)
-    records = evaluate_tasks(tasks, library, world, config, providers.embedder, eq)
+    # The evaluation's equivalence index is reused below, growing by target
+    # and candidate tags.
+    eq = EquivalenceIndex(config.delta)
+    records = evaluate_tasks(tasks, library, world, config, providers.embedder, eq, index)
     failures = collect_failures(records)
     ordered = sorted(failures, key=lambda pair: pair.task.id)
 
@@ -579,22 +599,28 @@ def _evolve_cell(
     Row ``e`` measures the library as it enters epoch ``e`` (the last row the
     final library) and carries the stats of the epoch that produced it.
     ``holdout=None`` is the leaky protocol: the held-out pass rate is the
-    train pass rate and no second evaluation runs. ``evaluate_tasks`` and
-    ``run_epoch`` are looked up as module globals on each call, so wrappers
-    installed on this module see every epoch.
+    train pass rate and no second evaluation runs. Both evaluations of an
+    epoch rank against one BM25 index of its library; each builds its own
+    equivalence index, since union-find over a larger tag set could merge
+    classes. ``build_index``, ``evaluate_tasks`` and ``run_epoch`` are looked
+    up as module globals on each call, so wrappers installed on this module
+    see every epoch.
     """
     rows: list[EpochRow] = []
     stats_list: list[EpochStats] = []
     for epoch in range(config.epochs + 1):
+        index = build_index(library)
         holdout_rate = None
         if holdout is not None:
-            holdout_rate = pass_rate(evaluate_tasks(holdout, library, world, config, providers.embedder))
+            holdout_rate = pass_rate(
+                evaluate_tasks(holdout, library, world, config, providers.embedder, index=index)
+            )
         if epoch < config.epochs:
             records, new_library, stats = run_epoch(
-                library, train, world, providers, config, clock=clock, dump_dir=dump_dir
+                library, train, world, providers, config, clock=clock, dump_dir=dump_dir, index=index
             )
         else:
-            records = evaluate_tasks(train, library, world, config, providers.embedder)
+            records = evaluate_tasks(train, library, world, config, providers.embedder, index=index)
             new_library, stats = library, None
         train_rate = pass_rate(records)
         pending = stats_list[-1] if stats_list else None
@@ -652,8 +678,8 @@ def run_kfold(
         audit = providers.audit_names()
         providers = _Session(providers)
         fold_lists = _partition_folds(tasks, config.folds, run_seed)
-        # One LP memo per run seed, like the provider session.
-        with lp_memo():
+        # One LP memo and one token memo per run seed, like the provider session.
+        with lp_memo(), token_memo():
             for fold_idx in range(config.folds):
                 # The leaky cell trains on its only fold and holds nothing out.
                 holdout = None if leaky else fold_lists[fold_idx]
@@ -687,7 +713,7 @@ def evolve_library(
     providers = _Session(providers)
     library = apply_label_scale(world, config.label_scale, config.seed)
     tasks = sorted(world.tasks, key=lambda t: t.id)
-    with lp_memo():
+    with lp_memo(), token_memo():
         library, rows, stats_list = _evolve_cell(
             library, tasks, None, world, providers, config, clock, dump_dir
         )

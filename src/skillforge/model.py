@@ -22,6 +22,28 @@ LIBRARY_VERSION = 1
 ORIGIN_HUMAN = "human"
 ORIGIN_EVOLVED = "evolved"
 
+_REQUIRED = object()
+_JSON_KINDS = {
+    str: "a string", int: "an integer", list: "an array of strings", dict: "an object of strings"
+}
+
+
+def _field(raw: dict, name: str, kind: type, default=_REQUIRED):
+    """``raw[name]``, or ``default`` when absent and one is given, checked to
+    have JSON type ``kind`` (a boolean is no integer); arrays and objects
+    must hold strings."""
+    if name not in raw:
+        if default is _REQUIRED:
+            raise ParseError(f"field {name!r} is missing")
+        return default
+    value = raw[name]
+    valid = type(value) is kind
+    if valid and kind in (list, dict):
+        valid = all(type(item) is str for item in (value.values() if kind is dict else value))
+    if not valid:
+        raise ParseError(f"field {name!r} must be {_JSON_KINDS[kind]}")
+    return value
+
 
 @dataclass(frozen=True)
 class Skill:
@@ -59,18 +81,16 @@ class Skill:
 
     @classmethod
     def from_dict(cls, raw: dict) -> Skill:
-        try:
-            return cls(
-                id=raw["id"],
-                name=raw["name"],
-                description=raw["description"],
-                body=raw["body"],
-                tags=frozenset(raw.get("tags", [])),
-                origin=raw.get("origin", ORIGIN_HUMAN),
-                created_epoch=int(raw.get("created_epoch", 0)),
-            )
-        except KeyError as exc:
-            raise ParseError(f"skill record missing field {exc}") from exc
+        """Raises ``ParseError`` naming a missing or mistyped field."""
+        return cls(
+            id=_field(raw, "id", str),
+            name=_field(raw, "name", str),
+            description=_field(raw, "description", str),
+            body=_field(raw, "body", str),
+            tags=frozenset(_field(raw, "tags", list, [])),
+            origin=_field(raw, "origin", str, ORIGIN_HUMAN),
+            created_epoch=_field(raw, "created_epoch", int, 0),
+        )
 
 
 @dataclass(frozen=True)
@@ -126,7 +146,12 @@ class Task:
 
     @classmethod
     def from_dict(cls, raw: dict) -> Task:
-        return cls(id=raw["id"], description=raw["description"], metadata=dict(raw.get("metadata", {})))
+        """Raises ``ParseError`` naming a missing or mistyped field."""
+        return cls(
+            id=_field(raw, "id", str),
+            description=_field(raw, "description", str),
+            metadata=dict(_field(raw, "metadata", dict, {})),
+        )
 
 
 @dataclass(frozen=True)
@@ -187,9 +212,9 @@ def load_library(path: str | Path) -> SkillLibrary:
     seen: set[str] = set()
     for lineno, raw in _iter_jsonl(path):
         if raw.get("format") == LIBRARY_FORMAT:
-            epoch = int(raw.get("epoch", 0))
+            epoch = _record("library", lambda header: _field(header, "epoch", int, 0), raw, lineno)
             continue
-        skill = Skill.from_dict(raw)
+        skill = _record("skill", Skill.from_dict, raw, lineno)
         if skill.id in seen:
             raise IntegrityError(f"duplicate skill id {skill.id!r} at line {lineno}")
         seen.add(skill.id)
@@ -239,13 +264,7 @@ def collect_failures(records: Sequence[EvaluationRecord]) -> tuple[FailurePair, 
 
 def load_tasks(path: str | Path) -> tuple[Task, ...]:
     """Load tasks from JSONL, one task object per line."""
-    tasks = []
-    for lineno, raw in _iter_jsonl(path):
-        try:
-            tasks.append(Task.from_dict(raw))
-        except KeyError as exc:
-            raise ParseError(f"task record missing field {exc}", line=lineno) from exc
-    return tuple(tasks)
+    return tuple(_record("task", Task.from_dict, raw, lineno) for lineno, raw in _iter_jsonl(path))
 
 
 def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
@@ -253,6 +272,14 @@ def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
         "".join(json.dumps(t.to_dict(), separators=(",", ":"), ensure_ascii=True) + "\n" for t in tasks),
         encoding="utf-8",
     )
+
+
+def _record(what: str, parse, raw: dict, lineno: int):
+    """``parse(raw)``, its ``ParseError`` naming the record and line."""
+    try:
+        return parse(raw)
+    except ParseError as exc:
+        raise ParseError(f"{what} {exc}", line=lineno) from exc
 
 
 def _iter_jsonl(path: str | Path):

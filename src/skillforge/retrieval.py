@@ -24,6 +24,17 @@ produces, so every score is the same float a full scan computes. Ranking is
 a stable argsort of ``-scores`` along each row: tied documents keep column
 order, which is id order, exactly as sorting ``(-score, id)`` would. Scores
 that are not positive are dropped.
+
+Inside a ``token_memo()`` block (one per run seed or evolve call, opened
+beside ``cover.lp_memo()``) each distinct document text is tokenized once,
+kept as its ``(Counter, length)``, and each distinct query text once, kept as
+its token list. Both are keyed by the text itself, never by a skill id: one
+``candidate_id`` can name different bodies in different folds, while equal
+texts always tokenize alike. ``build_index`` still folds the cached counts
+into ``df``, ``avgdl`` and the postings in library order, so every index and
+every score is the float a memo-less build computes. The cached values are
+never mutated. Outside any block nothing is cached, so separate runs share
+no work.
 """
 
 from __future__ import annotations
@@ -31,8 +42,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -44,9 +58,37 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
+# (document text -> (Counter, length), query text -> tokens) for the
+# innermost active ``token_memo()``.
+_TOKEN_MEMO: ContextVar[tuple[dict, dict] | None] = ContextVar("token_memo", default=None)
+
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
+
+
+@contextmanager
+def token_memo() -> Iterator[None]:
+    """Tokenize each distinct document and query text once inside the block."""
+    token = _TOKEN_MEMO.set(({}, {}))
+    try:
+        yield
+    finally:
+        _TOKEN_MEMO.reset(token)
+
+
+def _memoized(table: dict | None, text: str, compute):
+    if table is None:
+        return compute(text)
+    value = table.get(text)
+    if value is None:
+        value = table[text] = compute(text)
+    return value
+
+
+def _document_counts(text: str) -> tuple[Counter, int]:
+    tokens = tokenize(text)
+    return Counter(tokens), len(tokens)
 
 
 @dataclass(frozen=True)
@@ -88,11 +130,12 @@ def build_index(library: SkillLibrary, k1: float = DEFAULT_K1, b: float = DEFAUL
     documents: dict[str, Counter] = {}
     doc_lengths: dict[str, int] = {}
     df: Counter = Counter()
+    memo, _ = _TOKEN_MEMO.get() or (None, None)
     for skill in library:
-        tokens = tokenize(f"{skill.name} {skill.description} {skill.body}")
-        counts = Counter(tokens)
+        text = f"{skill.name} {skill.description} {skill.body}"
+        counts, length = _memoized(memo, text, _document_counts)
         documents[skill.id] = counts
-        doc_lengths[skill.id] = len(tokens)
+        doc_lengths[skill.id] = length
         for term in counts:
             df[term] += 1
     avgdl = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
@@ -106,9 +149,10 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tupl
         raise InputError("k must be at least 1")
     if isinstance(queries, str):
         raise InputError("retrieve takes a sequence of queries, not a single string")
-    terms = [tokenize(query) for query in queries]
+    _, memo = _TOKEN_MEMO.get() or (None, None)
+    terms = [_memoized(memo, query, tokenize) for query in queries]
     rows: dict[str, int] = {}  # row 0 is the zero row
-    for term in dict.fromkeys(t for query in terms for t in query):
+    for term in dict.fromkeys(chain.from_iterable(terms)):
         if term in index.postings:
             rows[term] = len(rows) + 1
     if not rows:
@@ -117,9 +161,12 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tupl
     for term, row in rows.items():
         columns, contributions = index.postings[term]
         weights[row, columns] = contributions
-    positions = np.zeros((len(terms), max(map(len, terms))), dtype=np.intp)
-    for i, query in enumerate(terms):
-        positions[i, : len(query)] = [rows.get(term, 0) for term in query]
+    lengths = np.array([len(query) for query in terms], dtype=np.intp)
+    positions = np.zeros((len(terms), lengths.max()), dtype=np.intp)
+    # A boolean mask fills row by row: query i's terms, then query i + 1's.
+    positions[np.arange(positions.shape[1]) < lengths[:, None]] = [
+        rows.get(term, 0) for term in chain.from_iterable(terms)
+    ]
     scores = np.zeros((len(terms), len(index.doc_ids)))
     for j in range(positions.shape[1]):
         scores += weights[positions[:, j]]

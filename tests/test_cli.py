@@ -272,3 +272,24 @@ def test_mock_runs_never_touch_the_network(tmp_path, monkeypatch):
     monkeypatch.setattr(socket, "socket", explode)
     monkeypatch.setattr(socket, "create_connection", explode)
     assert dispatch(["evolve", "--mock", "--seed", "5", "--epochs", "1", "--out", str(tmp_path / "r")]) == 0
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"id":"t1","description":"Task t1","metadata":5}', "line 1: task field 'metadata' must be an object"),
+        ('{"id":"t1","description":5}', "line 1: task field 'description' must be a string"),
+    ],
+)
+def test_tag_command_rejects_a_mistyped_task_field(tmp_path, capsys, line, message):
+    src = tmp_path / "bad.jsonl"
+    src.write_text(line + "\n", encoding="utf-8")
+    assert dispatch(["tag", "--mock", "--tasks", str(src), "--out", str(tmp_path / "x.json")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_tag_command_rejects_a_string_of_skill_tags(tmp_path, capsys):
+    src = tmp_path / "lib.jsonl"
+    src.write_text('{"id":"s1","name":"n","description":"d","body":"b","tags":"python"}\n', encoding="utf-8")
+    assert dispatch(["tag", "--mock", "--library", str(src), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert "error: line 1: skill field 'tags' must be an array of strings" in capsys.readouterr().err

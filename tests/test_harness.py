@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import sys
 import threading
@@ -10,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillforge import prompts
 from skillforge.cover import SelectionResult
@@ -69,6 +72,14 @@ def _quick_config(**kwargs):
     return RunConfig(**defaults)
 
 
+def _class_masks(eq, tag_sets):
+    """Class names in bit order and one class mask per tag set."""
+    names = sorted({eq.representative(tag) for tags in tag_sets for tag in tags})
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    masks = [sum({bit[eq.representative(tag)] for tag in tags}) for tags in tag_sets]
+    return names, masks
+
+
 def test_simulate_agent_succeeds_when_tags_covered():
     world = _world(n_tasks=10)
     task = Task(
@@ -79,7 +90,9 @@ def test_simulate_agent_succeeds_when_tags_covered():
     library = world.initial_library()
     eq = EquivalenceIndex.build(world.required_tags(task).union(*(s.tags for s in library)), MockEmbedder())
     hits = retrieve(build_index(library), [task.description], 5)[0]
-    record = simulate_agent(task, hits, {skill.id: eq.canonical_set(skill.tags) for skill in library}, world, eq)
+    names, masks = _class_masks(eq, [world.required_tags(task), *(s.tags for s in library)])
+    skill_masks = dict(zip(library.ids(), masks[1:]))
+    record = simulate_agent(task, hits, skill_masks, masks[0], names, world.coverage_threshold)
     assert record.quality == 1
     assert record.trajectory.final_output == "success"
 
@@ -88,12 +101,26 @@ def test_simulate_agent_fails_on_empty_library_and_lists_missing_tags():
     world = _world(n_tasks=10)
     task = world.tasks[0]
     eq = EquivalenceIndex.build(world.required_tags(task), MockEmbedder())
-    record = simulate_agent(task, retrieve(build_index(SkillLibrary()), [task.description], 5)[0], {}, world, eq)
+    names, (required_mask,) = _class_masks(eq, [world.required_tags(task)])
+    hits = retrieve(build_index(SkillLibrary()), [task.description], 5)[0]
+    record = simulate_agent(task, hits, {}, required_mask, names, world.coverage_threshold)
     assert record.quality == 0
     missing_note = record.trajectory.steps[-1][1]
     for tag in world.required_tags(task):
         assert tag in missing_note
     assert record.tokens_used == 0
+
+
+def test_simulate_agent_lists_missing_classes_in_sorted_order():
+    names = ["alpha", "beta", "delta", "gamma"]
+    record = simulate_agent(
+        Task(id="t", description="Task t"), [("s1", 1.0)], {"s1": 0b0110}, 0b1111, names, 0.5
+    )
+    assert record.quality == 1  # two of four classes at threshold 0.5
+    record = simulate_agent(
+        Task(id="t", description="Task t"), [("s1", 1.0)], {"s1": 0b0100}, 0b1111, names, 1.0
+    )
+    assert record.trajectory.final_output == "failure: missing alpha, beta, gamma"
 
 
 def test_base_pass_rate_matches_planted_coverable_fraction():
@@ -154,6 +181,117 @@ def test_batched_evaluation_equals_the_per_task_loop(delta, world_seed):
         for tasks in (list(world.tasks), sorted(world.tasks, key=lambda t: t.description)[:7], []):
             expected = _reference_evaluation(tasks, library, world, config, MockEmbedder())
             assert evaluate_tasks(tasks, library, world, config, MockEmbedder()) == expected
+
+
+def _set_based_simulate_agent(task, hits, skill_classes, world, eq):
+    """The judge before class masks: frozensets of classes per task."""
+    required_classes = eq.canonical_set(world.required_tags(task))
+    retrieved_classes = frozenset().union(*(skill_classes[skill_id] for skill_id, _ in hits))
+    covered = required_classes & retrieved_classes
+    fraction = len(covered) / len(required_classes) if required_classes else 1.0
+    success = fraction >= world.coverage_threshold - 1e-9
+    retrieved_note = ", ".join(sid for sid, _ in hits) if hits else "none"
+    steps = [("retrieve_skills", f"retrieved: {retrieved_note}")]
+    if success:
+        steps.append(("check_coverage", "all required capabilities covered"))
+        final = "success"
+    else:
+        missing = sorted(required_classes - retrieved_classes)
+        steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
+        final = f"failure: missing {', '.join(missing)}"
+    trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
+    return EvaluationRecord(
+        task=task, trajectory=trajectory, quality=1 if success else 0, tokens_used=0, wall_clock_ms=0
+    )
+
+
+def _set_based_evaluation(tasks, library, world, config, embedder):
+    tags = set().union(*(skill.tags for skill in library), *(world.required_tags(t) for t in tasks))
+    eq = EquivalenceIndex.build(tags, embedder, config.delta)
+    skill_classes = {skill.id: eq.canonical_set(skill.tags) for skill in library}
+    hits = retrieve(build_index(library), [task.description for task in tasks], config.retrieval_k)
+    return [
+        _set_based_simulate_agent(task, task_hits, skill_classes, world, eq)
+        for task, task_hits in zip(tasks, hits)
+    ]
+
+
+@functools.cache
+def _oracle_world(seed):
+    """The world of ``seed`` and its initial, evolved and empty libraries."""
+    world = _world(seed=seed, n_tasks=40)
+    evolved, _, _ = evolve_library(
+        RunConfig(seed=seed, epochs=2), world, mock_provider_factory(noise_rate=0.5)(seed)
+    )
+    return world, {"initial": world.initial_library(), "evolved": evolved, "empty": SkillLibrary()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.sampled_from([3, 11]),
+    delta=st.sampled_from([0.5, 0.9, 1.0]),
+    threshold=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    which=st.sampled_from(["initial", "evolved", "empty"]),
+    picks=st.lists(st.integers(0, 39), max_size=25),
+    unmatched=st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4), max_size=3),
+)
+def test_mask_judge_equals_the_set_based_judge(seed, delta, threshold, which, picks, unmatched):
+    world, libraries = _oracle_world(seed)
+    world = replace(world, config=replace(world.config, coverage_threshold=threshold))
+    library = libraries[which]
+    # Tasks whose descriptions share no term with any skill get no hits.
+    no_hits = [
+        Task(f"nohit-{i}", "?", {"required_tags": ",".join(world.tag_universe[j] for j in tags)})
+        for i, tags in enumerate(unmatched)
+    ]
+    tasks = [world.tasks[i] for i in picks] + no_hits
+    config = RunConfig(seed=seed, delta=delta)
+    expected = _set_based_evaluation(tasks, library, world, config, MockEmbedder())
+    assert evaluate_tasks(tasks, library, world, config, MockEmbedder()) == expected
+    given_eq = EquivalenceIndex(delta)
+    given_index = build_index(library)
+    assert evaluate_tasks(tasks, library, world, config, MockEmbedder(), given_eq, given_index) == expected
+    assert all(r.trajectory.steps[0][1] == "retrieved: none" for r in expected[len(picks):])
+
+
+def test_kfold_builds_one_bm25_index_per_epoch(monkeypatch):
+    import skillforge.harness as harness
+
+    builds = []
+    original = harness.build_index
+
+    def counting(library, *args, **kwargs):
+        builds.append(len(library))
+        return original(library, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_index", counting)
+    config = RunConfig(seed=7, epochs=2, folds=3, runs=2)
+    report = run_kfold(config, _world(n_tasks=30), mock_provider_factory(noise_rate=0.5))
+    assert len(builds) == config.runs * config.folds * (config.epochs + 1)
+    assert builds == [row.library_size for cell in report.cells for row in cell.rows]
+
+
+def test_each_kfold_run_tokenizes_afresh(monkeypatch):
+    import skillforge.retrieval as retrieval
+
+    calls = []
+    original = retrieval.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(retrieval, "tokenize", counting)
+    world = _world(n_tasks=30)
+    config = RunConfig(seed=7, epochs=2, folds=3, runs=2)
+    first = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
+    first_calls, calls[:] = list(calls), []
+    second = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
+    assert strip_wall_clock(second.to_dict()) == strip_wall_clock(first.to_dict())
+    assert calls == first_calls
+    # Each run seed tokenizes a text once; the initial skills' texts recur in every run.
+    assert max(Counter(first_calls).values()) == config.runs
+    assert retrieval._TOKEN_MEMO.get() is None
 
 
 def test_evaluation_starts_no_thread_pool(monkeypatch):

@@ -1,8 +1,9 @@
 """Reports must not depend on the interpreter's string hash seed.
 
 Each run happens in a fresh interpreter under ``PYTHONHASHSEED`` 0-3, so any
-set- or dict-order dependence (in the engine or in the per-run provider
-session's memo) shows up as differing digests. ``lp_round`` is left out: its
+set- or dict-order dependence (in the engine, in the per-run provider
+session's memo, or in the class bits of the evaluation judge) shows up as
+differing digests. ``lp_round`` is left out: its
 LP linking rows iterate a set (``cover.lp_round_select``), and making that
 order fixed moves a pinned benchmark digest, so it waits for a re-pin.
 """
@@ -19,21 +20,30 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import hashlib, json
-from skillforge.harness import RunConfig, evolve_library, mock_provider_factory, run_kfold, strip_wall_clock
+from skillforge.harness import (
+    RunConfig, evaluate_tasks, evolve_library, mock_provider_factory, run_kfold, strip_wall_clock,
+)
+from skillforge.providers.mock import MockEmbedder
 from skillforge.world import WorldConfig, generate_world
 
-def digest(report):
-    text = json.dumps(strip_wall_clock(report.to_dict()), sort_keys=True)
+def digest(obj):
+    text = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 world = generate_world(WorldConfig(seed=7, n_tasks=40))
 out = {}
 for strategy in ("greedy", "primal_dual"):
     config = RunConfig(seed=7, strategy=strategy)
-    out[strategy] = digest(run_kfold(config, world, mock_provider_factory(noise_rate=0.5)))
+    report = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
+    out[strategy] = digest(strip_wall_clock(report.to_dict()))
 config = RunConfig(seed=7)
-_, report, _ = evolve_library(config, world, mock_provider_factory(noise_rate=3.0)(7))
-out["evolve"] = digest(report)
+library, report, _ = evolve_library(config, world, mock_provider_factory(noise_rate=3.0)(7))
+out["evolve"] = digest(strip_wall_clock(report.to_dict()))
+records = evaluate_tasks(world.tasks, library, world, RunConfig(seed=7, delta=0.5), MockEmbedder())
+assert any(r.quality == 0 for r in records)
+out["evaluate"] = digest([
+    [r.task.id, r.quality, r.trajectory.steps, r.trajectory.final_output] for r in records
+])
 print(json.dumps(out))
 """
 
@@ -52,5 +62,5 @@ def test_reports_are_equal_under_every_hash_seed():
         stdout, _ = proc.communicate(timeout=300)
         assert proc.returncode == 0
         digests.append(json.loads(stdout))
-    assert set(digests[0]) == {"greedy", "primal_dual", "evolve"}
+    assert set(digests[0]) == {"greedy", "primal_dual", "evolve", "evaluate"}
     assert all(d == digests[0] for d in digests[1:])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -224,4 +225,57 @@ def test_task_and_library_loaders_reject_a_non_object_line(tmp_path, line):
         load_tasks(path)
     path.write_text("\n" + line + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2: expected a JSON object"):
+        load_library(path)
+
+
+_SKILL_LINE = {"id": "s1", "name": "n", "description": "d", "body": "b"}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": "t1", "description": "first task", "metadata": 5}, "task field 'metadata' must be an object"),
+        ({"id": "t1", "description": "first task", "metadata": {"fold": 0}}, "task field 'metadata'"),
+        ({"id": "t1", "description": 5}, "task field 'description' must be a string"),
+        ({"id": 1, "description": "first task"}, "task field 'id' must be a string"),
+        ({"id": "t1"}, "task field 'description' is missing"),
+    ],
+)
+def test_task_loader_names_the_line_and_a_mistyped_field(tmp_path, record, message):
+    from skillforge.model import load_tasks
+
+    path = tmp_path / "tasks.jsonl"
+    path.write_text('{"id":"t0","description":"fine"}\n' + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line 2: {message}"):
+        load_tasks(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"tags": "python"}, "skill field 'tags' must be an array of strings"),
+        ({"tags": ["python", 3]}, "skill field 'tags' must be an array of strings"),
+        ({"body": None}, "skill field 'body' must be a string"),
+        ({"origin": 1}, "skill field 'origin' must be a string"),
+        ({"created_epoch": "1"}, "skill field 'created_epoch' must be an integer"),
+        ({"created_epoch": True}, "skill field 'created_epoch' must be an integer"),
+    ],
+)
+def test_library_loader_names_the_line_and_a_mistyped_field(tmp_path, fields, message):
+    path = tmp_path / "lib.jsonl"
+    path.write_text(json.dumps({**_SKILL_LINE, **fields}) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line 1: {message}"):
+        load_library(path)
+
+
+def test_library_loader_keeps_well_typed_optional_fields(tmp_path):
+    path = tmp_path / "lib.jsonl"
+    path.write_text(json.dumps({**_SKILL_LINE, "tags": ["python"], "created_epoch": 0}) + "\n", encoding="utf-8")
+    assert load_library(path).skills[0].tags == frozenset({"python"})
+
+
+def test_library_loader_rejects_a_mistyped_epoch(tmp_path):
+    path = tmp_path / "lib.jsonl"
+    path.write_text('{"format":"skillforge-library","version":1,"epoch":"x"}\n', encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 1: library field 'epoch' must be an integer"):
         load_library(path)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from skillforge.errors import InputError
 from skillforge.model import SkillLibrary
-from skillforge.retrieval import Bm25Index, build_index, retrieve, tokenize
+from skillforge.retrieval import Bm25Index, build_index, retrieve, token_memo, tokenize
 
 from conftest import make_skill
 
@@ -231,3 +231,41 @@ def test_postings_match_the_full_scan_exactly(bodies, copies, queries, k, k1, b)
     index = build_index(library, k1=k1, b=b)
     texts = [" ".join(query) for query in queries]
     assert retrieve(index, texts, k) == [_full_scan(index, text, k) for text in texts]
+
+
+def _counting_tokenize(monkeypatch) -> list[str]:
+    import skillforge.retrieval as retrieval
+
+    calls: list[str] = []
+    original = retrieval.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(retrieval, "tokenize", counting)
+    return calls
+
+
+def test_outside_a_token_memo_nothing_is_cached(monkeypatch):
+    calls = _counting_tokenize(monkeypatch)
+    library = _library({"d1": "alpha beta", "d2": "beta gamma"})
+    for _ in range(2):
+        retrieve(build_index(library), ["beta", "gamma"], 2)
+    assert len(calls) == 2 * (len(library) + 2)
+
+
+def test_a_token_memo_tokenizes_each_text_once_and_changes_no_score(monkeypatch):
+    library = _library({"d1": "alpha beta beta", "d2": "beta gamma", "d3": "gamma"})
+    grown = _library({"d1": "alpha beta beta", "d2": "beta gamma", "d3": "gamma", "d4": "delta beta"})
+    # One id may name different bodies in different folds.
+    renamed = _library({"d1": "delta delta", "d2": "beta gamma"})
+    libraries = (library, grown, renamed)
+    queries = ["beta gamma", "delta", "beta gamma"]
+    plain = [(build_index(lib), retrieve(build_index(lib), queries, 3)) for lib in libraries]
+    calls = _counting_tokenize(monkeypatch)
+    with token_memo():
+        memoized = [(build_index(lib), retrieve(build_index(lib), queries, 3)) for lib in libraries]
+    assert memoized == plain
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == len(grown) + 1 + len(set(queries))
