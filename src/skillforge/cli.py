@@ -36,11 +36,15 @@ from skillforge.harness import (
     write_sweep_csv,
 )
 from skillforge.model import (
+    ORIGIN_EVOLVED,
     FailurePair,
     Skill,
     SkillLibrary,
     Task,
     Trajectory,
+    _field,
+    _iter_jsonl,
+    _record,
     load_library,
     load_tasks,
     save_library,
@@ -170,19 +174,26 @@ def _load_file_config(args) -> dict:
 
 # RunConfig fields whose command-line flag has another name.
 _CONFIG_FLAGS = {"retrieval_k": "k"}
+_CONFIG_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def resolve_run_config(args) -> RunConfig:
     """Every ``RunConfig`` field from its flag, else the config file, else the
-    default; a config-file key that names no field is an error."""
+    default. A config-file key that names no field is an error, and so is a
+    value whose JSON type is not its field's (a boolean is no integer; an
+    integer may set a float field)."""
     values = _load_file_config(args)
     if not isinstance(values, dict):
         raise ConfigError("config file must hold a JSON object of RunConfig fields")
-    names = [f.name for f in fields(RunConfig)]
-    unknown = sorted(set(values) - set(names))
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config file key(s): {', '.join(unknown)}")
-    for name in names:
+    for name, value in values.items():
+        kind = type(defaults[name])
+        if not (type(value) is kind or (kind is float and type(value) is int)):
+            raise ConfigError(f"config file key {name!r} must be {_CONFIG_KINDS[kind]}")
+    for name in defaults:
         value = getattr(args, _CONFIG_FLAGS.get(name, name), None)
         if value is not None:
             values[name] = value
@@ -292,49 +303,48 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+_EMPTY_SELECTION = SelectionResult(
+    selected=(), covered=frozenset(), uncovered=frozenset(), irrelevant_count=0
+)
+
+
+def _candidate(raw: dict) -> tuple[CandidateSkill, Task, frozenset[str]]:
+    """One candidate-file row: the candidate, its source task and its target
+    tags. Raises ``ParseError`` naming a missing or mistyped field."""
+    skill_id = _field(raw, "id", str)
+    skill = Skill(
+        id=skill_id,
+        name=_field(raw, "name", str, skill_id),
+        description=_field(raw, "description", str, ""),
+        body=_field(raw, "body", str),
+        tags=frozenset(_field(raw, "tags", list, [])),
+        origin=_field(raw, "origin", str, ORIGIN_EVOLVED),
+        created_epoch=_field(raw, "created_epoch", int, 0),
+    )
+    task = Task(id=_field(raw, "pair_id", str), description=_field(raw, "task_description", str))
+    candidate = CandidateSkill(skill=skill, source_pair_id=task.id, selection=_EMPTY_SELECTION)
+    return candidate, task, frozenset(_field(raw, "target_tags", list, []))
+
+
 def cmd_score(args) -> int:
     config = resolve_run_config(args)
     bundle = _resolve_providers(args)(config.seed)
     rows_in = [
-        json.loads(line)
-        for line in Path(args.candidates).read_text(encoding="utf-8").splitlines()
-        if line.strip()
+        _record("candidate", _candidate, raw, lineno) for lineno, raw in _iter_jsonl(args.candidates)
     ]
     if not rows_in:
         raise ConfigError("candidate file is empty")
 
     all_tags: set[str] = set()
-    for row in rows_in:
-        all_tags |= set(row.get("tags", []))
-        all_tags |= set(row.get("target_tags", []))
+    for candidate, _, target in rows_in:
+        all_tags |= candidate.skill.tags | target
     index = EquivalenceIndex(delta=config.delta)
     index.add_tags(all_tags, bundle.embedder)
-
-    empty_selection = SelectionResult(
-        selected=(), covered=frozenset(), uncovered=frozenset(), irrelevant_count=0
-    )
-    scored = []
-    for row in rows_in:
-        skill = Skill(
-            id=row["id"],
-            name=row.get("name", row["id"]),
-            description=row.get("description", ""),
-            body=row["body"],
-            tags=frozenset(row.get("tags", [])),
-            origin=row.get("origin", "evolved"),
-            created_epoch=int(row.get("created_epoch", 0)),
-        )
-        candidate = CandidateSkill(
-            skill=skill, source_pair_id=row["pair_id"], selection=empty_selection
-        )
-        task = Task(id=row["pair_id"], description=row["task_description"])
-        scored.append(
-            score_candidate(
-                candidate, frozenset(row.get("target_tags", [])), task, index, bundle.likelihood
-            )
-        )
-    ratio = config.filter_ratio
-    _, _, rows = filter_and_update(scored, SkillLibrary(), ratio)
+    scored = [
+        score_candidate(candidate, target, task, index, bundle.likelihood)
+        for candidate, task, target in rows_in
+    ]
+    _, _, rows = filter_and_update(scored, SkillLibrary(), config.filter_ratio)
     write_score_csv(rows, args.out)
     print(f"scored {len(scored)} candidates -> {args.out}")
     return 0

@@ -11,8 +11,8 @@ which is the leaky protocol that ``folds=1`` also gets. Epoch 0 is always
 evaluated first so the no-evolution baseline anchors each report. Each run
 (run seed or ``evolve_library`` call) sends its provider calls through one
 ``_Session``, which memoizes accepted temperature-0 chat replies, likelihood
-scores and embeddings; each epoch's token meter sits above it and so also
-counts the replies it serves.
+scores and embeddings and counts the tokens of every reply and score it
+serves; each epoch reports the growth of that count.
 
 Wall-clock numbers come from an injectable monotonic clock and are excluded
 from determinism comparisons (see ``strip_wall_clock``).
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
-from skillforge.cover import lp_memo
+from skillforge.cover import STRATEGIES, lp_memo
 from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError, TaggingError
 from skillforge.evolve import CandidateSkill, generate_candidates
 from skillforge.model import (
@@ -52,7 +52,6 @@ from skillforge.providers.base import (
     EmbeddingProvider,
     LikelihoodProvider,
     LikelihoodResult,
-    accept_reply,
     validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
@@ -107,6 +106,8 @@ class RunConfig:
             raise ConfigError("label_scale must lie in [0, 1]")
         if self.max_workers < 1:
             raise ConfigError("max_workers must be at least 1")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown selection strategy {self.strategy!r}; expected one of {STRATEGIES}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,45 +141,20 @@ def mock_provider_factory(noise_rate: float = 0.0) -> Callable[[int], ProviderBu
     return factory
 
 
-class _TokenMeter:
-    """Forwards chat and likelihood calls to one bundle's providers and sums
-    their tokens (``tokens_in + tokens_out`` per completion, ``token_count``
-    per likelihood score) under a lock, since stages call it from threads."""
-
-    def __init__(self, providers: ProviderBundle) -> None:
-        self._chat = providers.chat
-        self._likelihood = providers.likelihood
-        self._lock = threading.Lock()
-        self.tokens = 0
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        response = self._chat.complete(request)
-        self._add(response.tokens_in + response.tokens_out)
-        return response
-
-    def accept(self, request: ChatRequest, reply: ChatResponse) -> None:
-        accept_reply(self._chat, request, reply)
-
-    def score_likelihood(self, condition: str, continuation: str) -> LikelihoodResult:
-        result = self._likelihood.score_likelihood(condition, continuation)
-        self._add(result.token_count)
-        return result
-
-    def _add(self, tokens: int) -> None:
-        with self._lock:
-            self.tokens += tokens
-
-
 class _Session:
-    """One run's stand-in for all three roles of a bundle, memoizing replies.
+    """One run's stand-in for all three roles of a bundle, memoizing replies
+    and metering tokens.
 
     ``complete`` serves a temperature-0 request the reply a consumer
     ``accept``-ed for it, so re-asks and warmer requests reach the provider;
     ``score_likelihood`` keeps each (condition, continuation) score; ``embed``
     validates every call, hits included, and sends each text to the embedder
     once (a text must get the same vector in any batch). A raising call stores
-    nothing. Chat and likelihood misses are sent unlocked, so two threads
-    missing on one request at once may both send it.
+    nothing. ``tokens`` sums ``tokens_in + tokens_out`` of every reply and
+    ``token_count`` of every score served, memo hits included, under the lock,
+    since stages call the session from threads. Chat and likelihood misses are
+    sent unlocked, so two threads missing on one request at once may both
+    send it.
     """
 
     chat = embedder = likelihood = property(lambda self: self)
@@ -189,10 +165,14 @@ class _Session:
         self._replies: dict[ChatRequest, ChatResponse] = {}
         self._scores: dict[tuple[str, str], LikelihoodResult] = {}
         self._vectors: dict[str, np.ndarray] = {}
+        self.tokens = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         reply = self._replies.get(request)
-        return reply if reply is not None else self._providers.chat.complete(request)
+        if reply is None:
+            reply = self._providers.chat.complete(request)
+        self._add(reply.tokens_in + reply.tokens_out)
+        return reply
 
     def accept(self, request: ChatRequest, reply: ChatResponse) -> None:
         if request.temperature == 0.0:
@@ -202,7 +182,13 @@ class _Session:
         key = (condition, continuation)
         if key not in self._scores:
             self._scores[key] = self._providers.likelihood.score_likelihood(condition, continuation)
-        return self._scores[key]
+        result = self._scores[key]
+        self._add(result.token_count)
+        return result
+
+    def _add(self, tokens: int) -> None:
+        with self._lock:
+            self.tokens += tokens
 
     def embed(self, texts):
         texts = validate_embed_inputs(texts)
@@ -255,9 +241,7 @@ def simulate_agent(
         steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
         final = f"failure: missing {', '.join(missing)}"
     trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
-    return EvaluationRecord(
-        task=task, trajectory=trajectory, quality=1 if success else 0, tokens_used=0, wall_clock_ms=0
-    )
+    return EvaluationRecord(task=task, trajectory=trajectory, quality=1 if success else 0)
 
 
 def evaluate_tasks(
@@ -327,7 +311,7 @@ def run_epoch(
     library: SkillLibrary,
     tasks: Sequence[Task],
     world: SyntheticWorld,
-    providers: ProviderBundle,
+    providers: _Session,
     config: RunConfig,
     clock: Callable[[], float] = time.monotonic,
     dump_dir: str | Path | None = None,
@@ -335,8 +319,14 @@ def run_epoch(
 ) -> tuple[list[EvaluationRecord], SkillLibrary, EpochStats]:
     """One full evolution epoch over ``tasks``; returns the evaluation records
     (measured on the incoming library), the updated library, and the stats row.
+    ``providers`` is the run's ``_Session``, handed to every stage; the
+    epoch's ``tokens_used`` is the growth of ``providers.tokens`` while it
+    runs. That is exact as long as nothing else calls chat or likelihood on
+    the session meanwhile, which holds: folds and sweep cells run serially,
+    evaluation only embeds, the stages' pools join before this returns, and
+    the epoch-0 and final rows carry 0 tokens.
     ``index`` is the incoming library's BM25 index, built when not given."""
-    meter = _TokenMeter(providers)
+    tokens_before = providers.tokens
     started = clock()
 
     # The evaluation's equivalence index is reused below, growing by target
@@ -348,7 +338,7 @@ def run_epoch(
 
     def _infer(pair):
         try:
-            return generate_target_tags(pair, meter)
+            return generate_target_tags(pair, providers)
         except (ProviderError, TaggingError) as exc:
             logger.warning("skipping pair %s: %s", pair.task.id, exc)
             return None
@@ -372,7 +362,7 @@ def run_epoch(
         ordered,
         library,
         eq,
-        meter,
+        providers,
         library.epoch,
         target_tags,
         strategy=config.strategy,
@@ -394,7 +384,7 @@ def run_epoch(
                 target_tags[candidate.source_pair_id],
                 tasks_by_id[candidate.source_pair_id],
                 eq,
-                meter,
+                providers,
             )
         except ScoringError as exc:
             logger.warning("dropping candidate %s: %s", candidate.skill.id, exc)
@@ -409,7 +399,7 @@ def run_epoch(
         n_retained=len(retained),
         mean_f_tag=_mean([c.scores.f_tag for c in scored]),
         mean_alignment=_mean([c.scores.alignment for c in scored]),
-        tokens_used=meter.tokens,
+        tokens_used=providers.tokens - tokens_before,
         wall_clock_ms=int((clock() - started) * 1000),
         score_rows=tuple(rows),
     )
@@ -589,7 +579,7 @@ def _evolve_cell(
     train: Sequence[Task],
     holdout: Sequence[Task] | None,
     world: SyntheticWorld,
-    providers: ProviderBundle,
+    providers: _Session,
     config: RunConfig,
     clock: Callable[[], float],
     dump_dir: str | Path | None = None,

@@ -168,19 +168,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One task evaluation: the trajectory, its binary quality, and its cost."""
+    """One task evaluation: the trajectory and its binary quality."""
 
     task: Task
     trajectory: Trajectory
     quality: int
-    tokens_used: int = 0
-    wall_clock_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.quality not in (0, 1):
             raise InputError("quality must be 0 or 1")
-        if self.tokens_used < 0 or self.wall_clock_ms < 0:
-            raise InputError("cost fields must be non-negative")
         if self.trajectory.task_id != self.task.id:
             raise IntegrityError(
                 f"trajectory task_id {self.trajectory.task_id!r} does not match task {self.task.id!r}"

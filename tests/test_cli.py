@@ -248,6 +248,35 @@ def test_config_file_sets_every_run_config_field(tmp_path):
               "folds": 2, "runs": 2, "seed": 11, "label_scale": 0.5, "max_workers": 2}
     resolved = resolve_run_config(_eval_args(tmp_path, values))
     assert resolved.to_dict() == values
+    whole = {"filter_ratio": 1, "delta": 1, "label_scale": 0}  # an integer may set a float field
+    assert resolve_run_config(_eval_args(tmp_path, whole)).to_dict().items() >= whole.items()
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ({"epochs": "3"}, [], "config file key 'epochs' must be an integer"),
+        ({"folds": 2.5}, [], "config file key 'folds' must be an integer"),
+        ({"runs": True}, [], "config file key 'runs' must be an integer"),
+        ({"delta": "0.9"}, [], "config file key 'delta' must be a number"),
+        ({"strategy": "nope"}, [], "unknown selection strategy 'nope'"),
+        ({}, ["--strategy", "nope", "--epochs", "0", "--runs", "1"], "unknown selection strategy 'nope'"),
+        ({}, ["--strategy", "nope", "--epochs", "1", "--runs", "1"], "unknown selection strategy 'nope'"),
+    ],
+    ids=["epochs-string", "folds-float", "runs-boolean", "delta-string", "file-strategy",
+         "flag-strategy-0-epochs", "flag-strategy-1-epoch"],
+)
+def test_bad_run_setting_fails_before_any_work(tmp_path, capsys, monkeypatch, config, flags, message):
+    def evaluate_tasks(*args, **kwargs):
+        raise AssertionError("a task was evaluated before the settings were checked")
+
+    monkeypatch.setattr("skillforge.harness.evaluate_tasks", evaluate_tasks)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "o"
+    assert dispatch(["eval", "--mock", "--config", str(path), "--out", str(out), *flags]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_unknown_key_is_named(tmp_path):
@@ -293,3 +322,25 @@ def test_tag_command_rejects_a_string_of_skill_tags(tmp_path, capsys):
     src.write_text('{"id":"s1","name":"n","description":"d","body":"b","tags":"python"}\n', encoding="utf-8")
     assert dispatch(["tag", "--mock", "--library", str(src), "--out", str(tmp_path / "o.jsonl")]) == 2
     assert "error: line 1: skill field 'tags' must be an array of strings" in capsys.readouterr().err
+
+
+_PAIR = '"pair_id":"t1","task_description":"Task t1: requires capabilities: csv_parsing."}'
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "line 2: expected a JSON object"),
+        ('{"id":"c2","body":"b","tags":"python",' + _PAIR, "line 2: candidate field 'tags' must be an array of strings"),
+        ('{"id":"c2","body":"b","created_epoch":"x",' + _PAIR, "line 2: candidate field 'created_epoch' must be an integer"),
+        ('{"id":"c2",' + _PAIR, "line 2: candidate field 'body' is missing"),
+    ],
+    ids=["not-an-object", "tags-string", "created-epoch-string", "body-missing"],
+)
+def test_score_command_names_the_line_and_field_of_a_bad_candidate(tmp_path, capsys, line, message):
+    src = tmp_path / "candidates.jsonl"
+    src.write_text('{"id":"c1","body":"b",' + _PAIR + "\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "scores.csv"
+    assert dispatch(["score", "--mock", "--candidates", str(src), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -38,7 +38,6 @@ from skillforge.harness import (
     strip_wall_clock,
     sweep,
     _Session,
-    _TokenMeter,
 )
 from skillforge.model import EvaluationRecord, SkillLibrary, Task, Trajectory, collect_failures
 from skillforge.providers.base import ChatRequest
@@ -108,7 +107,6 @@ def test_simulate_agent_fails_on_empty_library_and_lists_missing_tags():
     missing_note = record.trajectory.steps[-1][1]
     for tag in world.required_tags(task):
         assert tag in missing_note
-    assert record.tokens_used == 0
 
 
 def test_simulate_agent_lists_missing_classes_in_sorted_order():
@@ -163,9 +161,7 @@ def _reference_evaluation(tasks, library, world, config, embedder):
             steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
             final = f"failure: missing {', '.join(missing)}"
         trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
-        records.append(EvaluationRecord(
-            task=task, trajectory=trajectory, quality=1 if success else 0, tokens_used=0, wall_clock_ms=0
-        ))
+        records.append(EvaluationRecord(task=task, trajectory=trajectory, quality=1 if success else 0))
     return records
 
 
@@ -200,9 +196,7 @@ def _set_based_simulate_agent(task, hits, skill_classes, world, eq):
         steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
         final = f"failure: missing {', '.join(missing)}"
     trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
-    return EvaluationRecord(
-        task=task, trajectory=trajectory, quality=1 if success else 0, tokens_used=0, wall_clock_ms=0
-    )
+    return EvaluationRecord(task=task, trajectory=trajectory, quality=1 if success else 0)
 
 
 def _set_based_evaluation(tasks, library, world, config, embedder):
@@ -320,7 +314,7 @@ def test_run_epoch_builds_one_equivalence_index(monkeypatch):
 
     monkeypatch.setattr(EquivalenceIndex, "__init__", counting)
     world = _world(n_tasks=20)
-    _, _, stats = run_epoch(world.initial_library(), list(world.tasks), world, mock_provider_factory()(7), RunConfig(seed=7))
+    _, _, stats = run_epoch(world.initial_library(), list(world.tasks), world, _Session(mock_provider_factory()(7)), RunConfig(seed=7))
     assert stats.n_candidates > 0
     assert len(built) == 1
 
@@ -328,7 +322,7 @@ def test_run_epoch_builds_one_equivalence_index(monkeypatch):
 def test_run_epoch_without_failures_only_bumps_epoch():
     world = _world(n_tasks=10, covered_tags=10, coverable_fraction=1.0)
     library = world.initial_library()
-    providers = mock_provider_factory()(7)
+    providers = _Session(mock_provider_factory()(7))
     records, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
     assert pass_rate(records) == 1.0
     assert stats.n_failures == 0
@@ -339,7 +333,7 @@ def test_run_epoch_without_failures_only_bumps_epoch():
 def test_run_epoch_grows_library_by_retention_rule():
     world = _world()
     library = world.initial_library()
-    providers = mock_provider_factory()(7)
+    providers = _Session(mock_provider_factory()(7))
     records, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
     failures = collect_failures(records)
     assert stats.n_failures == len(failures) > 0
@@ -379,10 +373,12 @@ def test_run_epoch_token_ledger_matches_independent_meter(max_workers):
     library = world.initial_library()
     bundle = mock_provider_factory()(7)
     recorded = []
-    providers = replace(
-        bundle,
-        chat=RecordingChat(bundle.chat, recorded),
-        likelihood=RecordingLikelihood(bundle.likelihood, recorded),
+    providers = _Unmemoized(
+        replace(
+            bundle,
+            chat=RecordingChat(bundle.chat, recorded),
+            likelihood=RecordingLikelihood(bundle.likelihood, recorded),
+        )
     )
     config = RunConfig(seed=7, max_workers=max_workers)
     _, _, stats = run_epoch(library, list(world.tasks), world, providers, config)
@@ -611,9 +607,9 @@ def test_run_epoch_skips_pairs_whose_tagging_fails():
             return super().complete(request)
 
     world = _world(n_tasks=10)
-    providers = ProviderBundle(
+    providers = _Session(ProviderBundle(
         chat=TagFlakyChat(seed=7), embedder=MockEmbedder(), likelihood=MockLikelihoodScorer(seed=7)
-    )
+    ))
     library = world.initial_library()
     records, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
     assert stats.n_failures > 0
@@ -864,8 +860,23 @@ def _session(chat=None, embedder=None, likelihood=None):
     )
 
 
+class _Unmemoized(_Session):
+    """A session that memoizes nothing but still meters every reply and score."""
+
+    def accept(self, request, reply):
+        pass
+
+    def score_likelihood(self, condition, continuation):
+        result = self._providers.likelihood.score_likelihood(condition, continuation)
+        self._add(result.token_count)
+        return result
+
+    def embed(self, texts):
+        return self._providers.embedder.embed(texts)
+
+
 def _pass_through(monkeypatch):
-    monkeypatch.setattr("skillforge.harness._Session", lambda providers: providers)
+    monkeypatch.setattr("skillforge.harness._Session", _Unmemoized)
 
 
 def test_cached_embedder_returns_the_inner_rows_and_validates_hits():
@@ -952,19 +963,19 @@ def test_session_asks_again_after_a_rejected_reply_and_serves_the_accepted_one()
     pair = make_pair("task-001")
     tag_chat = ScriptedChat(["", "alpha_tag"])
     session = _session(chat=tag_chat)
-    first, second = _TokenMeter(session), _TokenMeter(session)
-    assert generate_target_tags(pair, first) == {"alpha_tag"}
+    assert generate_target_tags(pair, session) == {"alpha_tag"}
     assert len(tag_chat.requests) == 2  # the unparseable reply was not served to the re-ask
-    assert generate_target_tags(pair, second) == {"alpha_tag"}
+    before = session.tokens
+    assert generate_target_tags(pair, session) == {"alpha_tag"}
     assert len(tag_chat.requests) == 2
-    assert second.tokens == len(tag_chat.requests[0].user.split()) + 1  # served replies are metered
+    assert session.tokens - before == len(tag_chat.requests[0].user.split()) + 1  # served replies are metered
 
     gen_chat = ScriptedChat(["not a skill", GOOD_SKILL_REPLY, "some_tag"])
     session = _session(chat=gen_chat)
     index = EquivalenceIndex.build({"csv_parsing"}, MockEmbedder())
     targets = {"task-001": frozenset({"csv_parsing"})}
     runs = [
-        generate_candidates([pair], SkillLibrary(), index, _TokenMeter(session), 0, targets)
+        generate_candidates([pair], SkillLibrary(), index, session, 0, targets)
         for _ in range(2)
     ]
     assert len(gen_chat.requests) == 3  # bad + re-ask, then the skill-tag request
@@ -1080,11 +1091,13 @@ def test_session_memo_under_thread_contention():
             assert score == mock_likelihood.score_likelihood("task", body)
             assert reply == mock_chat.complete(request)
     sent = (sum(chats.values()), sum(pairs.values()))
+    served = [(score, reply) for out in results.values() for _, _, score, reply in out]
     for body, request in zip(bodies, requests):
-        session.complete(request)
-        session.score_likelihood("task", body)
+        served.append((session.score_likelihood("task", body), session.complete(request)))
     assert (sum(chats.values()), sum(pairs.values())) == sent  # every key ended up memoized
     assert set(chats) == set(requests) and set(pairs) == {("task", b) for b in bodies}
+    # memo hits are metered too, and no thread's addition is lost
+    assert session.tokens == sum(s.token_count + r.tokens_in + r.tokens_out for s, r in served)
 
 
 def _sent(counters):
@@ -1147,12 +1160,12 @@ def test_one_bad_reply_skips_one_pair_and_the_epoch_completes():
     library = world.initial_library()
     tasks = list(world.tasks)
     config = RunConfig(seed=7, max_workers=1)
-    records, _, clean = run_epoch(library, tasks, world, _bundle(MockChatProvider(seed=7)), config)
+    records, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
     failing = sorted(pair.task.id for pair in collect_failures(records))
     assert len(failing) >= 3 and clean.n_candidates == len(failing)
 
     chat = FaultyChat(tag_fails=failing[0], generation_fails=failing[1], seed=7)
-    _, updated, stats = run_epoch(library, tasks, world, _bundle(chat), config)
+    _, updated, stats = run_epoch(library, tasks, world, _Session(_bundle(chat)), config)
     assert stats.n_failures == clean.n_failures
     assert stats.n_candidates == clean.n_candidates - 2
     assert updated.epoch == library.epoch + 1
