@@ -22,7 +22,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
-from skillforge.errors import ConfigError, SkillForgeError
+from skillforge.errors import ConfigError, ParseError, SkillForgeError
 from skillforge.evolve import CandidateSkill
 from skillforge.harness import (
     EvolutionReport,
@@ -398,7 +398,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     raw = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    report = EvolutionReport.from_dict(raw)
+    try:
+        if not isinstance(raw, dict):
+            raise ParseError("is not a JSON object")
+        report = EvolutionReport.from_dict(raw)
+    except ParseError as exc:
+        raise ParseError(f"{args.input}: report {exc}") from exc
     Path(args.out).write_text(report.markdown(), encoding="utf-8")
     print(f"rendered {args.input} -> {args.out}")
     return 0

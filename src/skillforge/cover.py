@@ -85,13 +85,6 @@ class CoverInstance:
             skill_classes={sid: frozenset(classes) for sid, classes in raw["skills"].items()},
         )
 
-    def to_file(self, path: str | Path) -> None:
-        payload = {
-            "targets": sorted(self.target_classes),
-            "skills": {sid: sorted(self.skill_classes[sid]) for sid in self.skill_order},
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
 
 @dataclass(frozen=True)
 class SelectionResult:

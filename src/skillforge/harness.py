@@ -43,6 +43,7 @@ from skillforge.model import (
     SkillLibrary,
     Task,
     Trajectory,
+    _field,
     collect_failures,
 )
 from skillforge.providers.base import (
@@ -256,8 +257,11 @@ def evaluate_tasks(
     """Judge every task against ``library`` with one batched retrieval.
 
     The library's tags and the tasks' required tags (parsed once per task)
-    are added to ``eq``, a fresh equivalence index when not given; a caller
-    that passes one keeps it for later stages. ``index`` is ``library``'s
+    are added to ``eq``, a fresh equivalence index when not given. A caller
+    may pass the index it gave the evaluation of the same tasks against an
+    earlier library of this one: it then holds this evaluation's tags and no
+    other, and the partition is the one a fresh index would find, since it
+    does not depend on the order tags arrive in. ``index`` is ``library``'s
     BM25 index, built here when not given. Each class gets one bit, in sorted
     order of the class names, and each skill and task the Python-int mask of
     its tags' classes, which ``simulate_agent`` judges. Evaluation calls no
@@ -316,6 +320,7 @@ def run_epoch(
     clock: Callable[[], float] = time.monotonic,
     dump_dir: str | Path | None = None,
     index: Bm25Index | None = None,
+    eq: EquivalenceIndex | None = None,
 ) -> tuple[list[EvaluationRecord], SkillLibrary, EpochStats]:
     """One full evolution epoch over ``tasks``; returns the evaluation records
     (measured on the incoming library), the updated library, and the stats row.
@@ -325,14 +330,20 @@ def run_epoch(
     the session meanwhile, which holds: folds and sweep cells run serially,
     evaluation only embeds, the stages' pools join before this returns, and
     the epoch-0 and final rows carry 0 tokens.
-    ``index`` is the incoming library's BM25 index, built when not given."""
+    ``index`` is the incoming library's BM25 index, built when not given.
+    The evaluation adds its tags to ``eq``, a fresh equivalence index when
+    not given; target and candidate tags then join a fork of it, so ``eq``
+    ends holding the evaluation's tags only and can serve the next epoch's
+    evaluation of the same tasks."""
     tokens_before = providers.tokens
     started = clock()
 
-    # The evaluation's equivalence index is reused below, growing by target
-    # and candidate tags.
-    eq = EquivalenceIndex(config.delta)
+    if eq is None:
+        eq = EquivalenceIndex(config.delta)
     records = evaluate_tasks(tasks, library, world, config, providers.embedder, eq, index)
+    # Target and candidate tags join a fork, so ``eq`` keeps only the
+    # evaluation's tags.
+    eq = eq.fork()
     failures = collect_failures(records)
     ordered = sorted(failures, key=lambda pair: pair.task.id)
 
@@ -450,10 +461,10 @@ class CellResult:
     @classmethod
     def from_dict(cls, raw: dict) -> CellResult:
         return cls(
-            fold=raw["fold"],
-            run=raw["run"],
-            seed=raw["seed"],
-            rows=tuple(EpochRow.from_dict(r) for r in raw["rows"]),
+            fold=_field(raw, "fold", int),
+            run=_field(raw, "run", int),
+            seed=_field(raw, "seed", int),
+            rows=tuple(EpochRow.from_dict(r) for r in _field(raw, "rows", list, items=dict)),
         )
 
 
@@ -519,11 +530,12 @@ class EvolutionReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> EvolutionReport:
+        """Raises ``ParseError`` naming a missing or mistyped field."""
         return cls(
-            config=dict(raw["config"]),
-            leaky=raw["leaky"],
-            providers=tuple(raw["providers"]),
-            cells=tuple(CellResult.from_dict(c) for c in raw["cells"]),
+            config=dict(_field(raw, "config", dict, items=None)),
+            leaky=_field(raw, "leaky", bool),
+            providers=tuple(_field(raw, "providers", list)),
+            cells=tuple(CellResult.from_dict(c) for c in _field(raw, "cells", list, items=dict)),
         )
 
     def markdown(self) -> str:
@@ -589,28 +601,37 @@ def _evolve_cell(
     Row ``e`` measures the library as it enters epoch ``e`` (the last row the
     final library) and carries the stats of the epoch that produced it.
     ``holdout=None`` is the leaky protocol: the held-out pass rate is the
-    train pass rate and no second evaluation runs. Both evaluations of an
-    epoch rank against one BM25 index of its library; each builds its own
-    equivalence index, since union-find over a larger tag set could merge
-    classes. ``build_index``, ``evaluate_tasks`` and ``run_epoch`` are looked
-    up as module globals on each call, so wrappers installed on this module
-    see every epoch.
+    train pass rate and no second evaluation runs. The indexes grow with the
+    library, which an epoch only ever adds to. Both evaluations of an epoch
+    rank against one BM25 index of its library, grown from the previous
+    epoch's. The held-out and the training tasks each keep one equivalence
+    index for the whole cell: the next evaluation's tag set is this one's
+    plus the retained skills' tags, and the partition does not depend on
+    insertion order, so each evaluation sees the classes a fresh index would.
+    The two are kept apart, since union-find over a larger tag set could
+    merge classes. ``build_index``, ``evaluate_tasks`` and ``run_epoch`` are
+    looked up as module globals on each call, so wrappers installed on this
+    module see every epoch.
     """
     rows: list[EpochRow] = []
     stats_list: list[EpochStats] = []
+    index = None
+    train_eq = EquivalenceIndex(config.delta)
+    holdout_eq = EquivalenceIndex(config.delta) if holdout is not None else None
     for epoch in range(config.epochs + 1):
-        index = build_index(library)
+        index = build_index(library, base=index)
         holdout_rate = None
         if holdout is not None:
             holdout_rate = pass_rate(
-                evaluate_tasks(holdout, library, world, config, providers.embedder, index=index)
+                evaluate_tasks(holdout, library, world, config, providers.embedder, holdout_eq, index)
             )
         if epoch < config.epochs:
             records, new_library, stats = run_epoch(
-                library, train, world, providers, config, clock=clock, dump_dir=dump_dir, index=index
+                library, train, world, providers, config, clock=clock, dump_dir=dump_dir,
+                index=index, eq=train_eq,
             )
         else:
-            records = evaluate_tasks(train, library, world, config, providers.embedder, index=index)
+            records = evaluate_tasks(train, library, world, config, providers.embedder, train_eq, index)
             new_library, stats = library, None
         train_rate = pass_rate(records)
         pending = stats_list[-1] if stats_list else None

@@ -23,25 +23,25 @@ ORIGIN_HUMAN = "human"
 ORIGIN_EVOLVED = "evolved"
 
 _REQUIRED = object()
-_JSON_KINDS = {
-    str: "a string", int: "an integer", list: "an array of strings", dict: "an object of strings"
-}
+_JSON_KINDS = {str: "a string", int: "an integer", bool: "a boolean", list: "an array", dict: "an object"}
+_JSON_ITEMS = {str: " of strings", dict: " of objects", None: ""}
 
 
-def _field(raw: dict, name: str, kind: type, default=_REQUIRED):
+def _field(raw: dict, name: str, kind: type, default=_REQUIRED, items: type | None = str):
     """``raw[name]``, or ``default`` when absent and one is given, checked to
-    have JSON type ``kind`` (a boolean is no integer); arrays and objects
-    must hold strings."""
+    have JSON type ``kind`` (a boolean is no integer); the members of an array
+    or the values of an object must have type ``items`` unless it is None."""
     if name not in raw:
         if default is _REQUIRED:
             raise ParseError(f"field {name!r} is missing")
         return default
     value = raw[name]
     valid = type(value) is kind
-    if valid and kind in (list, dict):
-        valid = all(type(item) is str for item in (value.values() if kind is dict else value))
+    if valid and kind in (list, dict) and items is not None:
+        valid = all(type(item) is items for item in (value.values() if kind is dict else value))
     if not valid:
-        raise ParseError(f"field {name!r} must be {_JSON_KINDS[kind]}")
+        suffix = _JSON_ITEMS[items] if kind in (list, dict) else ""
+        raise ParseError(f"field {name!r} must be {_JSON_KINDS[kind]}{suffix}")
     return value
 
 
@@ -271,11 +271,14 @@ def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
 
 
 def _record(what: str, parse, raw: dict, lineno: int):
-    """``parse(raw)``, its ``ParseError`` naming the record and line."""
+    """``parse(raw)``; a ``ParseError`` or ``InputError`` it raises comes out
+    as a ``ParseError`` naming the record and line."""
     try:
         return parse(raw)
     except ParseError as exc:
         raise ParseError(f"{what} {exc}", line=lineno) from exc
+    except InputError as exc:
+        raise ParseError(f"invalid {what}: {exc}", line=lineno) from exc
 
 
 def _iter_jsonl(path: str | Path):

@@ -5,36 +5,46 @@ The tokenizer lowercases and splits on non-alphanumeric characters. IDF uses
 the always-nonnegative variant ln(1 + (N - df + 0.5) / (df + 0.5)), which
 avoids negative weights on tiny corpora.
 
-When the index is built, the idf of every term and the length norm
-k1 * (1 - b + b * dl / avgdl) of every document are computed once. Documents
-become columns in id order, and each term's postings hold the columns of the
-documents that contain it with the term's BM25 contribution
-idf * tf * (k1 + 1) / (tf + norm) to each.
+An index keeps raw statistics only: each document's term counts and
+length, each term's document frequency, and per term the postings
+``(columns, tfs)``, the columns of the documents holding it and its count in
+each. Documents become columns in append order. ``build_index(library,
+base=previous)`` grows the previous epoch's index, which is safe because an
+epoch only ever adds skills: it tokenizes only the skills ``base`` lacks,
+appends them as new columns, shares every posting they do not touch and
+concatenates the ones they do, and never writes to ``base``.
 
-``retrieve`` ranks a batch of queries in one pass. It fills a dense matrix
-``weights`` with one row per distinct known term of the batch (row 0 is all
-zeros and stands for unknown terms and padding) and one column per document,
-and a matrix ``positions`` whose row i lists, position by position, the rows
-of query i's terms, duplicates included, padded with row 0. Scores start at
-zero and ``scores += weights[positions[:, j]]`` adds position j of every
-query at once. A document therefore receives its contributions one at a
-time, in query order, like a term-by-term loop; every other add is
-``x + 0.0``, which is exact for the non-negative finite scores BM25
-produces, so every score is the same float a full scan computes. Ranking is
-a stable argsort of ``-scores`` along each row: tied documents keep column
-order, which is id order, exactly as sorting ``(-score, id)`` would. Scores
-that are not positive are dropped.
+``retrieve`` computes BM25 contributions for the batch's own known terms
+only, in the order of operations a full scan uses: idf per term with
+``math.log(1 + (N - df + 0.5) / (df + 0.5))``, the length norm
+``k1 * ((1 - b) + b * dl / avgdl)`` with numpy, and every contribution in
+one vectorized ``idf * tf * (k1 + 1) / (tf + norm)``. It fills a dense
+matrix ``weights`` with one row per distinct known term of the batch (row 0
+is all zeros and stands for unknown terms and padding) and one column per
+document in id order: each column's weight goes to the id-order position
+that the index computed once at build time, because appended ``evo-...``
+ids sort before ``human-...`` ones. A matrix ``positions`` has row i list,
+position by position, the rows of query i's terms, duplicates included,
+padded with row 0. Scores start at zero and ``scores +=
+weights[positions[:, j]]`` adds position j of every query at once. A
+document therefore receives its contributions one at a time, in query
+order, like a term-by-term loop; every other add is ``x + 0.0``, which is
+exact for the non-negative finite scores BM25 produces, so every score is
+the same float a full scan computes. Ranking is a stable argsort of
+``-scores`` along each row: tied documents keep id order, exactly as
+sorting ``(-score, id)`` would. Scores that are not positive are dropped.
 
 Inside a ``token_memo()`` block (one per run seed or evolve call, opened
 beside ``cover.lp_memo()``) each distinct document text is tokenized once,
 kept as its ``(Counter, length)``, and each distinct query text once, kept as
 its token list. Both are keyed by the text itself, never by a skill id: one
 ``candidate_id`` can name different bodies in different folds, while equal
-texts always tokenize alike. ``build_index`` still folds the cached counts
-into ``df``, ``avgdl`` and the postings in library order, so every index and
-every score is the float a memo-less build computes. The cached values are
-never mutated. Outside any block nothing is cached, so separate runs share
-no work.
+texts always tokenize alike. The document half still pays with grown
+indexes: every fold of a run seed starts from the same initial library, and
+candidate texts recur across folds, so a fold's appended skills are often
+texts an earlier fold already tokenized. The cached values are never
+mutated. Outside any block nothing is cached, so separate runs share no
+work.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -93,45 +103,75 @@ def _document_counts(text: str) -> tuple[Counter, int]:
 
 @dataclass(frozen=True)
 class Bm25Index:
+    """Raw BM25 statistics; each document is a column, in the order of
+    ``documents``. ``base``, when given, must be an index whose documents are
+    the first ones of ``documents``: its postings are shared, and only the
+    documents after them are read."""
+
     documents: dict[str, Counter]
     doc_lengths: dict[str, int]
     df: dict[str, int]
     avgdl: float
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
+    base: InitVar[Bm25Index | None] = None
     doc_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    postings: dict[str, tuple[list[int], list[float]]] = field(
+    postings: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(
         init=False, repr=False, compare=False
     )
+    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        n_docs = len(self.documents)
-        idf = {term: math.log(1 + (n_docs - df + 0.5) / (df + 0.5)) for term, df in self.df.items()}
-        doc_ids = tuple(sorted(self.documents))
-        postings: dict[str, tuple[list[int], list[float]]] = {}
-        for column, doc_id in enumerate(doc_ids):
-            counts = self.documents[doc_id]
-            if not counts:
-                continue  # no postings; every document may be empty, leaving avgdl 0
-            norm = self.k1 * (1 - self.b + self.b * self.doc_lengths[doc_id] / self.avgdl)
-            for term, tf in counts.items():
-                columns, weights = postings.setdefault(term, ([], []))
-                columns.append(column)
-                weights.append(idf[term] * tf * (self.k1 + 1) / (tf + norm))
-        object.__setattr__(self, "doc_ids", doc_ids)
+    def __post_init__(self, base: Bm25Index | None) -> None:
+        columns = list(self.documents)
+        postings = dict(base.postings) if base is not None else {}
+        start = base.size if base is not None else 0
+        appended: dict[str, tuple[list[int], list[int]]] = {}
+        for column, doc_id in enumerate(columns[start:], start):
+            for term, tf in self.documents[doc_id].items():
+                cols, tfs = appended.setdefault(term, ([], []))
+                cols.append(column)
+                tfs.append(tf)
+        for term, (cols, tfs) in appended.items():
+            old_cols, old_tfs = postings.get(term, ((), ()))
+            postings[term] = (old_cols + tuple(cols), old_tfs + tuple(tfs))
+        by_id = sorted(range(len(columns)), key=columns.__getitem__)
+        id_rank = np.empty(len(columns), dtype=np.intp)
+        id_rank[by_id] = np.arange(len(columns))
+        object.__setattr__(self, "doc_ids", tuple(columns[column] for column in by_id))
         object.__setattr__(self, "postings", postings)
+        object.__setattr__(self, "_lengths", np.array([self.doc_lengths[d] for d in columns], dtype=float))
+        object.__setattr__(self, "_id_rank", id_rank)
 
     @property
     def size(self) -> int:
         return len(self.documents)
 
 
-def build_index(library: SkillLibrary, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
+def build_index(
+    library: SkillLibrary,
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
+    base: Bm25Index | None = None,
+) -> Bm25Index:
+    """The BM25 index of ``library``. ``base``, an index of some of the
+    library's skills (the library of an earlier epoch), is grown rather than
+    rebuilt: only the skills it lacks are tokenized, as new columns, and
+    ``base`` itself is left as it was."""
     documents: dict[str, Counter] = {}
     doc_lengths: dict[str, int] = {}
     df: Counter = Counter()
+    if base is not None:
+        unknown = sorted(set(base.documents) - set(library.ids()))
+        if unknown:
+            raise InputError(f"base index holds skills the library lacks: {unknown[:5]}")
+        documents.update(base.documents)
+        doc_lengths.update(base.doc_lengths)
+        df.update(base.df)
     memo, _ = _TOKEN_MEMO.get() or (None, None)
     for skill in library:
+        if skill.id in documents:
+            continue
         text = f"{skill.name} {skill.description} {skill.body}"
         counts, length = _memoized(memo, text, _document_counts)
         documents[skill.id] = counts
@@ -139,7 +179,7 @@ def build_index(library: SkillLibrary, k1: float = DEFAULT_K1, b: float = DEFAUL
         for term in counts:
             df[term] += 1
     avgdl = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
-    return Bm25Index(documents=documents, doc_lengths=doc_lengths, df=dict(df), avgdl=avgdl, k1=k1, b=b)
+    return Bm25Index(documents, doc_lengths, dict(df), avgdl, k1, b, base)
 
 
 def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
@@ -156,18 +196,24 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tupl
         if term in index.postings:
             rows[term] = len(rows) + 1
     if not rows:
-        return [[] for _ in terms]
-    weights = np.zeros((len(rows) + 1, len(index.doc_ids)))
-    for term, row in rows.items():
-        columns, contributions = index.postings[term]
-        weights[row, columns] = contributions
+        return [[] for _ in terms]  # also every index whose avgdl is 0: it has no postings
+    n_docs = index.size
+    postings = [index.postings[term] for term in rows]
+    idf = [math.log(1 + (n_docs - index.df[term] + 0.5) / (index.df[term] + 0.5)) for term in rows]
+    per_term = [len(term_columns) for term_columns, _ in postings]
+    posted = np.fromiter(chain.from_iterable(c for c, _ in postings), dtype=np.intp)
+    tf = np.fromiter(chain.from_iterable(t for _, t in postings), dtype=float)
+    norm = index.k1 * ((1 - index.b) + index.b * index._lengths / index.avgdl)
+    contributions = np.repeat(idf, per_term) * tf * (index.k1 + 1) / (tf + norm[posted])
+    weights = np.zeros((len(rows) + 1, n_docs))
+    weights[np.repeat(np.arange(1, len(rows) + 1), per_term), index._id_rank[posted]] = contributions
     lengths = np.array([len(query) for query in terms], dtype=np.intp)
     positions = np.zeros((len(terms), lengths.max()), dtype=np.intp)
     # A boolean mask fills row by row: query i's terms, then query i + 1's.
     positions[np.arange(positions.shape[1]) < lengths[:, None]] = [
         rows.get(term, 0) for term in chain.from_iterable(terms)
     ]
-    scores = np.zeros((len(terms), len(index.doc_ids)))
+    scores = np.zeros((len(terms), n_docs))
     for j in range(positions.shape[1]):
         scores += weights[positions[:, j]]
     top = np.argsort(-scores, axis=1, kind="stable")[:, :k]

@@ -140,23 +140,20 @@ class EquivalenceIndex:
         self._parent: dict[str, str] = {}
         self._vectors: dict[str, np.ndarray] = {}
 
-    @classmethod
-    def build(
-        cls, tags: Iterable[str], embedder: EmbeddingProvider, delta: float = 0.9
-    ) -> EquivalenceIndex:
-        index = cls(delta=delta)
-        index.add_tags(tags, embedder)
-        return index
+    def fork(self) -> EquivalenceIndex:
+        """A copy whose later ``add_tags`` leave this index as it is. The
+        vectors are shared, since no index ever mutates one."""
+        forked = object.__new__(type(self))
+        forked.delta = self.delta
+        forked._parent = dict(self._parent)
+        forked._vectors = dict(self._vectors)
+        return forked
 
     def __contains__(self, tag: str) -> bool:
         return tag in self._parent
 
     def __len__(self) -> int:
         return len(self._parent)
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        return tuple(sorted(self._parent))
 
     def add_tags(self, tags: Iterable[str], embedder: EmbeddingProvider) -> None:
         """Insert new tags, joining them to any tag within cosine ``delta``.
@@ -214,12 +211,6 @@ class EquivalenceIndex:
 
     def canonical_set(self, tags: Iterable[str]) -> TagSet:
         return frozenset(map(self.representative, tags))
-
-    def classes(self) -> dict[str, tuple[str, ...]]:
-        grouped: dict[str, list[str]] = {}
-        for tag in sorted(self._parent):
-            grouped.setdefault(self._parent[tag], []).append(tag)
-        return {rep: tuple(members) for rep, members in sorted(grouped.items())}
 
 
 def prf(intersection: int, predicted: int, reference: int) -> tuple[float, float, float]:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from skillforge.cover import CoverInstance
 from skillforge.model import FailurePair, Skill, Task, Trajectory
 from skillforge.providers.base import ChatResponse, LikelihoodResult
 from skillforge.tags import EquivalenceIndex
@@ -79,6 +82,34 @@ def make_index(tags, groups=(), delta=0.9) -> EquivalenceIndex:
     index = EquivalenceIndex(delta=delta)
     index.add_tags(tags, embedder)
     return index
+
+
+def build_eq(tags, embedder, delta=0.9) -> EquivalenceIndex:
+    """An equivalence index holding ``tags``, embedded by ``embedder``."""
+    index = EquivalenceIndex(delta=delta)
+    index.add_tags(tags, embedder)
+    return index
+
+
+def members(index: EquivalenceIndex) -> tuple[str, ...]:
+    return tuple(sorted(index._parent))
+
+
+def classes(index: EquivalenceIndex) -> dict[str, tuple[str, ...]]:
+    """Each class's representative mapped to its sorted members."""
+    grouped: dict[str, list[str]] = {}
+    for tag in members(index):
+        grouped.setdefault(index.representative(tag), []).append(tag)
+    return {rep: tuple(tags) for rep, tags in sorted(grouped.items())}
+
+
+def write_instance(instance: CoverInstance, path) -> None:
+    """Write ``instance`` in the JSON form ``CoverInstance.from_file`` reads."""
+    payload = {
+        "targets": sorted(instance.target_classes),
+        "skills": {sid: sorted(instance.skill_classes[sid]) for sid in instance.skill_order},
+    }
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def make_skill(skill_id="s1", tags=("csv_parsing",), body=None, **kwargs) -> Skill:

@@ -344,3 +344,62 @@ def test_score_command_names_the_line_and_field_of_a_bad_candidate(tmp_path, cap
     assert dispatch(["score", "--mock", "--candidates", str(src), "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tag_command_names_the_line_of_a_skill_with_an_unknown_origin(tmp_path, capsys):
+    src = tmp_path / "lib.jsonl"
+    src.write_text(
+        '{"id":"s1","name":"n","description":"d","body":"b"}\n'
+        '{"id":"s2","name":"n","description":"d","body":"b","origin":"robot"}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "t.json"
+    assert dispatch(["tag", "--mock", "--library", str(src), "--out", str(out)]) == 2
+    assert "error: line 2: invalid skill: unknown skill origin: 'robot'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_command_names_the_line_of_a_candidate_with_an_unknown_origin(tmp_path, capsys):
+    src = tmp_path / "candidates.jsonl"
+    src.write_text(
+        '{"id":"c1","body":"b",' + _PAIR + "\n" + '{"id":"c2","body":"b","origin":"robot",' + _PAIR + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "scores.csv"
+    assert dispatch(["score", "--mock", "--candidates", str(src), "--out", str(out)]) == 2
+    assert "error: line 2: invalid candidate: unknown skill origin: 'robot'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CELL = {"fold": 0, "run": 0, "seed": 7, "rows": []}
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"cells": []}, "report field 'config' is missing"),
+        ([], "report is not a JSON object"),
+        ({"config": {}, "leaky": "no", "providers": [], "cells": []}, "report field 'leaky' must be a boolean"),
+        ({"config": {}, "leaky": False, "providers": [], "cells": [1]}, "report field 'cells' must be an array of objects"),
+        (
+            {"config": {}, "leaky": False, "providers": [], "cells": [{**_CELL, "fold": "0"}]},
+            "report field 'fold' must be an integer",
+        ),
+    ],
+    ids=["config-missing", "not-an-object", "leaky-string", "cell-not-an-object", "fold-string"],
+)
+def test_report_command_names_the_file_and_field_of_a_bad_report(tmp_path, capsys, content, message):
+    src = tmp_path / "r.json"
+    src.write_text(json.dumps(content), encoding="utf-8")
+    out = tmp_path / "o.md"
+    assert dispatch(["report", "--input", str(src), "--out", str(out)]) == 2
+    assert f"error: {src}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_command_accepts_a_report_with_no_cells(tmp_path):
+    src = tmp_path / "r.json"
+    src.write_text(json.dumps({"config": {"seed": 7}, "leaky": True, "providers": ["Mock"], "cells": []}), encoding="utf-8")
+    out = tmp_path / "o.md"
+    assert dispatch(["report", "--input", str(src), "--out", str(out)]) == 0
+    assert "- seed: 7" in out.read_text(encoding="utf-8")

@@ -24,6 +24,8 @@ from skillforge.cover import (
 )
 from skillforge.errors import ConfigError, InputError, SizeError
 
+from conftest import write_instance
+
 ALL_STRATEGIES = ("greedy", "primal_dual", "lp_round", "brute_force")
 
 
@@ -313,7 +315,7 @@ def test_greedy_coverage_equals_oracle_on_12_skill_instances():
 
 def test_instance_file_round_trip(tmp_path):
     path = tmp_path / "instance.json"
-    FIXTURE.to_file(path)
+    write_instance(FIXTURE, path)
     loaded = CoverInstance.from_file(path)
     assert loaded.target_classes == FIXTURE.target_classes
     assert loaded.skill_classes == FIXTURE.skill_classes

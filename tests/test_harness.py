@@ -47,7 +47,7 @@ from skillforge.scoring import retention_count
 from skillforge.tags import EquivalenceIndex, generate_target_tags
 from skillforge.world import WorldConfig, generate_world
 
-from conftest import ScriptedChat, StubLikelihood, make_pair, make_skill
+from conftest import ScriptedChat, StubLikelihood, build_eq, make_pair, make_skill
 
 
 class FakeClock:
@@ -87,7 +87,7 @@ def test_simulate_agent_succeeds_when_tags_covered():
         metadata={"required_tags": world.covered_universe[0], "coverable": "true"},
     )
     library = world.initial_library()
-    eq = EquivalenceIndex.build(world.required_tags(task).union(*(s.tags for s in library)), MockEmbedder())
+    eq = build_eq(world.required_tags(task).union(*(s.tags for s in library)), MockEmbedder())
     hits = retrieve(build_index(library), [task.description], 5)[0]
     names, masks = _class_masks(eq, [world.required_tags(task), *(s.tags for s in library)])
     skill_masks = dict(zip(library.ids(), masks[1:]))
@@ -99,7 +99,7 @@ def test_simulate_agent_succeeds_when_tags_covered():
 def test_simulate_agent_fails_on_empty_library_and_lists_missing_tags():
     world = _world(n_tasks=10)
     task = world.tasks[0]
-    eq = EquivalenceIndex.build(world.required_tags(task), MockEmbedder())
+    eq = build_eq(world.required_tags(task), MockEmbedder())
     names, (required_mask,) = _class_masks(eq, [world.required_tags(task)])
     hits = retrieve(build_index(SkillLibrary()), [task.description], 5)[0]
     record = simulate_agent(task, hits, {}, required_mask, names, world.coverage_threshold)
@@ -136,7 +136,7 @@ def _reference_evaluation(tasks, library, world, config, embedder):
     ``library.get`` per hit, classes taken over the task's own retrieved tags."""
     index = build_index(library)
     tags = set().union(*(skill.tags for skill in library), *(world.required_tags(t) for t in tasks))
-    eq = EquivalenceIndex.build(tags, embedder, config.delta)
+    eq = build_eq(tags, embedder, config.delta)
     records = []
     for task in tasks:
         required = world.required_tags(task)
@@ -201,7 +201,7 @@ def _set_based_simulate_agent(task, hits, skill_classes, world, eq):
 
 def _set_based_evaluation(tasks, library, world, config, embedder):
     tags = set().union(*(skill.tags for skill in library), *(world.required_tags(t) for t in tasks))
-    eq = EquivalenceIndex.build(tags, embedder, config.delta)
+    eq = build_eq(tags, embedder, config.delta)
     skill_classes = {skill.id: eq.canonical_set(skill.tags) for skill in library}
     hits = retrieve(build_index(library), [task.description for task in tasks], config.retrieval_k)
     return [
@@ -317,6 +317,95 @@ def test_run_epoch_builds_one_equivalence_index(monkeypatch):
     _, _, stats = run_epoch(world.initial_library(), list(world.tasks), world, _Session(mock_provider_factory()(7)), RunConfig(seed=7))
     assert stats.n_candidates > 0
     assert len(built) == 1
+
+
+def _fresh_evolve_cell(library, train, holdout, world, providers, config, clock, dump_dir=None):
+    """``_evolve_cell`` with every index built from nothing: one BM25 index
+    and one equivalence index per evaluation, none carried to the next epoch."""
+    import skillforge.harness as harness
+
+    rows, stats_list = [], []
+    for epoch in range(config.epochs + 1):
+        holdout_rate = None
+        if holdout is not None:
+            holdout_rate = pass_rate(evaluate_tasks(holdout, library, world, config, providers.embedder))
+        if epoch < config.epochs:
+            records, new_library, stats = run_epoch(
+                library, train, world, providers, config, clock=clock, dump_dir=dump_dir,
+                index=build_index(library), eq=EquivalenceIndex(config.delta),
+            )
+        else:
+            records = evaluate_tasks(train, library, world, config, providers.embedder)
+            new_library, stats = library, None
+        pending = stats_list[-1] if stats_list else None
+        rows.append(
+            harness.EpochRow(
+                epoch=epoch,
+                library_size=len(library),
+                train_pass_rate=pass_rate(records),
+                holdout_pass_rate=pass_rate(records) if holdout_rate is None else holdout_rate,
+                n_failures=pending.n_failures if pending else None,
+                n_candidates=pending.n_candidates if pending else None,
+                n_retained=pending.n_retained if pending else None,
+                mean_f_tag=pending.mean_f_tag if pending else None,
+                mean_alignment=pending.mean_alignment if pending else None,
+                tokens_used=pending.tokens_used if pending else 0,
+                wall_clock_ms=pending.wall_clock_ms if pending else 0,
+            )
+        )
+        if stats is not None:
+            stats_list.append(stats)
+        library = new_library
+    return library, rows, stats_list
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "primal_dual"])
+@pytest.mark.parametrize("folds", [1, 3])
+def test_grown_indexes_give_the_kfold_report_of_fresh_ones(monkeypatch, strategy, folds):
+    import skillforge.harness as harness
+
+    # At delta 0.5 noisy target and candidate tags often merge classes of
+    # the evaluation's tags, so an index that kept them would show.
+    world = _world(n_tasks=36)
+    config = RunConfig(seed=7, epochs=3, folds=folds, runs=2, strategy=strategy, delta=0.5)
+    grown = run_kfold(config, world, mock_provider_factory(noise_rate=3.0))
+    monkeypatch.setattr(harness, "_evolve_cell", _fresh_evolve_cell)
+    fresh = run_kfold(config, world, mock_provider_factory(noise_rate=3.0))
+    assert sum(row.n_retained or 0 for cell in fresh.cells for row in cell.rows) > 0
+    assert strip_wall_clock(grown.to_dict()) == strip_wall_clock(fresh.to_dict())
+
+
+def test_grown_indexes_give_the_evolved_library_of_fresh_ones(monkeypatch, tmp_path):
+    import skillforge.harness as harness
+    from skillforge.model import save_library
+
+    world = _world(n_tasks=40)
+    config = RunConfig(seed=7, epochs=3, filter_ratio=0.5, delta=0.5)
+    outputs = []
+    for name in ("grown", "fresh"):
+        if name == "fresh":
+            monkeypatch.setattr(harness, "_evolve_cell", _fresh_evolve_cell)
+        library, report, _ = evolve_library(config, world, mock_provider_factory(noise_rate=3.0)(7))
+        save_library(library, tmp_path / f"{name}.jsonl")
+        outputs.append((strip_wall_clock(report.to_dict()), (tmp_path / f"{name}.jsonl").read_bytes()))
+    assert len(library) > len(world.initial_library())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("folds, per_cell", [(3, 2), (1, 1)])
+def test_a_kfold_cell_constructs_one_equivalence_index_per_task_set(monkeypatch, folds, per_cell):
+    built = []
+    original = EquivalenceIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EquivalenceIndex, "__init__", counting)
+    config = RunConfig(seed=7, epochs=2, folds=folds, runs=2)
+    report = run_kfold(config, _world(n_tasks=30), mock_provider_factory(noise_rate=0.5))
+    assert any(row.n_candidates for cell in report.cells for row in cell.rows)
+    assert len(built) == per_cell * len(report.cells)
 
 
 def test_run_epoch_without_failures_only_bumps_epoch():
@@ -972,7 +1061,7 @@ def test_session_asks_again_after_a_rejected_reply_and_serves_the_accepted_one()
 
     gen_chat = ScriptedChat(["not a skill", GOOD_SKILL_REPLY, "some_tag"])
     session = _session(chat=gen_chat)
-    index = EquivalenceIndex.build({"csv_parsing"}, MockEmbedder())
+    index = build_eq({"csv_parsing"}, MockEmbedder())
     targets = {"task-001": frozenset({"csv_parsing"})}
     runs = [
         generate_candidates([pair], SkillLibrary(), index, session, 0, targets)

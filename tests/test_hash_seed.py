@@ -2,10 +2,11 @@
 
 Each run happens in a fresh interpreter under ``PYTHONHASHSEED`` 0-3, so any
 set- or dict-order dependence (in the engine, in the per-run provider
-session's memo, or in the class bits of the evaluation judge) shows up as
-differing digests. ``lp_round`` is left out: its
-LP linking rows iterate a set (``cover.lp_round_select``), and making that
-order fixed moves a pinned benchmark digest, so it waits for a re-pin.
+session's memo, in the class bits of the evaluation judge, or in the indexes
+that a cell grows from epoch to epoch) shows up as differing digests.
+``lp_round`` is left out: its LP linking rows iterate a set
+(``cover.lp_round_select``), and making that order fixed moves a pinned
+benchmark digest, so it waits for a re-pin.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ for strategy in ("greedy", "primal_dual"):
     config = RunConfig(seed=7, strategy=strategy)
     report = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
     out[strategy] = digest(strip_wall_clock(report.to_dict()))
+# folds=1 grows only the training indexes, across every epoch of a cell.
+report = run_kfold(RunConfig(seed=7, folds=1), world, mock_provider_factory(noise_rate=0.5))
+out["leaky"] = digest(strip_wall_clock(report.to_dict()))
 config = RunConfig(seed=7)
 library, report, _ = evolve_library(config, world, mock_provider_factory(noise_rate=3.0)(7))
 out["evolve"] = digest(strip_wall_clock(report.to_dict()))
@@ -62,5 +66,5 @@ def test_reports_are_equal_under_every_hash_seed():
         stdout, _ = proc.communicate(timeout=300)
         assert proc.returncode == 0
         digests.append(json.loads(stdout))
-    assert set(digests[0]) == {"greedy", "primal_dual", "evolve", "evaluate"}
+    assert set(digests[0]) == {"greedy", "primal_dual", "leaky", "evolve", "evaluate"}
     assert all(d == digests[0] for d in digests[1:])

@@ -269,3 +269,64 @@ def test_a_token_memo_tokenizes_each_text_once_and_changes_no_score(monkeypatch)
     assert memoized == plain
     assert sorted(calls) == sorted(set(calls))
     assert len(calls) == len(grown) + 1 + len(set(queries))
+
+
+def _frozen(index: Bm25Index) -> tuple:
+    """Everything an index holds, copied deep enough to see any later write."""
+    return (
+        {doc: dict(counts) for doc, counts in index.documents.items()},
+        dict(index.doc_lengths), dict(index.df), index.avgdl, index.doc_ids,
+        dict(index.postings), index._lengths.tolist(), index._id_rank.tolist(),
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    # Ids in drawn order: later batches often hold ids that sort first.
+    docs=st.dictionaries(
+        st.text(alphabet="abcz-", min_size=1, max_size=3),
+        st.lists(st.one_of(_WORDS, st.just("!!")), max_size=9),
+        min_size=1,
+        max_size=14,
+    ),
+    cuts=st.lists(st.integers(0, 14), max_size=4),
+    queries=st.lists(_QUERY, min_size=1, max_size=6),
+    k=st.integers(min_value=1, max_value=16),
+    k1=st.sampled_from([0.0, 1.2, 2.0]),
+    b=st.sampled_from([0.0, 0.75, 1.0]),
+)
+def test_a_chain_of_grown_indexes_ranks_like_fresh_builds(docs, cuts, queries, k, k1, b):
+    bodies = [(doc_id, " ".join(words)) for doc_id, words in docs.items()]
+    texts = [" ".join(query) for query in queries]
+    index = None
+    for end in sorted(set(cuts) | {len(bodies)}):
+        library = _library(dict(bodies[:end]))
+        before = None if index is None else _frozen(index)
+        grown = build_index(library, k1=k1, b=b, base=index)
+        if index is not None:
+            assert _frozen(index) == before
+        fresh = build_index(library, k1=k1, b=b)
+        assert (grown.documents, grown.doc_lengths, grown.df, grown.avgdl) == (
+            fresh.documents, fresh.doc_lengths, fresh.df, fresh.avgdl
+        )
+        assert grown.doc_ids == fresh.doc_ids
+        expected = [_full_scan(fresh, text, k) for text in texts]
+        assert retrieve(grown, texts, k) == retrieve(fresh, texts, k) == expected
+        index = grown
+
+
+def test_a_grown_index_tokenizes_only_the_new_skills(monkeypatch):
+    first = _library({"m1": "alpha beta", "z9": "beta"})
+    grown = _library({"m1": "alpha beta", "z9": "beta", "a0": "alpha gamma", "n5": "!!"})
+    base = build_index(first)
+    calls = _counting_tokenize(monkeypatch)
+    index = build_index(grown, base=base)
+    assert sorted(text.strip() for text in calls) == ["!!", "alpha gamma"]
+    assert index.doc_ids == ("a0", "m1", "n5", "z9")
+    assert retrieve(index, ["alpha"], 4) == [_full_scan(index, "alpha", 4)]
+
+
+def test_a_base_with_a_skill_the_library_lacks_is_rejected():
+    base = build_index(_library({"d1": "alpha", "d2": "beta"}))
+    with pytest.raises(InputError, match="d2"):
+        build_index(_library({"d1": "alpha", "d3": "gamma"}), base=base)

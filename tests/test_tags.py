@@ -21,7 +21,17 @@ from skillforge.tags import (
     tag_quality_metrics,
 )
 
-from conftest import GroupEmbedder, MapEmbedder, ScriptedChat, make_index, make_pair, make_skill
+from conftest import (
+    GroupEmbedder,
+    MapEmbedder,
+    ScriptedChat,
+    build_eq,
+    classes,
+    make_index,
+    make_pair,
+    make_skill,
+    members,
+)
 
 
 def test_normalize_tag_examples():
@@ -136,7 +146,7 @@ def test_transitive_chain_collapses_to_one_class():
         "b": [math.cos(math.radians(25)), math.sin(math.radians(25))],
         "c": [math.cos(math.radians(50)), math.sin(math.radians(50))],
     }
-    index = EquivalenceIndex.build(["a", "b", "c"], MapEmbedder(vectors), delta=0.9)
+    index = build_eq(["a", "b", "c"], MapEmbedder(vectors), delta=0.9)
     assert index.representative("a") == index.representative("b") == index.representative("c") == "a"
 
 
@@ -144,9 +154,9 @@ def test_adding_unrelated_tag_preserves_existing_classes():
     embedder = GroupEmbedder(groups=[("x_one", "x_two")])
     index = EquivalenceIndex(delta=0.9)
     index.add_tags(["x_one", "x_two", "y_only"], embedder)
-    before = index.classes()
+    before = classes(index)
     index.add_tags(["z_new"], embedder)
-    after = index.classes()
+    after = classes(index)
     assert all(after[rep] == members for rep, members in before.items())
 
 
@@ -256,7 +266,7 @@ class _PairwiseIndex(EquivalenceIndex):
         for tag, vector in zip(new, vectors):
             self._parent[tag] = tag
             self._vectors[tag] = np.asarray(vector, dtype=np.float64)
-        known = self.members
+        known = members(self)
         for tag in new:
             v = self._vectors[tag]
             for other in known:
@@ -273,7 +283,7 @@ def _assert_same_partition(batches, embedder, delta):
     for batch in batches:
         fast.add_tags(batch, embedder)
         reference.add_tags(batch, embedder)
-        assert fast.classes() == reference.classes()
+        assert classes(fast) == classes(reference)
 
 
 # Short strings over a tiny alphabet share many trigrams, so the mock
@@ -304,9 +314,9 @@ def test_representative_is_the_union_find_root_after_every_batch(batches, delta,
     index = EquivalenceIndex(delta=delta)
     for batch in batches:
         index.add_tags(batch, embedder)
-        roots = {tag: index._find(tag) for tag in index.members}
-        assert {tag: index.representative(tag) for tag in index.members} == roots
-        assert index.canonical_set(index.members) == frozenset(roots.values())
+        roots = {tag: index._find(tag) for tag in members(index)}
+        assert {tag: index.representative(tag) for tag in members(index)} == roots
+        assert index.canonical_set(members(index)) == frozenset(roots.values())
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.9, 1.0])
@@ -332,7 +342,71 @@ def test_similarity_exactly_at_delta_joins_and_one_ulp_below_it_does_not():
     embedder = _FixedEmbedder({"t_u": u, "t_v": v})
     cosine = float(np.dot(u, v))
     for delta, joined in ((cosine, True), (float(np.nextafter(cosine, 1.0)), False)):
-        index = EquivalenceIndex.build(["t_u", "t_v"], embedder, delta=delta)
+        index = build_eq(["t_u", "t_v"], embedder, delta=delta)
         assert (index.representative("t_v") == "t_u") is joined
         _assert_same_partition([["t_u"], ["t_v"]], embedder, delta)
         _assert_same_partition([["t_u", "t_v"]], embedder, delta)
+
+
+def _near_delta_rows(step, picks):
+    """Unit vectors at multiples of the angle ``step`` in a plane, nudged by a
+    few ulps to 1e-12 radians and some lifted slightly out of the plane, so
+    many cosines land on or just beside cos(step)."""
+    rows = {}
+    for i, (multiple, nudge, lift) in enumerate(picks):
+        angle = multiple * step + nudge
+        vector = np.array([np.cos(angle), np.sin(angle), lift])
+        rows[f"t{i:02d}"] = vector / np.linalg.norm(vector)
+    return rows
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    step=st.floats(min_value=0.05, max_value=0.6),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.sampled_from([0.0, 1e-16, -1e-16, 4e-16, -4e-16, 1e-12, -1e-12]),
+            st.sampled_from([0.0, 0.0, 1e-8]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+    extra_every=st.integers(1, 4),
+)
+def test_a_chain_of_forks_partitions_like_a_fresh_build(step, picks, cuts, extra_every):
+    # The harness's pattern: a trunk index grows batch by batch; after each
+    # batch a fork takes extra tags, and the trunk must not see them.
+    rows = _near_delta_rows(step, picks)
+    embedder = _FixedEmbedder(rows)
+    delta = float(np.cos(step))
+    tags = sorted(rows)
+    extras = tags[::extra_every]
+    trunk, start = EquivalenceIndex(delta=delta), 0
+    for end in sorted(set(cuts) | {len(tags)}):
+        trunk.add_tags(tags[start:end], embedder)
+        start = end
+        before = dict(trunk._parent)
+        fork = trunk.fork()
+        fork.add_tags(extras, embedder)
+        assert trunk._parent == before
+        for index, held in ((trunk, tags[:end]), (fork, sorted(set(tags[:end]) | set(extras)))):
+            fresh = build_eq(held, embedder, delta)
+            assert members(index) == tuple(held)
+            assert {tag: index.representative(tag) for tag in held} == {
+                tag: fresh.representative(tag) for tag in held
+            }
+
+
+def test_a_fork_is_separate_from_its_parent_and_skips_init(monkeypatch):
+    embedder = GroupEmbedder(groups=[("x_one", "x_two")])
+    parent = build_eq(["x_two", "y_only"], embedder)
+    monkeypatch.setattr(EquivalenceIndex, "__init__", None)
+    fork = parent.fork()
+    fork.add_tags(["x_one", "z_new"], embedder)
+    assert classes(parent) == {"x_two": ("x_two",), "y_only": ("y_only",)}
+    assert classes(fork) == {"x_one": ("x_one", "x_two"), "y_only": ("y_only",), "z_new": ("z_new",)}
+    assert fork.delta == parent.delta
+    parent.add_tags(["w_new"], embedder)
+    assert "w_new" not in fork
