@@ -276,7 +276,10 @@ def cmd_tag(args) -> int:
 
 
 def cmd_select(args) -> int:
-    instance = CoverInstance.from_file(args.instance)
+    try:
+        instance = CoverInstance.from_file(args.instance)
+    except ParseError as exc:
+        raise ParseError(f"{args.instance}: instance {exc}") from exc
     result = select_sources(instance, args.strategy)
     print(",".join(result.selected))
     return 0

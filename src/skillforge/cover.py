@@ -7,23 +7,24 @@ covered set always equals the coverable subset of the target (classes some
 library skill can provide); the remaining target classes are reported as
 uncovered and flow into candidate generation.
 
-Strategies:
+Greedy, primal-dual and the completion of LP rounding share one step routine,
+which adds the best-ranked skill covering something new, ties broken by id:
 
 * ``greedy``      - largest marginal coverage, ties broken by fewer newly
-                    introduced irrelevant classes, then by skill order.
+                    introduced irrelevant classes.
 * ``primal_dual`` - dual variables on uncovered target classes are raised
                     uniformly until some skill's dual sum reaches its cost
                     (1 + newly introduced irrelevant classes; the +1 floor
                     keeps zero-irrelevant skills comparable).
 * ``lp_round``    - fractional relaxation minimizing the number of introduced
                     irrelevant classes subject to coverage, rounded at 0.5,
-                    then completed by the greedy routine.
+                    then completed by the greedy step.
 * ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills).
 
 Inside an ``lp_memo()`` block (one per run seed or evolve call) each distinct
 numeric LP model is solved once. The key is the whole model and the value the
-rounded skill columns, mapped back through each instance's ``skill_order``, so
-instances differing only in names share a solve and, HiGHS being
+rounded skill columns in sorted-id order, so instances differing only in
+names that keep their sort order share a solve and, HiGHS being
 deterministic, a hit returns what a fresh solve would.
 
 All strategies finish with a redundancy prune that drops, scanning in reverse
@@ -37,14 +38,13 @@ import json
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from skillforge.errors import ConfigError, InputError, SizeError
-
-STRATEGIES = ("greedy", "primal_dual", "lp_round", "brute_force")
+from skillforge.errors import ConfigError, InputError, ParseError, SizeError
+from skillforge.model import _field
 
 LP_SIZE_CAP = 500
 BRUTE_FORCE_CAP = 20
@@ -55,23 +55,18 @@ _LP_MEMO: ContextVar[dict[tuple, tuple[int, ...]] | None] = ContextVar("lp_memo"
 
 @dataclass(frozen=True)
 class CoverInstance:
-    """Canonicalized selection instance: target classes and per-skill classes."""
+    """Canonicalized selection instance: target classes and per-skill classes.
+    ``skill_order`` is the sorted skill ids, the order every tie is broken in."""
 
     target_classes: frozenset[str]
     skill_classes: dict[str, frozenset[str]]
-    skill_order: tuple[str, ...] = ()
+    skill_order: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        order = self.skill_order or tuple(sorted(self.skill_classes))
-        if sorted(order) != sorted(self.skill_classes):
-            raise InputError("skill_order must be a permutation of the skill ids")
-        object.__setattr__(self, "skill_order", order)
-        object.__setattr__(
-            self,
-            "skill_classes",
-            {sid: frozenset(classes) for sid, classes in self.skill_classes.items()},
-        )
+        skill_classes = {sid: frozenset(classes) for sid, classes in self.skill_classes.items()}
+        object.__setattr__(self, "skill_classes", skill_classes)
         object.__setattr__(self, "target_classes", frozenset(self.target_classes))
+        object.__setattr__(self, "skill_order", tuple(sorted(self.skill_classes)))
 
     @property
     def coverable(self) -> frozenset[str]:
@@ -80,9 +75,12 @@ class CoverInstance:
     @classmethod
     def from_file(cls, path: str | Path) -> CoverInstance:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ParseError("is not a JSON object")
+        skills = _field(raw, "skills", dict, items=list)
         return cls(
-            target_classes=frozenset(raw["targets"]),
-            skill_classes={sid: frozenset(classes) for sid, classes in raw["skills"].items()},
+            target_classes=frozenset(_field(raw, "targets", list)),
+            skill_classes={sid: frozenset(_field(skills, sid, list)) for sid in skills},
         )
 
 
@@ -127,21 +125,23 @@ def prune_redundant(instance: CoverInstance, selection: list[str] | tuple[str, .
     return tuple(kept)
 
 
-def greedy_select(instance: CoverInstance) -> SelectionResult:
-    return _result(instance, list(prune_redundant(instance, _greedy_repair(instance, []))))
+def _most_coverage(classes: frozenset[str], newly: frozenset[str], irrelevant: int) -> tuple[int, int]:
+    return -len(newly), irrelevant
 
 
-def primal_dual_select(instance: CoverInstance) -> SelectionResult:
-    order_index = {sid: i for i, sid in enumerate(instance.skill_order)}
-    coverable = instance.coverable
-    uncovered = set(coverable)
-    duals = {e: 0.0 for e in coverable}
-    introduced: set[str] = set()
-    selected: list[str] = []
-    chosen: set[str] = set()
+def _greedy(instance: CoverInstance, selected: list[str], key=_most_coverage, picked=None) -> SelectionResult:
+    """Add skills to ``selected`` until every coverable target class is covered,
+    then prune. Each step takes the unchosen skill covering something new with
+    the lowest ``key(classes, newly, newly introduced irrelevant count)``, the
+    first in id order on a tie, and calls ``picked(best_key, uncovered)`` first."""
+    chosen = set(selected)
+    union = _union(instance.skill_classes[sid] for sid in selected)
+    uncovered = set(instance.coverable) - union
+    introduced = union - instance.target_classes
+    selected = list(selected)
     while uncovered:
         best_sid = None
-        best_key: tuple[float, int, int] | None = None
+        best_key = None
         for sid in instance.skill_order:
             if sid in chosen:
                 continue
@@ -149,23 +149,36 @@ def primal_dual_select(instance: CoverInstance) -> SelectionResult:
             newly = classes & uncovered
             if not newly:
                 continue
-            cost = 1 + len((classes - instance.target_classes) - introduced)
-            paid = sum(duals[e] for e in classes & coverable)
-            delta = (cost - paid) / len(newly)
-            key = (delta, len((classes - instance.target_classes) - introduced), order_index[sid])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_sid = sid
-        if best_sid is None:
-            break
-        step = max(best_key[0], 0.0)
-        for e in uncovered:
-            duals[e] += step
+            rank = key(classes, newly, len((classes - instance.target_classes) - introduced))
+            if best_key is None or rank < best_key:
+                best_key, best_sid = rank, sid
+        if picked is not None:
+            picked(best_key, uncovered)
         chosen.add(best_sid)
         selected.append(best_sid)
         uncovered -= instance.skill_classes[best_sid]
         introduced |= instance.skill_classes[best_sid] - instance.target_classes
     return _result(instance, list(prune_redundant(instance, selected)))
+
+
+def greedy_select(instance: CoverInstance) -> SelectionResult:
+    return _greedy(instance, [])
+
+
+def primal_dual_select(instance: CoverInstance) -> SelectionResult:
+    coverable = instance.coverable
+    duals = {e: 0.0 for e in coverable}
+
+    def price(classes: frozenset[str], newly: frozenset[str], irrelevant: int) -> tuple[float, int]:
+        paid = sum(duals[e] for e in classes & coverable)
+        return ((1 + irrelevant) - paid) / len(newly), irrelevant
+
+    def raise_duals(key: tuple[float, int], uncovered: set[str]) -> None:
+        step = max(key[0], 0.0)
+        for e in uncovered:
+            duals[e] += step
+
+    return _greedy(instance, [], price, raise_duals)
 
 
 def lp_round_select(instance: CoverInstance) -> SelectionResult:
@@ -207,11 +220,10 @@ def lp_round_select(instance: CoverInstance) -> SelectionResult:
             if memo is not None:
                 memo[model] = picks
         selected = [instance.skill_order[i] for i in picks]
-        # A failed solve picks nothing and falls through to the repair pass,
-        # which still guarantees maximum coverage.
+        # A failed solve picks nothing and falls through to the greedy steps,
+        # which still guarantee maximum coverage.
 
-    selected = _greedy_repair(instance, selected)
-    return _result(instance, list(prune_redundant(instance, selected)))
+    return _greedy(instance, selected)
 
 
 @contextmanager
@@ -251,37 +263,6 @@ def _solve_lp(
     return tuple(i for i in range(n_skills) if outcome.x[i] >= 0.5)
 
 
-def _greedy_repair(instance: CoverInstance, selected: list[str]) -> list[str]:
-    """Extend a partial selection until all coverable target classes are covered."""
-    order_index = {sid: i for i, sid in enumerate(instance.skill_order)}
-    chosen = set(selected)
-    union = _union(instance.skill_classes[sid] for sid in selected)
-    remaining = set(instance.coverable) - union
-    introduced = union - instance.target_classes
-    result = list(selected)
-    while remaining:
-        best_sid = None
-        best_key: tuple[int, int, int] | None = None
-        for sid in instance.skill_order:
-            if sid in chosen:
-                continue
-            classes = instance.skill_classes[sid]
-            gain = len(classes & remaining)
-            if gain == 0:
-                continue
-            key = (-gain, len((classes - instance.target_classes) - introduced), order_index[sid])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_sid = sid
-        if best_sid is None:
-            break
-        chosen.add(best_sid)
-        result.append(best_sid)
-        remaining -= instance.skill_classes[best_sid]
-        introduced |= instance.skill_classes[best_sid] - instance.target_classes
-    return result
-
-
 def brute_force_select(instance: CoverInstance) -> SelectionResult:
     """Exhaustive oracle: maximum coverage, then minimum irrelevant classes,
     then fewest skills, then lexicographically smallest id tuple."""
@@ -307,10 +288,7 @@ def brute_force_select(instance: CoverInstance) -> SelectionResult:
         low = subset & -subset
         union_masks[subset] = union_masks[subset ^ low] | skill_masks[low.bit_length() - 1]
 
-    best_subset = 0
-    best_cov = 0
-    best_irr = 0
-    best_size = 0
+    best_cov = best_irr = best_size = 0
     best_ids: tuple[str, ...] = ()
     for subset in range(1 << n):
         mask = union_masks[subset]
@@ -321,22 +299,24 @@ def brute_force_select(instance: CoverInstance) -> SelectionResult:
             continue
         if (cov, -irr, -size) < (best_cov, -best_irr, -best_size):
             continue
-        subset_ids = tuple(sorted(ids[i] for i in range(n) if subset >> i & 1))
+        subset_ids = tuple(ids[i] for i in range(n) if subset >> i & 1)
         if (cov, -irr, -size) == (best_cov, -best_irr, -best_size) and subset_ids >= best_ids:
             continue
-        best_subset, best_cov, best_irr, best_size, best_ids = subset, cov, irr, size, subset_ids
+        best_cov, best_irr, best_size, best_ids = cov, irr, size, subset_ids
+    return _result(instance, list(best_ids))
 
-    order = [ids[i] for i in range(n) if best_subset >> i & 1]
-    return _result(instance, order)
+
+_SELECTORS = {
+    "greedy": greedy_select,
+    "primal_dual": primal_dual_select,
+    "lp_round": lp_round_select,
+    "brute_force": brute_force_select,
+}
+STRATEGIES = tuple(_SELECTORS)
 
 
 def select_sources(instance: CoverInstance, strategy: str = "greedy") -> SelectionResult:
-    if strategy == "greedy":
-        return greedy_select(instance)
-    if strategy == "primal_dual":
-        return primal_dual_select(instance)
-    if strategy == "lp_round":
-        return lp_round_select(instance)
-    if strategy == "brute_force":
-        return brute_force_select(instance)
-    raise ConfigError(f"unknown selection strategy {strategy!r}; expected one of {STRATEGIES}")
+    select = _SELECTORS.get(strategy)
+    if select is None:
+        raise ConfigError(f"unknown selection strategy {strategy!r}; expected one of {STRATEGIES}")
+    return select(instance)

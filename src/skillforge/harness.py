@@ -440,7 +440,19 @@ class EpochRow:
 
     @classmethod
     def from_dict(cls, raw: dict) -> EpochRow:
-        return cls(**raw)
+        return cls(
+            epoch=_field(raw, "epoch", int),
+            library_size=_field(raw, "library_size", int),
+            train_pass_rate=_field(raw, "train_pass_rate", float),
+            holdout_pass_rate=_field(raw, "holdout_pass_rate", float),
+            n_failures=_field(raw, "n_failures", int, None),
+            n_candidates=_field(raw, "n_candidates", int, None),
+            n_retained=_field(raw, "n_retained", int, None),
+            mean_f_tag=_field(raw, "mean_f_tag", float, None),
+            mean_alignment=_field(raw, "mean_alignment", float, None),
+            tokens_used=_field(raw, "tokens_used", int, 0),
+            wall_clock_ms=_field(raw, "wall_clock_ms", int, 0),
+        )
 
 
 @dataclass(frozen=True)

@@ -23,20 +23,25 @@ ORIGIN_HUMAN = "human"
 ORIGIN_EVOLVED = "evolved"
 
 _REQUIRED = object()
-_JSON_KINDS = {str: "a string", int: "an integer", bool: "a boolean", list: "an array", dict: "an object"}
-_JSON_ITEMS = {str: " of strings", dict: " of objects", None: ""}
+_JSON_KINDS = {
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean", list: "an array", dict: "an object"
+}
+_JSON_ITEMS = {str: " of strings", dict: " of objects", list: " of arrays", None: ""}
 
 
 def _field(raw: dict, name: str, kind: type, default=_REQUIRED, items: type | None = str):
     """``raw[name]``, or ``default`` when absent and one is given, checked to
-    have JSON type ``kind`` (a boolean is no integer); the members of an array
-    or the values of an object must have type ``items`` unless it is None."""
+    have JSON type ``kind`` (a boolean is no integer, an integer is a ``float``
+    number, and a field whose default is None may be null); the members of an
+    array or the values of an object must have type ``items`` unless it is None."""
     if name not in raw:
         if default is _REQUIRED:
             raise ParseError(f"field {name!r} is missing")
         return default
     value = raw[name]
-    valid = type(value) is kind
+    if value is None and default is None:
+        return None
+    valid = type(value) is kind or (kind is float and type(value) is int)
     if valid and kind in (list, dict) and items is not None:
         valid = all(type(item) is items for item in (value.values() if kind is dict else value))
     if not valid:

@@ -54,6 +54,29 @@ def test_select_unknown_strategy_is_runtime_error(instance_file):
     assert dispatch(["select", "--instance", str(instance_file), "--strategy", "bogus"]) == 2
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            {"targets": ["a"], "skills": {"s1": "abc", "s2": ["a"]}},
+            "instance field 'skills' must be an object of arrays",
+        ),
+        ({"targets": "ab", "skills": {"s1": ["a"]}}, "instance field 'targets' must be an array of strings"),
+        ([1], "instance is not a JSON object"),
+        ({"skills": {"s1": ["a"]}}, "instance field 'targets' is missing"),
+        ({"targets": ["a"], "skills": {"s1": ["a", 2]}}, "instance field 's1' must be an array of strings"),
+    ],
+    ids=["skill-string", "targets-string", "not-an-object", "targets-missing", "skill-class-number"],
+)
+def test_select_names_the_file_and_field_of_a_bad_instance(tmp_path, capsys, content, message):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    assert dispatch(["select", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {path}: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_simworld_then_evolve_is_deterministic(tmp_path, capsys):
     world_dir = tmp_path / "world"
     assert dispatch(["simworld", "--seed", "7", "--out", str(world_dir)]) == 0
@@ -372,6 +395,12 @@ def test_score_command_names_the_line_of_a_candidate_with_an_unknown_origin(tmp_
 
 
 _CELL = {"fold": 0, "run": 0, "seed": 7, "rows": []}
+_ROW_WITHOUT_SIZE = {"epoch": 0, "train_pass_rate": 0.5, "holdout_pass_rate": 0.25}
+_ROW = {**_ROW_WITHOUT_SIZE, "library_size": 3}
+
+
+def _report_with_row(row):
+    return {"config": {}, "leaky": False, "providers": [], "cells": [{**_CELL, "rows": [row]}]}
 
 
 @pytest.mark.parametrize(
@@ -385,8 +414,20 @@ _CELL = {"fold": 0, "run": 0, "seed": 7, "rows": []}
             {"config": {}, "leaky": False, "providers": [], "cells": [{**_CELL, "fold": "0"}]},
             "report field 'fold' must be an integer",
         ),
+        (_report_with_row(_ROW_WITHOUT_SIZE), "report field 'library_size' is missing"),
+        (_report_with_row({**_ROW, "holdout_pass_rate": "0.5"}), "report field 'holdout_pass_rate' must be a number"),
+        (_report_with_row({**_ROW, "n_failures": 1.5}), "report field 'n_failures' must be an integer"),
     ],
-    ids=["config-missing", "not-an-object", "leaky-string", "cell-not-an-object", "fold-string"],
+    ids=[
+        "config-missing",
+        "not-an-object",
+        "leaky-string",
+        "cell-not-an-object",
+        "fold-string",
+        "row-size-missing",
+        "row-rate-string",
+        "row-count-float",
+    ],
 )
 def test_report_command_names_the_file_and_field_of_a_bad_report(tmp_path, capsys, content, message):
     src = tmp_path / "r.json"
@@ -403,3 +444,12 @@ def test_report_command_accepts_a_report_with_no_cells(tmp_path):
     out = tmp_path / "o.md"
     assert dispatch(["report", "--input", str(src), "--out", str(out)]) == 0
     assert "- seed: 7" in out.read_text(encoding="utf-8")
+
+
+def test_report_command_reads_null_means_integer_rates_and_unknown_row_keys(tmp_path):
+    row = {**_ROW, "train_pass_rate": 1, "mean_f_tag": None, "n_failures": None, "note": "ignored"}
+    src = tmp_path / "r.json"
+    src.write_text(json.dumps(_report_with_row(row)), encoding="utf-8")
+    out = tmp_path / "o.md"
+    assert dispatch(["report", "--input", str(src), "--out", str(out)]) == 0
+    assert "| 0 | 3.0 | 1.000 | 0.250 | - | - | 0 | 0 |" in out.read_text(encoding="utf-8")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from skillforge.cover import (
     CoverInstance,
-    _greedy_repair,
+    _greedy,
     _result,
     brute_force_select,
     greedy_select,
@@ -348,6 +348,43 @@ def _reference_greedy(instance):
     return _result(instance, list(prune_redundant(instance, selected)))
 
 
+def _reference_primal_dual(instance):
+    """The stand-alone loop that ``primal_dual_select`` used to carry."""
+    order_index = {sid: i for i, sid in enumerate(instance.skill_order)}
+    coverable = instance.coverable
+    uncovered = set(coverable)
+    duals = {e: 0.0 for e in coverable}
+    introduced: set[str] = set()
+    selected: list[str] = []
+    chosen: set[str] = set()
+    while uncovered:
+        best_sid = None
+        best_key = None
+        for sid in instance.skill_order:
+            if sid in chosen:
+                continue
+            classes = instance.skill_classes[sid]
+            newly = classes & uncovered
+            if not newly:
+                continue
+            cost = 1 + len((classes - instance.target_classes) - introduced)
+            paid = sum(duals[e] for e in classes & coverable)
+            delta = (cost - paid) / len(newly)
+            key = (delta, len((classes - instance.target_classes) - introduced), order_index[sid])
+            if best_key is None or key < best_key:
+                best_key, best_sid = key, sid
+        if best_sid is None:
+            break
+        step = max(best_key[0], 0.0)
+        for e in uncovered:
+            duals[e] += step
+        chosen.add(best_sid)
+        selected.append(best_sid)
+        uncovered -= instance.skill_classes[best_sid]
+        introduced |= instance.skill_classes[best_sid] - instance.target_classes
+    return _result(instance, list(prune_redundant(instance, selected)))
+
+
 def _reference_lp_round(instance):
     """The dense-row LP build and solve that ``lp_round_select`` used to carry."""
     n_skills = len(instance.skill_order)
@@ -381,8 +418,7 @@ def _reference_lp_round(instance):
         )
         if outcome.status == 0:
             selected = [sid for sid in instance.skill_order if outcome.x[sid_index[sid]] >= 0.5]
-    selected = _greedy_repair(instance, selected)
-    return _result(instance, list(prune_redundant(instance, selected)))
+    return _greedy(instance, selected)
 
 
 def _renamed(instance):
@@ -394,19 +430,22 @@ def _renamed(instance):
             "r" + sid: frozenset("k" + c for c in classes)
             for sid, classes in instance.skill_classes.items()
         },
-        skill_order=tuple("r" + sid for sid in instance.skill_order),
     )
+
+
+# Skill ids of mixed prefixes and widths, so that the order in which an
+# instance lists its skills, their id order and their class sets vary apart.
+_SKILL_IDS = ("a", "b7", "s1", "s10", "s02", "S3", "x", "k07", "k7", "zz", "m0", "B")
 
 
 @st.composite
 def _instances(draw):
     classes = [f"c{i}" for i in range(draw(st.integers(1, 8)))]
     subsets = st.sets(st.sampled_from(classes), max_size=4)
-    ids = [f"s{i:02d}" for i in range(draw(st.integers(0, 8)))]
+    ids = draw(st.lists(st.sampled_from(_SKILL_IDS), unique=True, max_size=8))
     return CoverInstance(
         target_classes=frozenset(draw(st.sets(st.sampled_from(classes)))),
         skill_classes={sid: draw(subsets) for sid in ids},
-        skill_order=tuple(draw(st.permutations(ids))),
     )
 
 
@@ -414,6 +453,31 @@ def _instances(draw):
 @given(instance=_instances())
 def test_greedy_matches_the_stand_alone_loop(instance):
     assert greedy_select(instance) == _reference_greedy(instance)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(instance=_instances())
+def test_primal_dual_matches_the_stand_alone_loop(instance):
+    assert primal_dual_select(instance) == _reference_primal_dual(instance)
+
+
+def test_primal_dual_never_lowers_a_dual():
+    # A step's best price goes negative here; raising the duals by it instead
+    # of by 0 would select s0 and s5.
+    instance = _instance(
+        ["c2", "c4", "c6", "c7"],
+        {
+            "s0": ["c1", "c2", "c3", "c4", "c6"],
+            "s1": ["c0", "c1", "c3"],
+            "s2": ["c6"],
+            "s3": ["c3", "c4", "c6"],
+            "s4": ["c0", "c2", "c4", "c5"],
+            "s5": ["c0", "c7"],
+            "s6": ["c0", "c1", "c2", "c3", "c7"],
+        },
+    )
+    assert primal_dual_select(instance).selected == ("s3", "s6")
+    assert primal_dual_select(instance) == _reference_primal_dual(instance)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

@@ -863,17 +863,6 @@ def test_run_kfold_applies_task_transform_hook():
     assert report.base_pass_rate > 0
 
 
-def test_cover_instance_rejects_bad_skill_order():
-    from skillforge.cover import CoverInstance
-
-    with pytest.raises(InputError):
-        CoverInstance(
-            target_classes=frozenset({"t"}),
-            skill_classes={"s1": frozenset({"t"})},
-            skill_order=("s1", "ghost"),
-        )
-
-
 def test_emit_report_round_trips_and_renders(tmp_path):
     world = _world(n_tasks=10)
     report = run_kfold(
