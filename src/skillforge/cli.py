@@ -22,7 +22,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
-from skillforge.errors import ConfigError, ParseError, SkillForgeError
+from skillforge.errors import ConfigError, SkillForgeError
 from skillforge.evolve import CandidateSkill
 from skillforge.harness import (
     EvolutionReport,
@@ -44,6 +44,7 @@ from skillforge.model import (
     Trajectory,
     _field,
     _iter_jsonl,
+    _read_json,
     _record,
     load_library,
     load_tasks,
@@ -169,7 +170,7 @@ def _load_file_config(args) -> dict:
     path = getattr(args, "config", None)
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return _read_json(path, "config", dict)
 
 
 # RunConfig fields whose command-line flag has another name.
@@ -183,8 +184,6 @@ def resolve_run_config(args) -> RunConfig:
     value whose JSON type is not its field's (a boolean is no integer; an
     integer may set a float field)."""
     values = _load_file_config(args)
-    if not isinstance(values, dict):
-        raise ConfigError("config file must hold a JSON object of RunConfig fields")
     defaults = {f.name: f.default for f in fields(RunConfig)}
     unknown = sorted(set(values) - set(defaults))
     if unknown:
@@ -206,11 +205,9 @@ def _resolve_providers(args):
     if getattr(args, "mock", False):
         noise = getattr(args, "noise_rate", None) or 0.0
         return mock_provider_factory(noise_rate=noise)
-    overrides = {}
-    for flag, key in (("chat_url", "chat_url"), ("embed_url", "embed_url"), ("logprob_url", "logprob_url")):
-        value = getattr(args, flag, None)
-        if value:
-            overrides[key] = value
+    overrides = {
+        key: value for key in ("chat_url", "embed_url", "logprob_url") if (value := getattr(args, key, None))
+    }
     http = HttpConfig.from_env(**overrides)
     if not (http.chat_url and http.embed_url and http.logprob_url):
         raise ConfigError(
@@ -276,11 +273,7 @@ def cmd_tag(args) -> int:
 
 
 def cmd_select(args) -> int:
-    try:
-        instance = CoverInstance.from_file(args.instance)
-    except ParseError as exc:
-        raise ParseError(f"{args.instance}: instance {exc}") from exc
-    result = select_sources(instance, args.strategy)
+    result = select_sources(CoverInstance.from_file(args.instance), args.strategy)
     print(",".join(result.selected))
     return 0
 
@@ -400,13 +393,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    raw = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    try:
-        if not isinstance(raw, dict):
-            raise ParseError("is not a JSON object")
-        report = EvolutionReport.from_dict(raw)
-    except ParseError as exc:
-        raise ParseError(f"{args.input}: report {exc}") from exc
+    report = _read_json(args.input, "report", EvolutionReport.from_dict)
     Path(args.out).write_text(report.markdown(), encoding="utf-8")
     print(f"rendered {args.input} -> {args.out}")
     return 0

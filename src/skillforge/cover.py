@@ -34,7 +34,6 @@ unchanged.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -43,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from skillforge.errors import ConfigError, InputError, ParseError, SizeError
-from skillforge.model import _field
+from skillforge.errors import ConfigError, InputError, SizeError
+from skillforge.model import _field, _read_json
 
 LP_SIZE_CAP = 500
 BRUTE_FORCE_CAP = 20
@@ -74,14 +73,16 @@ class CoverInstance:
 
     @classmethod
     def from_file(cls, path: str | Path) -> CoverInstance:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ParseError("is not a JSON object")
-        skills = _field(raw, "skills", dict, items=list)
-        return cls(
-            target_classes=frozenset(_field(raw, "targets", list)),
-            skill_classes={sid: frozenset(_field(skills, sid, list)) for sid in skills},
-        )
+        """Raises ``ParseError`` naming the file and a missing or mistyped field."""
+
+        def parse(raw: dict) -> CoverInstance:
+            skills = _field(raw, "skills", dict, items=list)
+            return cls(
+                target_classes=frozenset(_field(raw, "targets", list)),
+                skill_classes={sid: frozenset(_field(skills, sid, list)) for sid in skills},
+            )
+
+        return _read_json(path, "instance", parse)
 
 
 @dataclass(frozen=True)

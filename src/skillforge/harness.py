@@ -27,7 +27,7 @@ import statistics
 import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
 from operator import or_
 from pathlib import Path
@@ -36,7 +36,7 @@ import numpy as np
 
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import STRATEGIES, lp_memo
-from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError, TaggingError
+from skillforge.errors import ConfigError, InputError, ParseError, ProviderError, ScoringError, TaggingError
 from skillforge.evolve import CandidateSkill, generate_candidates
 from skillforge.model import (
     EvaluationRecord,
@@ -471,13 +471,17 @@ class CellResult:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> CellResult:
-        return cls(
-            fold=_field(raw, "fold", int),
-            run=_field(raw, "run", int),
-            seed=_field(raw, "seed", int),
-            rows=tuple(EpochRow.from_dict(r) for r in _field(raw, "rows", list, items=dict)),
-        )
+    def from_dict(cls, raw: dict, position: int) -> CellResult:
+        """Raises ``ParseError`` naming a missing or mistyped field; one in a
+        row also names the cell, at ``position`` in the report, and the row."""
+        fold, run, seed = _field(raw, "fold", int), _field(raw, "run", int), _field(raw, "seed", int)
+        rows = []
+        for r, row in enumerate(_field(raw, "rows", list, items=dict)):
+            try:
+                rows.append(EpochRow.from_dict(row))
+            except ParseError as exc:
+                raise ParseError(f"{exc} (cell {position}: fold {fold}, run {run}; row {r})") from exc
+        return cls(fold=fold, run=run, seed=seed, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -547,7 +551,9 @@ class EvolutionReport:
             config=dict(_field(raw, "config", dict, items=None)),
             leaky=_field(raw, "leaky", bool),
             providers=tuple(_field(raw, "providers", list)),
-            cells=tuple(CellResult.from_dict(c) for c in _field(raw, "cells", list, items=dict)),
+            cells=tuple(
+                CellResult.from_dict(cell, i) for i, cell in enumerate(_field(raw, "cells", list, items=dict))
+            ),
         )
 
     def markdown(self) -> str:
@@ -646,20 +652,19 @@ def _evolve_cell(
             records = evaluate_tasks(train, library, world, config, providers.embedder, train_eq, index)
             new_library, stats = library, None
         train_rate = pass_rate(records)
-        pending = stats_list[-1] if stats_list else None
         rows.append(
             EpochRow(
                 epoch=epoch,
                 library_size=len(library),
                 train_pass_rate=train_rate,
                 holdout_pass_rate=train_rate if holdout_rate is None else holdout_rate,
-                n_failures=pending.n_failures if pending else None,
-                n_candidates=pending.n_candidates if pending else None,
-                n_retained=pending.n_retained if pending else None,
-                mean_f_tag=pending.mean_f_tag if pending else None,
-                mean_alignment=pending.mean_alignment if pending else None,
-                tokens_used=pending.tokens_used if pending else 0,
-                wall_clock_ms=pending.wall_clock_ms if pending else 0,
+                # The stats of the step that produced this library, if any; else EpochRow's defaults.
+                **{
+                    f.name: getattr(pending, f.name)
+                    for pending in stats_list[-1:]
+                    for f in fields(EpochStats)
+                    if f.name != "score_rows"
+                },
             )
         )
         if stats is not None:

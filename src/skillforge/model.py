@@ -286,6 +286,22 @@ def _record(what: str, parse, raw: dict, lineno: int):
         raise ParseError(f"invalid {what}: {exc}", line=lineno) from exc
 
 
+def _read_json(path: str | Path, what: str, parse):
+    """``parse(raw)`` of the JSON object in file ``path``. Invalid JSON, a
+    value that is no object, and a ``ParseError`` from ``parse`` come out as a
+    ``ParseError`` naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        if not isinstance(raw, dict):
+            raise ParseError("is not a JSON object")
+        return parse(raw)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {what} {exc}") from exc
+
+
 def _iter_jsonl(path: str | Path):
     """Yield (line number, object) for each non-blank line of a JSONL file."""
     with Path(path).open("r", encoding="utf-8") as handle:

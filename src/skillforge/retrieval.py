@@ -5,12 +5,14 @@ The tokenizer lowercases and splits on non-alphanumeric characters. IDF uses
 the always-nonnegative variant ln(1 + (N - df + 0.5) / (df + 0.5)), which
 avoids negative weights on tiny corpora.
 
-An index keeps raw statistics only: each document's term counts and
-length, each term's document frequency, and per term the postings
-``(columns, tfs)``, the columns of the documents holding it and its count in
-each. Documents become columns in append order. ``build_index(library,
-base=previous)`` grows the previous epoch's index, which is safe because an
-epoch only ever adds skills: it tokenizes only the skills ``base`` lacks,
+An index stores each statistic once: the skill id of each column
+(documents become columns in append order), each column's length in tokens,
+and per term the postings ``(columns, tfs)``, the columns of the documents
+holding it and its count in each. A term's document frequency is the length
+of its posting; ``avgdl``, the columns in id order and the size are derived.
+``build_index(library, base=previous)`` grows the previous epoch's index,
+which is safe because an epoch only ever adds skills: it copies ``base``'s
+columns, lengths and postings, tokenizes only the skills ``base`` lacks,
 appends them as new columns, shares every posting they do not touch and
 concatenates the ones they do, and never writes to ``base``.
 
@@ -55,7 +57,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -103,49 +105,36 @@ def _document_counts(text: str) -> tuple[Counter, int]:
 
 @dataclass(frozen=True)
 class Bm25Index:
-    """Raw BM25 statistics; each document is a column, in the order of
-    ``documents``. ``base``, when given, must be an index whose documents are
-    the first ones of ``documents``: its postings are shared, and only the
-    documents after them are read."""
+    """BM25 statistics, each stored once: ``columns`` holds the skill ids in
+    append order, ``lengths`` each column's token count, and ``postings``
+    maps a term to the columns holding it and its count in each. A term's
+    document frequency is the length of its posting. ``avgdl``, ``doc_ids``
+    (the columns in id order), ``size`` and the arrays ``retrieve`` reads are
+    derived from these at construction."""
 
-    documents: dict[str, Counter]
-    doc_lengths: dict[str, int]
-    df: dict[str, int]
-    avgdl: float
+    columns: tuple[str, ...] = ()
+    lengths: tuple[int, ...] = ()
+    postings: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    base: InitVar[Bm25Index | None] = None
+    avgdl: float = field(init=False, repr=False, compare=False)
     doc_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    postings: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(
-        init=False, repr=False, compare=False
-    )
     _lengths: np.ndarray = field(init=False, repr=False, compare=False)
     _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, base: Bm25Index | None) -> None:
-        columns = list(self.documents)
-        postings = dict(base.postings) if base is not None else {}
-        start = base.size if base is not None else 0
-        appended: dict[str, tuple[list[int], list[int]]] = {}
-        for column, doc_id in enumerate(columns[start:], start):
-            for term, tf in self.documents[doc_id].items():
-                cols, tfs = appended.setdefault(term, ([], []))
-                cols.append(column)
-                tfs.append(tf)
-        for term, (cols, tfs) in appended.items():
-            old_cols, old_tfs = postings.get(term, ((), ()))
-            postings[term] = (old_cols + tuple(cols), old_tfs + tuple(tfs))
+    def __post_init__(self) -> None:
+        columns = self.columns
         by_id = sorted(range(len(columns)), key=columns.__getitem__)
         id_rank = np.empty(len(columns), dtype=np.intp)
         id_rank[by_id] = np.arange(len(columns))
+        object.__setattr__(self, "avgdl", sum(self.lengths) / len(self.lengths) if self.lengths else 0.0)
         object.__setattr__(self, "doc_ids", tuple(columns[column] for column in by_id))
-        object.__setattr__(self, "postings", postings)
-        object.__setattr__(self, "_lengths", np.array([self.doc_lengths[d] for d in columns], dtype=float))
+        object.__setattr__(self, "_lengths", np.array(self.lengths, dtype=float))
         object.__setattr__(self, "_id_rank", id_rank)
 
     @property
     def size(self) -> int:
-        return len(self.documents)
+        return len(self.columns)
 
 
 def build_index(
@@ -154,32 +143,34 @@ def build_index(
     b: float = DEFAULT_B,
     base: Bm25Index | None = None,
 ) -> Bm25Index:
-    """The BM25 index of ``library``. ``base``, an index of some of the
-    library's skills (the library of an earlier epoch), is grown rather than
-    rebuilt: only the skills it lacks are tokenized, as new columns, and
-    ``base`` itself is left as it was."""
-    documents: dict[str, Counter] = {}
-    doc_lengths: dict[str, int] = {}
-    df: Counter = Counter()
-    if base is not None:
-        unknown = sorted(set(base.documents) - set(library.ids()))
-        if unknown:
-            raise InputError(f"base index holds skills the library lacks: {unknown[:5]}")
-        documents.update(base.documents)
-        doc_lengths.update(base.doc_lengths)
-        df.update(base.df)
+    """The BM25 index of ``library``, whose skills become columns in library
+    order. ``base``, an index of some of the library's skills (the library of
+    an earlier epoch), is grown rather than rebuilt: its columns come first,
+    their lengths and postings copied, only the skills it lacks are tokenized
+    and appended after them, and ``base`` itself is left as it was."""
+    base = base or Bm25Index()
+    unknown = sorted(set(base.columns) - set(library.ids()))
+    if unknown:
+        raise InputError(f"base index holds skills the library lacks: {unknown[:5]}")
+    columns, lengths, postings = list(base.columns), list(base.lengths), dict(base.postings)
+    known = set(columns)
+    appended: dict[str, tuple[list[int], list[int]]] = {}
     memo, _ = _TOKEN_MEMO.get() or (None, None)
     for skill in library:
-        if skill.id in documents:
+        if skill.id in known:
             continue
         text = f"{skill.name} {skill.description} {skill.body}"
         counts, length = _memoized(memo, text, _document_counts)
-        documents[skill.id] = counts
-        doc_lengths[skill.id] = length
-        for term in counts:
-            df[term] += 1
-    avgdl = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
-    return Bm25Index(documents, doc_lengths, dict(df), avgdl, k1, b, base)
+        for term, tf in counts.items():
+            cols, tfs = appended.setdefault(term, ([], []))
+            cols.append(len(columns))
+            tfs.append(tf)
+        columns.append(skill.id)
+        lengths.append(length)
+    for term, (cols, tfs) in appended.items():
+        old_cols, old_tfs = postings.get(term, ((), ()))
+        postings[term] = (old_cols + tuple(cols), old_tfs + tuple(tfs))
+    return Bm25Index(tuple(columns), tuple(lengths), postings, k1, b)
 
 
 def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
@@ -199,8 +190,8 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tupl
         return [[] for _ in terms]  # also every index whose avgdl is 0: it has no postings
     n_docs = index.size
     postings = [index.postings[term] for term in rows]
-    idf = [math.log(1 + (n_docs - index.df[term] + 0.5) / (index.df[term] + 0.5)) for term in rows]
-    per_term = [len(term_columns) for term_columns, _ in postings]
+    per_term = [len(term_columns) for term_columns, _ in postings]  # each term's df
+    idf = [math.log(1 + (n_docs - df + 0.5) / (df + 0.5)) for df in per_term]
     posted = np.fromiter(chain.from_iterable(c for c, _ in postings), dtype=np.intp)
     tf = np.fromiter(chain.from_iterable(t for _, t in postings), dtype=float)
     norm = index.k1 * ((1 - index.b) + index.b * index._lengths / index.avgdl)

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from skillforge.errors import ConfigError, InputError
+from skillforge.errors import ConfigError, InputError, ParseError
 from skillforge.model import (
     ORIGIN_HUMAN,
     Skill,
     SkillLibrary,
     Task,
+    _field,
+    _read_json,
     load_library,
     load_tasks,
     save_library,
@@ -231,13 +233,27 @@ def save_world(world: SyntheticWorld, directory: str | Path) -> None:
     save_library(world.initial_library(), directory / LIBRARY_FILE)
 
 
+def _world_fields(raw: dict) -> dict:
+    """The config and tag universes of a ``world.json`` object; a config key
+    that is absent takes its default. Raises ``ParseError`` naming a missing,
+    mistyped or unknown field."""
+    config = _field(raw, "config", dict, items=None)
+    defaults = {f.name: f.default for f in fields(WorldConfig)}
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ParseError(f"field 'config' holds unknown key(s): {', '.join(unknown)}")
+    return {
+        "config": WorldConfig(**{name: _field(config, name, type(d), d) for name, d in defaults.items()}),
+        "tag_universe": tuple(_field(raw, "tag_universe", list)),
+        "covered_universe": tuple(_field(raw, "covered_universe", list)),
+    }
+
+
 def load_world(directory: str | Path) -> SyntheticWorld:
+    """Raises ``ParseError`` naming the file and field of a bad ``world.json``."""
     directory = Path(directory)
-    payload = json.loads((directory / WORLD_FILE).read_text(encoding="utf-8"))
     return SyntheticWorld(
-        config=WorldConfig(**payload["config"]),
-        tag_universe=tuple(payload["tag_universe"]),
-        covered_universe=tuple(payload["covered_universe"]),
+        **_read_json(directory / WORLD_FILE, "world", _world_fields),
         tasks=load_tasks(directory / TASKS_FILE),
         initial_skills=load_library(directory / LIBRARY_FILE).skills,
     )

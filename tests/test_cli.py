@@ -77,6 +77,49 @@ def test_select_names_the_file_and_field_of_a_bad_instance(tmp_path, capsys, con
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["select", "--instance", "{path}"], "instance.json"),
+        (["report", "--input", "{path}", "--out", "{out}"], "report.json"),
+        (["eval", "--mock", "--config", "{path}", "--out", "{out}"], "config.json"),
+        (["evolve", "--mock", "--world-dir", "{dir}", "--out", "{out}"], "world.json"),
+    ],
+    ids=["select", "report", "config", "world-dir"],
+)
+def test_invalid_json_in_an_input_file_names_the_file(tmp_path, capsys, argv, name):
+    path = tmp_path / name
+    path.write_text('{"seed": 7, ', encoding="utf-8")  # truncated
+    out = tmp_path / "out"
+    assert dispatch([arg.format(path=path, dir=tmp_path, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: invalid JSON: Expecting property name" in err
+    assert err.count(str(path)) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"config": {"seed": 7, "foo": 1}}, "world field 'config' holds unknown key(s): foo"),
+        ({"config": {"n_tasks": "50"}}, "world field 'n_tasks' must be an integer"),
+        ({"tag_universe": None}, "world field 'tag_universe' is missing"),
+        ({"covered_universe": "ab"}, "world field 'covered_universe' must be an array of strings"),
+    ],
+    ids=["config-unknown-key", "config-string-count", "tag-universe-missing", "covered-universe-string"],
+)
+def test_evolve_names_the_file_and_field_of_a_bad_world(tmp_path, capsys, change, message):
+    world_dir = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--out", str(world_dir)]) == 0
+    path = world_dir / "world.json"
+    payload = {**json.loads(path.read_text(encoding="utf-8")), **change}
+    path.write_text(json.dumps({key: value for key, value in payload.items() if value is not None}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert dispatch(["evolve", "--mock", "--world-dir", str(world_dir), "--out", str(out)]) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simworld_then_evolve_is_deterministic(tmp_path, capsys):
     world_dir = tmp_path / "world"
     assert dispatch(["simworld", "--seed", "7", "--out", str(world_dir)]) == 0
@@ -417,6 +460,13 @@ def _report_with_row(row):
         (_report_with_row(_ROW_WITHOUT_SIZE), "report field 'library_size' is missing"),
         (_report_with_row({**_ROW, "holdout_pass_rate": "0.5"}), "report field 'holdout_pass_rate' must be a number"),
         (_report_with_row({**_ROW, "n_failures": 1.5}), "report field 'n_failures' must be an integer"),
+        (
+            {
+                "config": {}, "leaky": False, "providers": [],
+                "cells": [{**_CELL, "rows": [_ROW]}, {**_CELL, "fold": 1, "rows": [_ROW, {**_ROW, "epoch": "1"}]}],
+            },
+            "report field 'epoch' must be an integer (cell 1: fold 1, run 0; row 1)",
+        ),
     ],
     ids=[
         "config-missing",
@@ -427,6 +477,7 @@ def _report_with_row(row):
         "row-size-missing",
         "row-rate-string",
         "row-count-float",
+        "second-cell-row",
     ],
 )
 def test_report_command_names_the_file_and_field_of_a_bad_report(tmp_path, capsys, content, message):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from skillforge.errors import InputError
 from skillforge.model import SkillLibrary
-from skillforge.retrieval import Bm25Index, build_index, retrieve, token_memo, tokenize
+from skillforge.retrieval import DEFAULT_B, DEFAULT_K1, Bm25Index, build_index, retrieve, token_memo, tokenize
 
 from conftest import make_skill
 
@@ -29,19 +30,30 @@ def test_empty_library_index_returns_nothing():
     assert retrieve(index, ["anything at all"], 5)[0] == []
 
 
+def _by_id(index: Bm25Index) -> tuple:
+    """The index's statistics keyed by skill id instead of column: each
+    skill's length, per term its ``(id, tf)`` postings in id order, and avgdl."""
+    lengths = dict(zip(index.columns, index.lengths))
+    postings = {
+        term: sorted((index.columns[column], tf) for column, tf in zip(columns, tfs))
+        for term, (columns, tfs) in index.postings.items()
+    }
+    return lengths, postings, index.avgdl
+
+
 def test_single_document_statistics():
     index = build_index(_library({"d1": "pdf extraction"}))
-    assert index.df == {"pdf": 1, "extraction": 1}
-    assert index.avgdl == 2.0
-    assert index.doc_lengths["d1"] == 2
+    assert _by_id(index) == ({"d1": 2}, {"pdf": [("d1", 1)], "extraction": [("d1", 1)]}, 2.0)
 
 
 def test_rebuild_gives_identical_statistics():
     library = _library({"d1": "alpha beta", "d2": "beta gamma gamma"})
     a, b = build_index(library), build_index(library)
-    assert a.documents == b.documents
-    assert a.df == b.df
-    assert a.avgdl == b.avgdl
+    assert _by_id(a) == _by_id(b) == (
+        {"d1": 2, "d2": 3},
+        {"alpha": [("d1", 1)], "beta": [("d1", 1), ("d2", 1)], "gamma": [("d2", 2)]},
+        2.5,
+    )
 
 
 def test_unique_term_ranks_its_document_first():
@@ -170,39 +182,47 @@ def test_many_tied_documents_keep_id_order():
     rng = random.Random(5)
     ids = [f"d{i:03d}" for i in range(300)]
     rng.shuffle(ids)
-    library = _library({sid: rng.choice(["table a", "table b", "chart c", "table table d"]) for sid in ids})
+    bodies = {sid: rng.choice(["table a", "table b", "chart c", "table table d"]) for sid in ids}
+    library = _library(bodies)
     built = build_index(library)
-    # The same index with its documents in shuffled rather than id order.
-    shuffled = Bm25Index(
-        documents={sid: built.documents[sid] for sid in ids},
-        doc_lengths=built.doc_lengths, df=built.df, avgdl=built.avgdl,
-    )
+    # The same skills grown one at a time in shuffled order, so its columns
+    # are in shuffled rather than id order.
+    shuffled = None
+    for end in range(1, len(ids) + 1):
+        shuffled = build_index(_library({sid: bodies[sid] for sid in ids[:end]}), base=shuffled)
+    assert shuffled.columns == tuple(ids) and built.columns == tuple(sorted(ids))
     queries = ["table", "chart table", "table chart table"]
+    expected = [_full_scan(library, q, 400) for q in queries]
     for index in (built, shuffled):
-        assert retrieve(index, queries, 400) == [_full_scan(index, q, 400) for q in queries]
+        assert retrieve(index, queries, 400) == expected
 
 
-def _full_scan(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
-    """Reference: score every document term by term, as before the postings."""
+def _full_scan(
+    library: SkillLibrary, query: str, k: int, k1: float = DEFAULT_K1, b: float = DEFAULT_B
+) -> list[tuple[str, float]]:
+    """Reference: tokenize every skill of ``library`` and score it term by
+    term from its own counts, document frequencies and average length."""
     terms = tokenize(query)
-    if not terms or not index.documents:
+    counts = {
+        skill.id: Counter(tokenize(f"{skill.name} {skill.description} {skill.body}")) for skill in library
+    }
+    if not terms or not counts:
         return []
-    n_docs = index.size
+    df = Counter(term for doc in counts.values() for term in doc)
+    avgdl = sum(doc.total() for doc in counts.values()) / len(counts)
     scored: list[tuple[str, float]] = []
-    for doc_id in sorted(index.documents):
-        counts = index.documents[doc_id]
-        if not counts:
+    for doc_id in sorted(counts):
+        doc = counts[doc_id]
+        if not doc:
             continue  # an empty document matches nothing (and avgdl may be 0)
-        dl = index.doc_lengths[doc_id]
-        norm = index.k1 * (1 - index.b + index.b * dl / index.avgdl)
+        norm = k1 * (1 - b + b * doc.total() / avgdl)
         score = 0.0
         for term in terms:
-            tf = counts.get(term, 0)
+            tf = doc.get(term, 0)
             if tf == 0:
                 continue
-            df = index.df[term]
-            idf = math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
-            score += idf * tf * (index.k1 + 1) / (tf + norm)
+            idf = math.log(1 + (len(counts) - df[term] + 0.5) / (df[term] + 0.5))
+            score += idf * tf * (k1 + 1) / (tf + norm)
         if score > 0.0:
             scored.append((doc_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -230,7 +250,7 @@ def test_postings_match_the_full_scan_exactly(bodies, copies, queries, k, k1, b)
     library = _library({f"d{i:02d}": " ".join(words) for i, words in enumerate(bodies)})
     index = build_index(library, k1=k1, b=b)
     texts = [" ".join(query) for query in queries]
-    assert retrieve(index, texts, k) == [_full_scan(index, text, k) for text in texts]
+    assert retrieve(index, texts, k) == [_full_scan(library, text, k, k1, b) for text in texts]
 
 
 def _counting_tokenize(monkeypatch) -> list[str]:
@@ -274,9 +294,8 @@ def test_a_token_memo_tokenizes_each_text_once_and_changes_no_score(monkeypatch)
 def _frozen(index: Bm25Index) -> tuple:
     """Everything an index holds, copied deep enough to see any later write."""
     return (
-        {doc: dict(counts) for doc, counts in index.documents.items()},
-        dict(index.doc_lengths), dict(index.df), index.avgdl, index.doc_ids,
-        dict(index.postings), index._lengths.tolist(), index._id_rank.tolist(),
+        _by_id(index), index.columns, index.lengths, dict(index.postings), index.doc_ids,
+        index._lengths.tolist(), index._id_rank.tolist(),
     )
 
 
@@ -306,11 +325,9 @@ def test_a_chain_of_grown_indexes_ranks_like_fresh_builds(docs, cuts, queries, k
         if index is not None:
             assert _frozen(index) == before
         fresh = build_index(library, k1=k1, b=b)
-        assert (grown.documents, grown.doc_lengths, grown.df, grown.avgdl) == (
-            fresh.documents, fresh.doc_lengths, fresh.df, fresh.avgdl
-        )
+        assert _by_id(grown) == _by_id(fresh)
         assert grown.doc_ids == fresh.doc_ids
-        expected = [_full_scan(fresh, text, k) for text in texts]
+        expected = [_full_scan(library, text, k, k1, b) for text in texts]
         assert retrieve(grown, texts, k) == retrieve(fresh, texts, k) == expected
         index = grown
 
@@ -323,7 +340,8 @@ def test_a_grown_index_tokenizes_only_the_new_skills(monkeypatch):
     index = build_index(grown, base=base)
     assert sorted(text.strip() for text in calls) == ["!!", "alpha gamma"]
     assert index.doc_ids == ("a0", "m1", "n5", "z9")
-    assert retrieve(index, ["alpha"], 4) == [_full_scan(index, "alpha", 4)]
+    assert index.columns == ("m1", "z9", "a0", "n5")
+    assert retrieve(index, ["alpha"], 4) == [_full_scan(grown, "alpha", 4)]
 
 
 def test_a_base_with_a_skill_the_library_lacks_is_rejected():
