@@ -50,7 +50,7 @@ from skillforge.model import (
     load_tasks,
     save_library,
 )
-from skillforge.providers.base import ChatRequest
+from skillforge.providers.base import ChatRequest, ask
 from skillforge.providers.http import (
     HttpChatProvider,
     HttpConfig,
@@ -166,36 +166,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_file_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    return _read_json(path, "config", dict)
+def _config_fields(raw: dict) -> dict:
+    """The ``RunConfig`` fields a config file sets. A key that names no field
+    is a ``ConfigError``, and a value whose JSON type is not its field's a
+    ``ParseError`` (a boolean is no integer; an integer may set a float)."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    unknown = sorted(set(raw) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown config file key(s): {', '.join(unknown)}")
+    return {name: _field(raw, name, type(defaults[name])) for name in raw}
 
 
 # RunConfig fields whose command-line flag has another name.
 _CONFIG_FLAGS = {"retrieval_k": "k"}
-_CONFIG_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def resolve_run_config(args) -> RunConfig:
-    """Every ``RunConfig`` field from its flag, else the config file, else the
-    default. A config-file key that names no field is an error, and so is a
-    value whose JSON type is not its field's (a boolean is no integer; an
-    integer may set a float field)."""
-    values = _load_file_config(args)
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    unknown = sorted(set(values) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown config file key(s): {', '.join(unknown)}")
-    for name, value in values.items():
-        kind = type(defaults[name])
-        if not (type(value) is kind or (kind is float and type(value) is int)):
-            raise ConfigError(f"config file key {name!r} must be {_CONFIG_KINDS[kind]}")
-    for name in defaults:
-        value = getattr(args, _CONFIG_FLAGS.get(name, name), None)
+    """Every ``RunConfig`` field from its flag, else the ``--config`` file,
+    else the default; an error in the file names the file."""
+    path = getattr(args, "config", None)
+    values = _read_json(path, "config", _config_fields) if path else {}
+    for f in fields(RunConfig):
+        value = getattr(args, _CONFIG_FLAGS.get(f.name, f.name), None)
         if value is not None:
-            values[name] = value
+            values[f.name] = value
     return RunConfig(**values)
 
 
@@ -326,7 +320,7 @@ def cmd_score(args) -> int:
     config = resolve_run_config(args)
     bundle = _resolve_providers(args)(config.seed)
     rows_in = [
-        _record("candidate", _candidate, raw, lineno) for lineno, raw in _iter_jsonl(args.candidates)
+        _record("candidate", _candidate, raw, where) for where, raw in _iter_jsonl(args.candidates)
     ]
     if not rows_in:
         raise ConfigError("candidate file is empty")
@@ -408,8 +402,7 @@ def _paraphrase_transform(chat):
                 user=task.description,
                 max_tokens=512,
             )
-            reply = chat.complete(request)
-            description = reply.text.strip() or task.description
+            description = ask(chat, request, str.strip, f"task {task.id!r}") or task.description
             out.append(Task(id=task.id, description=description, metadata=dict(task.metadata)))
         return tuple(out)
 

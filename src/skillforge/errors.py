@@ -18,12 +18,6 @@ class ConfigError(SkillForgeError):
 class ParseError(SkillForgeError):
     """A file or model response could not be parsed."""
 
-    def __init__(self, message: str, line: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
 
 class IntegrityError(SkillForgeError):
     """A structural invariant (unique ids, consistent references) is broken."""
@@ -49,8 +43,8 @@ class GenerationError(SkillForgeError):
     """The chat model returned an empty or unusable completion."""
 
 
-class TaggingError(SkillForgeError):
-    """Tag generation produced no parseable tags after retries."""
+class TaggingError(ParseError):
+    """A tagging reply holds no parseable tag."""
 
 
 class ScoringError(SkillForgeError):
@@ -59,3 +53,8 @@ class ScoringError(SkillForgeError):
 
 class MissingTagError(SkillForgeError):
     """A tag was looked up in an equivalence index that does not contain it."""
+
+
+# What skips one failure pair or candidate instead of ending the epoch: a
+# failed or empty provider call, an unparseable reply, a failed score.
+PAIR_FAULTS = (ProviderError, GenerationError, ParseError, ScoringError)

@@ -7,9 +7,9 @@ parses the chat reply into a new skill. Candidate tags are then produced by
 the same tagging path used for library skills rather than trusted from the
 generator's own claims, so the scoring pipeline sees one uniform tag source.
 
-Generation is best effort per pair: a pair whose completion stays unparseable
-after two re-asks, or whose provider calls fail hard, is skipped with a log
-entry instead of aborting the epoch.
+Generation is best effort per pair: replies come through ``providers.base.ask``,
+which re-asks an unparseable one, and a pair whose work raises one of
+``errors.PAIR_FAULTS`` is skipped with a log entry instead of ending the epoch.
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ from typing import TYPE_CHECKING
 from skillforge import prompts
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
-from skillforge.errors import GenerationError, InputError, ParseError, ProviderError, TaggingError
+from skillforge.errors import PAIR_FAULTS, InputError, ParseError
 from skillforge.model import ORIGIN_EVOLVED, FailurePair, Skill, SkillLibrary
-from skillforge.providers.base import ChatProvider, ChatRequest, accept_reply
+from skillforge.providers.base import ChatProvider, ChatRequest, ask
 from skillforge.tags import EquivalenceIndex, TagSet, generate_skill_tags
 
 if TYPE_CHECKING:
     from skillforge.scoring import ScoreRecord
 
 logger = logging.getLogger(__name__)
-
-PARSE_REASKS = 2
 
 _NAME_RE = re.compile(r"^NAME:\s*(.+)$", re.MULTILINE)
 _DESCRIPTION_RE = re.compile(r"^DESCRIPTION:\s*(.+)$", re.MULTILINE)
@@ -161,33 +159,18 @@ def generate_candidates(
 
 
 def _complete_one(chat: ChatProvider, request: ChatRequest, epoch: int, pair_id: str) -> Skill | None:
-    parsed = None
     try:
-        for attempt in range(PARSE_REASKS + 1):
-            reply = chat.complete(request)
-            try:
-                parsed = parse_skill_response(reply.text)
-                accept_reply(chat, request, reply)
-                break
-            except ParseError as exc:
-                logger.warning(
-                    "unparseable candidate for pair %s (attempt %d): %s", pair_id, attempt + 1, exc
-                )
-        if parsed is None:
-            logger.warning("skipping pair %s: reply stayed unparseable", pair_id)
-            return None
-        name, description, body = parsed
+        name, description, body = ask(chat, request, parse_skill_response, f"pair {pair_id!r}")
         skill = Skill(
             id=candidate_id(epoch, pair_id),
             name=name,
             description=description,
             body=body,
-            tags=frozenset(),
             origin=ORIGIN_EVOLVED,
             created_epoch=epoch,
         )
         return replace(skill, tags=generate_skill_tags(skill, chat))
-    except (GenerationError, ProviderError, TaggingError) as exc:
+    except PAIR_FAULTS as exc:
         logger.warning("skipping pair %s: %s", pair_id, exc)
         return None
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import STRATEGIES, lp_memo
-from skillforge.errors import ConfigError, InputError, ParseError, ProviderError, ScoringError, TaggingError
+from skillforge.errors import PAIR_FAULTS, ConfigError, InputError, ParseError
 from skillforge.evolve import CandidateSkill, generate_candidates
 from skillforge.model import (
     EvaluationRecord,
@@ -350,7 +350,7 @@ def run_epoch(
     def _infer(pair):
         try:
             return generate_target_tags(pair, providers)
-        except (ProviderError, TaggingError) as exc:
+        except PAIR_FAULTS as exc:
             logger.warning("skipping pair %s: %s", pair.task.id, exc)
             return None
 
@@ -397,7 +397,7 @@ def run_epoch(
                 eq,
                 providers,
             )
-        except ScoringError as exc:
+        except PAIR_FAULTS as exc:
             logger.warning("dropping candidate %s: %s", candidate.skill.id, exc)
             return None
 

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from skillforge.errors import IntegrityError, InputError, ParseError
+from skillforge.errors import ConfigError, IntegrityError, InputError, ParseError
 
 LIBRARY_FORMAT = "skillforge-library"
 LIBRARY_VERSION = 1
@@ -211,13 +211,13 @@ def load_library(path: str | Path) -> SkillLibrary:
     epoch = 0
     skills: list[Skill] = []
     seen: set[str] = set()
-    for lineno, raw in _iter_jsonl(path):
+    for where, raw in _iter_jsonl(path):
         if raw.get("format") == LIBRARY_FORMAT:
-            epoch = _record("library", lambda header: _field(header, "epoch", int, 0), raw, lineno)
+            epoch = _record("library", lambda header: _field(header, "epoch", int, 0), raw, where)
             continue
-        skill = _record("skill", Skill.from_dict, raw, lineno)
+        skill = _record("skill", Skill.from_dict, raw, where)
         if skill.id in seen:
-            raise IntegrityError(f"duplicate skill id {skill.id!r} at line {lineno}")
+            raise IntegrityError(f"{where}: duplicate skill id {skill.id!r}")
         seen.add(skill.id)
         skills.append(skill)
     return SkillLibrary(skills=tuple(skills), epoch=epoch)
@@ -265,7 +265,7 @@ def collect_failures(records: Sequence[EvaluationRecord]) -> tuple[FailurePair, 
 
 def load_tasks(path: str | Path) -> tuple[Task, ...]:
     """Load tasks from JSONL, one task object per line."""
-    return tuple(_record("task", Task.from_dict, raw, lineno) for lineno, raw in _iter_jsonl(path))
+    return tuple(_record("task", Task.from_dict, raw, where) for where, raw in _iter_jsonl(path))
 
 
 def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
@@ -275,21 +275,22 @@ def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
     )
 
 
-def _record(what: str, parse, raw: dict, lineno: int):
+def _record(what: str, parse, raw: dict, where: str):
     """``parse(raw)``; a ``ParseError`` or ``InputError`` it raises comes out
-    as a ``ParseError`` naming the record and line."""
+    as a ``ParseError`` naming ``where`` (the file and line) and the record."""
     try:
         return parse(raw)
     except ParseError as exc:
-        raise ParseError(f"{what} {exc}", line=lineno) from exc
+        raise ParseError(f"{where}: {what} {exc}") from exc
     except InputError as exc:
-        raise ParseError(f"invalid {what}: {exc}", line=lineno) from exc
+        raise ParseError(f"{where}: invalid {what}: {exc}") from exc
 
 
 def _read_json(path: str | Path, what: str, parse):
     """``parse(raw)`` of the JSON object in file ``path``. Invalid JSON, a
     value that is no object, and a ``ParseError`` from ``parse`` come out as a
-    ``ParseError`` naming the file."""
+    ``ParseError`` naming the file, and a ``ConfigError`` from ``parse`` (a
+    value out of range) as a ``ConfigError`` naming it."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -300,19 +301,23 @@ def _read_json(path: str | Path, what: str, parse):
         return parse(raw)
     except ParseError as exc:
         raise ParseError(f"{path}: {what} {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _iter_jsonl(path: str | Path):
-    """Yield (line number, object) for each non-blank line of a JSONL file."""
+    """Yield (where, object) for each non-blank line of a JSONL file, where
+    ``where`` names the file and the line, as in ``tasks.jsonl: line 2``."""
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
             if not isinstance(raw, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            yield lineno, raw
+                raise ParseError(f"{where}: expected a JSON object")
+            yield where, raw

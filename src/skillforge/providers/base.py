@@ -2,22 +2,28 @@
 
 Providers are duck-typed: anything with the right method shape works. The
 engine ships seeded mocks (``skillforge.providers.mock``) and an
-OpenAI-compatible HTTP adapter (``skillforge.providers.http``).
+OpenAI-compatible HTTP adapter (``skillforge.providers.http``). Every chat
+reply a consumer uses comes through ``ask``, the one routine that re-asks.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
-from skillforge.errors import InputError
+from skillforge.errors import InputError, ParseError
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 16394
+ASK_ATTEMPTS = 3
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -74,10 +80,23 @@ class LikelihoodProvider(Protocol):
     def score_likelihood(self, condition: str, continuation: str) -> LikelihoodResult: ...
 
 
-def accept_reply(chat: ChatProvider, request: ChatRequest, reply: ChatResponse) -> None:
-    """Tell a memoizing ``chat`` (one with ``accept``) that its consumer took
-    ``reply``; only accepted replies may be served again."""
-    getattr(chat, "accept", lambda request, reply: None)(request, reply)
+def ask(chat: ChatProvider, request: ChatRequest, parse: Callable[[str], T], what: str) -> T:
+    """``parse(reply.text)`` of the first reply to ``request`` that parses.
+    An unparseable one (``parse`` raises ``ParseError``) is logged and the
+    request sent again; the last attempt's error is raised, naming ``what``.
+    A memoizing ``chat`` (one with ``accept``) is told which reply was taken;
+    only accepted replies may be served again."""
+    for attempt in range(1, ASK_ATTEMPTS + 1):
+        reply = chat.complete(request)
+        try:
+            parsed = parse(reply.text)
+        except ParseError as exc:
+            logger.warning("unparseable reply for %s (attempt %d of %d): %s", what, attempt, ASK_ATTEMPTS, exc)
+            error = exc
+            continue
+        getattr(chat, "accept", lambda request, reply: None)(request, reply)
+        return parsed
+    raise type(error)(f"no parseable reply for {what} in {ASK_ATTEMPTS} attempts: {error}") from error
 
 
 def validate_embed_inputs(texts: Sequence[str]) -> list[str]:

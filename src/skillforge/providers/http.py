@@ -15,9 +15,12 @@ Request and response shapes:
   ``text_offset`` lies inside the continuation span.
 
 Prompt text is forwarded byte-for-byte; the adapter never rewrites payload
-strings. Transport failures and HTTP 5xx responses are retried with
-exponential backoff, for at most ``retries`` attempts in all, with one
-warning logged per retry; 4xx responses are not retried.
+strings. A response body of the wrong shape, or with a value that cannot be
+read (a non-numeric or negative count, ragged vectors, a non-finite logprob),
+raises ``ProviderError``; an empty completion raises ``GenerationError``.
+Transport failures and HTTP 5xx responses are retried with exponential
+backoff, for at most ``retries`` attempts in all, with one warning logged
+per retry; 4xx responses are not retried.
 
 Endpoints come from ``SKILLFORGE_CHAT_URL``, ``SKILLFORGE_EMBED_URL``,
 ``SKILLFORGE_LOGPROB_URL``, and ``SKILLFORGE_API_KEY``.
@@ -28,12 +31,13 @@ from __future__ import annotations
 import logging
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from skillforge.errors import ConfigError, GenerationError, ProviderError
+from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError
 from skillforge.providers.base import (
     ChatRequest,
     ChatResponse,
@@ -106,6 +110,15 @@ class HttpConfig:
         return headers
 
 
+@contextmanager
+def _reading(what: str) -> Iterator[None]:
+    """Turn any fault in reading a response body into a ``ProviderError``."""
+    try:
+        yield
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError, InputError) as exc:
+        raise ProviderError(f"malformed {what} response: {exc!r}") from exc
+
+
 class _HttpBase:
     def __init__(self, config: HttpConfig) -> None:
         self.config = config
@@ -139,18 +152,18 @@ class HttpChatProvider(_HttpBase):
             "max_tokens": request.max_tokens,
         }
         raw = self._post(self.config.chat_url, payload)
-        try:
+        with _reading("chat"):
             text = raw["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed chat response: {exc}") from exc
-        if not text:
-            raise GenerationError("provider returned an empty completion")
-        usage = raw.get("usage", {})
-        return ChatResponse(
-            text=text,
-            tokens_in=int(usage.get("prompt_tokens", 0)),
-            tokens_out=int(usage.get("completion_tokens", 0)),
-        )
+            if not text:
+                raise GenerationError("provider returned an empty completion")
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not a string")
+            usage = raw.get("usage", {})
+            return ChatResponse(
+                text=text,
+                tokens_in=int(usage.get("prompt_tokens", 0)),
+                tokens_out=int(usage.get("completion_tokens", 0)),
+            )
 
 
 class HttpEmbeddingProvider(_HttpBase):
@@ -158,13 +171,11 @@ class HttpEmbeddingProvider(_HttpBase):
         texts = validate_embed_inputs(texts)
         payload = {"model": self.config.embed_model, "input": list(texts)}
         raw = self._post(self.config.embed_url, payload)
-        try:
+        with _reading("embedding"):
             vectors = np.array([row["embedding"] for row in raw["data"]], dtype=np.float64)
-        except (KeyError, TypeError) as exc:
-            raise ProviderError(f"malformed embedding response: {exc}") from exc
+            norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         if vectors.shape[0] != len(texts):
             raise ProviderError("embedding response count does not match input count")
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         return vectors / norms
 
@@ -181,21 +192,17 @@ class HttpLikelihoodProvider(_HttpBase):
             "logprobs": 0,
         }
         raw = self._post(self.config.logprob_url, payload)
-        try:
+        with _reading("logprob"):
             logprobs = raw["choices"][0]["logprobs"]
-            token_logprobs = logprobs["token_logprobs"]
-            offsets = logprobs["text_offset"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed logprob response: {exc}") from exc
-        boundary = len(condition)
-        total = 0.0
-        count = 0
-        for offset, logprob in zip(offsets, token_logprobs):
-            if offset < boundary:
-                continue
-            count += 1
-            if logprob is not None:
-                total += float(logprob)
-        if count == 0:
-            raise ProviderError("no tokens fell inside the continuation span")
-        return LikelihoodResult(sum_logprob=total, token_count=count)
+            boundary = len(condition)
+            total = 0.0
+            count = 0
+            for offset, logprob in zip(logprobs["text_offset"], logprobs["token_logprobs"]):
+                if offset < boundary:
+                    continue
+                count += 1
+                if logprob is not None:
+                    total += float(logprob)
+            if count == 0:
+                raise ProviderError("no tokens fell inside the continuation span")
+            return LikelihoodResult(sum_logprob=total, token_count=count)

@@ -33,7 +33,7 @@ import numpy as np
 from skillforge import prompts
 from skillforge.errors import ConfigError, InputError, MissingTagError, TaggingError
 from skillforge.model import FailurePair, Skill, SkillLibrary
-from skillforge.providers.base import ChatProvider, ChatRequest, EmbeddingProvider, accept_reply
+from skillforge.providers.base import ChatProvider, ChatRequest, EmbeddingProvider, ask
 
 logger = logging.getLogger(__name__)
 
@@ -41,8 +41,6 @@ TagSet = frozenset[str]
 
 _COLLAPSE_RE = re.compile(r"[\s_]+")
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]+|\d+[.)])\s*")
-
-TAG_RETRIES = 2
 
 JOIN_BLOCK = 32
 NEAR_DELTA = 1e-9
@@ -106,28 +104,23 @@ def build_target_tag_request(pair: FailurePair) -> ChatRequest:
     return ChatRequest(system=prompts.TARGET_TAG_SYSTEM, user=user)
 
 
-def _tags_from_chat(request: ChatRequest, chat: ChatProvider, what: str) -> TagSet:
-    last_reply = ""
-    for _ in range(TAG_RETRIES + 1):
-        reply = chat.complete(request)
-        last_reply = reply.text
-        tags = parse_tag_list(reply.text)
-        if tags:
-            accept_reply(chat, request, reply)
-            return frozenset(tags)
-    raise TaggingError(f"no parseable tags for {what} after {TAG_RETRIES} retries: {last_reply[:120]!r}")
+def _tag_set(text: str) -> TagSet:
+    tags = parse_tag_list(text)
+    if not tags:
+        raise TaggingError(f"no tags in {text[:120]!r}")
+    return frozenset(tags)
 
 
 def generate_skill_tags(skill: Skill, chat: ChatProvider) -> TagSet:
     """Ask the chat provider for the skill's knowledge tags."""
     if not skill.body:
         raise InputError(f"skill {skill.id!r} has an empty body")
-    return _tags_from_chat(build_skill_tag_request(skill), chat, f"skill {skill.id!r}")
+    return ask(chat, build_skill_tag_request(skill), _tag_set, f"skill {skill.id!r}")
 
 
 def generate_target_tags(pair: FailurePair, chat: ChatProvider) -> TagSet:
     """Infer the tag set a failed task requires from the task and its trajectory."""
-    return _tags_from_chat(build_target_tag_request(pair), chat, f"task {pair.task.id!r}")
+    return ask(chat, build_target_tag_request(pair), _tag_set, f"task {pair.task.id!r}")
 
 
 class EquivalenceIndex:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -105,8 +106,10 @@ def test_invalid_json_in_an_input_file_names_the_file(tmp_path, capsys, argv, na
         ({"config": {"n_tasks": "50"}}, "world field 'n_tasks' must be an integer"),
         ({"tag_universe": None}, "world field 'tag_universe' is missing"),
         ({"covered_universe": "ab"}, "world field 'covered_universe' must be an array of strings"),
+        ({"config": {"coverable_fraction": 2.0}}, "coverable_fraction must lie in [0, 1]"),
     ],
-    ids=["config-unknown-key", "config-string-count", "tag-universe-missing", "covered-universe-string"],
+    ids=["config-unknown-key", "config-string-count", "tag-universe-missing", "covered-universe-string",
+         "config-out-of-range"],
 )
 def test_evolve_names_the_file_and_field_of_a_bad_world(tmp_path, capsys, change, message):
     world_dir = tmp_path / "world"
@@ -222,7 +225,7 @@ def test_tag_command_rejects_a_non_object_task_line(tmp_path, capsys):
     src = tmp_path / "bad.jsonl"
     src.write_text('{"id":"t1","description":"Task t1"}\n[1, 2]\n', encoding="utf-8")
     assert dispatch(["tag", "--mock", "--tasks", str(src), "--out", str(tmp_path / "x.json")]) == 2
-    assert "error: line 2: expected a JSON object" in capsys.readouterr().err
+    assert f"error: {src}: line 2: expected a JSON object" in capsys.readouterr().err
 
 
 def test_tag_requires_exactly_one_input(tmp_path):
@@ -321,10 +324,10 @@ def test_config_file_sets_every_run_config_field(tmp_path):
 @pytest.mark.parametrize(
     "config, flags, message",
     [
-        ({"epochs": "3"}, [], "config file key 'epochs' must be an integer"),
-        ({"folds": 2.5}, [], "config file key 'folds' must be an integer"),
-        ({"runs": True}, [], "config file key 'runs' must be an integer"),
-        ({"delta": "0.9"}, [], "config file key 'delta' must be a number"),
+        ({"epochs": "3"}, [], "{path}: config field 'epochs' must be an integer"),
+        ({"folds": 2.5}, [], "{path}: config field 'folds' must be an integer"),
+        ({"runs": True}, [], "{path}: config field 'runs' must be an integer"),
+        ({"delta": "0.9"}, [], "{path}: config field 'delta' must be a number"),
         ({"strategy": "nope"}, [], "unknown selection strategy 'nope'"),
         ({}, ["--strategy", "nope", "--epochs", "0", "--runs", "1"], "unknown selection strategy 'nope'"),
         ({}, ["--strategy", "nope", "--epochs", "1", "--runs", "1"], "unknown selection strategy 'nope'"),
@@ -341,12 +344,13 @@ def test_bad_run_setting_fails_before_any_work(tmp_path, capsys, monkeypatch, co
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "o"
     assert dispatch(["eval", "--mock", "--config", str(path), "--out", str(out), *flags]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {message.format(path=path)}" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_config_file_unknown_key_is_named(tmp_path):
-    with pytest.raises(ConfigError, match="max_worker, retreival_k"):
+    path = re.escape(str(tmp_path / "config.json"))
+    with pytest.raises(ConfigError, match=f"^{path}: unknown config file key\\(s\\): max_worker, retreival_k$"):
         resolve_run_config(_eval_args(tmp_path, {"retreival_k": 3, "max_worker": 2, "seed": 1}))
     assert dispatch(["eval", "--mock", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
 
@@ -380,14 +384,14 @@ def test_tag_command_rejects_a_mistyped_task_field(tmp_path, capsys, line, messa
     src = tmp_path / "bad.jsonl"
     src.write_text(line + "\n", encoding="utf-8")
     assert dispatch(["tag", "--mock", "--tasks", str(src), "--out", str(tmp_path / "x.json")]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {src}: {message}" in capsys.readouterr().err
 
 
 def test_tag_command_rejects_a_string_of_skill_tags(tmp_path, capsys):
     src = tmp_path / "lib.jsonl"
     src.write_text('{"id":"s1","name":"n","description":"d","body":"b","tags":"python"}\n', encoding="utf-8")
     assert dispatch(["tag", "--mock", "--library", str(src), "--out", str(tmp_path / "o.jsonl")]) == 2
-    assert "error: line 1: skill field 'tags' must be an array of strings" in capsys.readouterr().err
+    assert f"error: {src}: line 1: skill field 'tags' must be an array of strings" in capsys.readouterr().err
 
 
 _PAIR = '"pair_id":"t1","task_description":"Task t1: requires capabilities: csv_parsing."}'
@@ -408,7 +412,7 @@ def test_score_command_names_the_line_and_field_of_a_bad_candidate(tmp_path, cap
     src.write_text('{"id":"c1","body":"b",' + _PAIR + "\n" + line + "\n", encoding="utf-8")
     out = tmp_path / "scores.csv"
     assert dispatch(["score", "--mock", "--candidates", str(src), "--out", str(out)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {src}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -421,7 +425,7 @@ def test_tag_command_names_the_line_of_a_skill_with_an_unknown_origin(tmp_path, 
     )
     out = tmp_path / "t.json"
     assert dispatch(["tag", "--mock", "--library", str(src), "--out", str(out)]) == 2
-    assert "error: line 2: invalid skill: unknown skill origin: 'robot'" in capsys.readouterr().err
+    assert f"error: {src}: line 2: invalid skill: unknown skill origin: 'robot'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -433,7 +437,44 @@ def test_score_command_names_the_line_of_a_candidate_with_an_unknown_origin(tmp_
     )
     out = tmp_path / "scores.csv"
     assert dispatch(["score", "--mock", "--candidates", str(src), "--out", str(out)]) == 2
-    assert "error: line 2: invalid candidate: unknown skill origin: 'robot'" in capsys.readouterr().err
+    assert f"error: {src}: line 2: invalid candidate: unknown skill origin: 'robot'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BAD_TASK = '{"id": 5, "description": "Task t2"}'
+_BAD_SKILL = '{"id": 5, "name": "n", "description": "d", "body": "b"}'
+
+
+@pytest.mark.parametrize(
+    "argv, name, line, message",
+    [
+        (["evolve", "--mock", "--world-dir", "{dir}", "--out", "{out}"], "tasks.jsonl", _BAD_TASK,
+         "task field 'id' must be a string"),
+        (["evolve", "--mock", "--world-dir", "{dir}", "--out", "{out}"], "library.jsonl", _BAD_SKILL,
+         "skill field 'id' must be a string"),
+        (["tag", "--mock", "--tasks", "{path}", "--out", "{out}"], "tasks.jsonl", _BAD_TASK,
+         "task field 'id' must be a string"),
+        (["tag", "--mock", "--library", "{path}", "--out", "{out}"], "library.jsonl", _BAD_SKILL,
+         "skill field 'id' must be a string"),
+        (["score", "--mock", "--candidates", "{path}", "--out", "{out}"], "candidates.jsonl", '{"id": "c2", ' + _PAIR,
+         "candidate field 'body' is missing"),
+        (["retrieve", "--library", "{path}", "--query", "csv"], "library.jsonl", "[1]", "expected a JSON object"),
+        (["retrieve", "--library", "{path}", "--query", "csv"], "library.jsonl", "{bad", "invalid JSON"),
+    ],
+    ids=["evolve-tasks", "evolve-library", "tag-tasks", "tag-library", "score-candidates", "retrieve-non-object",
+         "retrieve-invalid-json"],
+)
+def test_a_bad_jsonl_line_names_its_file(tmp_path, capsys, argv, name, line, message):
+    world = tmp_path / "w"
+    assert dispatch(["simworld", "--seed", "7", "--tasks", "4", "--out", str(world)]) == 0
+    path = world / name
+    # Line 1 stays good: the first task, the library's metadata line, or one candidate.
+    first = path.read_text(encoding="utf-8").splitlines()[0] if path.exists() else '{"id": "c1", "body": "b", ' + _PAIR
+    path.write_text(f"{first}\n{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert dispatch([arg.format(dir=world, path=path, out=out) for arg in argv]) == 2
+    assert f"error: {path}: line 2: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import re
 import sys
 import threading
 import time
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from skillforge import prompts
 from skillforge.cover import SelectionResult
-from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError, ScoringError
+from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError, ScoringError, TaggingError
 from skillforge.evolve import CandidateSkill, generate_candidates
 from skillforge.harness import (
     RATIO_SWEEP_VALUES,
@@ -40,11 +41,12 @@ from skillforge.harness import (
     _Session,
 )
 from skillforge.model import EvaluationRecord, SkillLibrary, Task, Trajectory, collect_failures
-from skillforge.providers.base import ChatRequest
+from skillforge.providers.base import ASK_ATTEMPTS, ChatRequest, ChatResponse
+from skillforge.providers.http import HttpConfig, HttpLikelihoodProvider
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
 from skillforge.retrieval import build_index, retrieve
 from skillforge.scoring import retention_count
-from skillforge.tags import EquivalenceIndex, generate_target_tags
+from skillforge.tags import EquivalenceIndex, generate_skill_tags, generate_target_tags
 from skillforge.world import WorldConfig, generate_world
 
 from conftest import ScriptedChat, StubLikelihood, build_eq, make_pair, make_skill
@@ -1060,6 +1062,63 @@ def test_session_asks_again_after_a_rejected_reply_and_serves_the_accepted_one()
     assert runs[0] == runs[1] and runs[0][0].skill.tags == {"some_tag"}
 
 
+class RoutedChat:
+    """Chat stub with one list of reply texts per system prompt, replayed in
+    order (the last one repeats); counts the requests sent per system prompt."""
+
+    def __init__(self, replies):
+        self.replies = replies
+        self.sent = Counter()
+
+    def complete(self, request):
+        texts = self.replies[request.system]
+        text = texts[min(self.sent[request.system], len(texts) - 1)]
+        self.sent[request.system] += 1
+        return ChatResponse(text=text, tokens_in=1, tokens_out=1)
+
+
+def _generate_one(session):
+    index = build_eq({"csv_parsing"}, MockEmbedder())
+    targets = {"task-001": frozenset({"csv_parsing"})}
+    return generate_candidates([make_pair("task-001")], SkillLibrary(), index, session, 0, targets)
+
+
+# consumer: (system prompt of its request, unparseable reply, good reply, call, what its error names)
+_CONSUMERS = {
+    "skill-tags": (prompts.SKILL_TAG_SYSTEM, "", "alpha_tag", lambda s: generate_skill_tags(make_skill(), s), "skill 's1'"),
+    "target-tags": (prompts.TARGET_TAG_SYSTEM, "???", "alpha_tag", lambda s: generate_target_tags(make_pair(), s),
+                    "task 'task-001'"),
+    "candidate": (prompts.GENERATE_SYSTEM, "not a skill", GOOD_SKILL_REPLY, _generate_one, None),
+}
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2, 3])
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+def test_every_consumer_reasks_the_same_way(consumer, bad):
+    system, garbage, good, call, what = _CONSUMERS[consumer]
+    replies = [garbage] * bad + [good] if bad < ASK_ATTEMPTS else [garbage]
+    chat = RoutedChat({prompts.SKILL_TAG_SYSTEM: ["some_tag"], system: replies})
+    session = _session(chat=chat)
+    if bad < ASK_ATTEMPTS:
+        first = call(session)
+        assert first and chat.sent[system] == bad + 1
+        assert call(session) == first
+        assert chat.sent[system] == bad + 1  # the accepted reply is served from the memo
+        return
+    if what is None:
+        assert call(session) == []  # the pair is skipped
+    else:
+        with pytest.raises(TaggingError, match=f"no parseable reply for {what} in 3 attempts"):
+            call(session)
+    assert chat.sent[system] == ASK_ATTEMPTS
+    if what is None:
+        assert call(session) == []
+    else:
+        with pytest.raises(TaggingError):
+            call(session)
+    assert chat.sent[system] == 2 * ASK_ATTEMPTS  # no unparseable reply was memoized
+
+
 class FlakyLikelihood(MockLikelihoodScorer):
     def __init__(self):
         super().__init__(seed=7)
@@ -1259,6 +1318,71 @@ def test_evolve_library_survives_an_empty_completion():
     library, _, stats_list = evolve_library(RunConfig(seed=7, epochs=2), world, _bundle(chat))
     assert library.epoch == 2
     assert len(stats_list) == 2
+
+
+class OneFaultChat(MockChatProvider):
+    """Mock chat that answers one task's requests under one system prompt with
+    ``fault``: an exception to raise, or the text of every reply."""
+
+    def __init__(self, system, task_id, fault, **kwargs):
+        super().__init__(**kwargs)
+        self.system, self.marker, self.fault = system, f"Task {task_id}:", fault
+
+    def complete(self, request):
+        if request.system == self.system and self.marker in request.user:
+            if isinstance(self.fault, Exception):
+                raise self.fault
+            return ChatResponse(text=self.fault)
+        return super().complete(request)
+
+
+def _http_likelihood(bad_prefix):
+    """An HTTP likelihood adapter on a stub transport: -1.0 per
+    whitespace-separated token, and a non-numeric logprob for every prompt
+    that starts with ``bad_prefix``."""
+
+    def transport(url, payload, headers):
+        prompt = payload["prompt"]
+        offsets = [match.start() for match in re.finditer(r"\S+", prompt)]
+        logprob = "garbled" if prompt.startswith(bad_prefix) else -1.0
+        return {"choices": [{"logprobs": {"token_logprobs": [logprob] * len(offsets), "text_offset": offsets}}]}
+
+    return HttpLikelihoodProvider(HttpConfig(logprob_url="http://logprob", transport=transport, sleep=lambda _: None))
+
+
+@pytest.mark.parametrize("fault", ["target-tag-generation-error", "generation-provider-error",
+                                   "generation-unparseable", "http-logprob-malformed"])
+def test_one_injected_fault_drops_one_pair_and_the_epoch_completes(fault):
+    world = _world(n_tasks=20)
+    library = world.initial_library()
+    tasks = list(world.tasks)
+    config = RunConfig(seed=7, max_workers=1)
+    records, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
+    failing = sorted(pair.task.id for pair in collect_failures(records))
+    victim = failing[len(failing) // 2]
+    bundle = {
+        "target-tag-generation-error": lambda: _bundle(OneFaultChat(
+            prompts.TARGET_TAG_SYSTEM, victim, GenerationError("provider returned an empty completion"), seed=7)),
+        "generation-provider-error": lambda: _bundle(OneFaultChat(
+            prompts.GENERATE_SYSTEM, victim, ProviderError("request rejected: 400"), seed=7)),
+        "generation-unparseable": lambda: _bundle(OneFaultChat(prompts.GENERATE_SYSTEM, victim, "not a skill", seed=7)),
+        "http-logprob-malformed": lambda: replace(
+            _bundle(MockChatProvider(seed=7)),
+            likelihood=_http_likelihood(next(t.description for t in tasks if t.id == victim)),
+        ),
+    }[fault]()
+    _, updated, stats = run_epoch(library, tasks, world, _Session(bundle), config)
+
+    assert stats.n_failures == clean.n_failures
+    assert stats.n_candidates == clean.n_candidates - 1
+    assert {row["pair_id"] for row in stats.score_rows} == set(failing) - {victim}
+    ids = updated.ids()
+    assert len(set(ids)) == len(ids)
+    assert updated.epoch == library.epoch + 1
+    retained = {row["candidate_id"] for row in stats.score_rows if row["retained"]}
+    assert retained <= {row["candidate_id"] for row in stats.score_rows}
+    assert set(ids) - set(library.ids()) == retained
+    assert len(retained) == stats.n_retained == retention_count(stats.n_candidates, config.filter_ratio)
 
 
 def test_lp_memo_lives_for_one_run_seed(linprog_calls):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -246,7 +247,7 @@ def test_task_loader_names_the_line_and_a_mistyped_field(tmp_path, record, messa
 
     path = tmp_path / "tasks.jsonl"
     path.write_text('{"id":"t0","description":"fine"}\n' + json.dumps(record) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=f"^line 2: {message}"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: {message}"):
         load_tasks(path)
 
 
@@ -264,7 +265,7 @@ def test_task_loader_names_the_line_and_a_mistyped_field(tmp_path, record, messa
 def test_library_loader_names_the_line_and_a_mistyped_field(tmp_path, fields, message):
     path = tmp_path / "lib.jsonl"
     path.write_text(json.dumps({**_SKILL_LINE, **fields}) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=f"^line 1: {message}"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 1: {message}"):
         load_library(path)
 
 
@@ -277,5 +278,5 @@ def test_library_loader_keeps_well_typed_optional_fields(tmp_path):
 def test_library_loader_rejects_a_mistyped_epoch(tmp_path):
     path = tmp_path / "lib.jsonl"
     path.write_text('{"format":"skillforge-library","version":1,"epoch":"x"}\n', encoding="utf-8")
-    with pytest.raises(ParseError, match="^line 1: library field 'epoch' must be an integer"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 1: library field 'epoch' must be an integer"):
         load_library(path)

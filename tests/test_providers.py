@@ -290,6 +290,40 @@ def test_http_malformed_responses_are_provider_errors():
         HttpLikelihoodProvider(_config(bad_logprob)).score_likelihood("c", "x")
 
 
+_CHAT_OK = {"choices": [{"message": {"content": "fine"}}]}
+
+
+def _logprobs(token_logprobs, text_offset):
+    return {"choices": [{"logprobs": {"token_logprobs": token_logprobs, "text_offset": text_offset}}]}
+
+
+@pytest.mark.parametrize(
+    "body, call",
+    [
+        ({**_CHAT_OK, "usage": {"prompt_tokens": "many"}}, "chat"),
+        ({**_CHAT_OK, "usage": {"prompt_tokens": -3}}, "chat"),
+        ({**_CHAT_OK, "usage": {"completion_tokens": float("inf")}}, "chat"),
+        ({"choices": [{"message": {"content": 5}}]}, "chat"),
+        ({"data": [{"embedding": [1.0, 0.0]}, {"embedding": [1.0]}]}, "embed"),
+        ({"data": [{"embedding": 1.0}, {"embedding": 2.0}]}, "embed"),
+        (_logprobs([None, "low"], [0, 1]), "logprob"),
+        (_logprobs([None, -1.0], None), "logprob"),
+        (json.loads('{"choices": [{"logprobs": {"token_logprobs": [null, -Infinity], "text_offset": [0, 1]}}]}'), "logprob"),
+    ],
+    ids=["tokens-non-numeric", "tokens-negative", "tokens-infinite", "content-number", "embedding-ragged",
+         "embedding-scalar", "logprob-non-numeric", "text-offset-null", "logprob-minus-infinity"],
+)
+def test_every_malformed_http_body_is_a_provider_error(body, call):
+    config = _config(lambda url, payload, headers: body)
+    calls = {
+        "chat": lambda: HttpChatProvider(config).complete(ChatRequest(system="s", user="u")),
+        "embed": lambda: HttpEmbeddingProvider(config).embed(["a", "b"]),
+        "logprob": lambda: HttpLikelihoodProvider(config).score_likelihood("c", "xy"),
+    }
+    with pytest.raises(ProviderError, match=f"malformed {call}"):
+        calls[call]()
+
+
 def test_http_embed_count_mismatch_rejected():
     def transport(url, payload, headers):
         return {"data": [{"embedding": [1.0, 0.0]}]}
