@@ -55,13 +55,12 @@ def candidate_id(epoch: int, pair_id: str) -> str:
 
 
 def build_cover_instance(
-    target: TagSet, library: SkillLibrary, index: EquivalenceIndex
+    target: TagSet, skill_classes: dict[str, TagSet], index: EquivalenceIndex
 ) -> CoverInstance:
-    """Canonicalize the target tags and every library skill's tags into class ids."""
-    return CoverInstance(
-        target_classes=index.canonical_set(target),
-        skill_classes={skill.id: index.canonical_set(skill.tags) for skill in library},
-    )
+    """Canonicalize the target tags into class ids; ``skill_classes`` maps
+    each library skill id to its tags' class ids, canonicalized once per
+    ``generate_candidates`` call."""
+    return CoverInstance(target_classes=index.canonical_set(target), skill_classes=skill_classes)
 
 
 def assemble_generation_prompt(
@@ -133,11 +132,13 @@ def generate_candidates(
     pairs; candidates come back in pair-id order.
     """
     prepped: list[tuple[str, SelectionResult, ChatRequest]] = []
+    # Neither the library nor ``index`` changes during the call.
+    skill_classes = {skill.id: index.canonical_set(skill.tags) for skill in library}
     for pair in sorted(failures, key=lambda p: p.task.id):
         pair_id = pair.task.id
         if pair_id not in target_tags:
             raise InputError(f"no target tags supplied for failing task {pair_id!r}")
-        instance = build_cover_instance(target_tags[pair_id], library, index)
+        instance = build_cover_instance(target_tags[pair_id], skill_classes, index)
         selection = select_sources(instance, strategy)
         sources = [library.get(sid) for sid in selection.selected]
         uncovered = sorted(selection.uncovered)

@@ -10,9 +10,11 @@ fold; ``evolve_library`` runs it once on every task with nothing held out,
 which is the leaky protocol that ``folds=1`` also gets. Epoch 0 is always
 evaluated first so the no-evolution baseline anchors each report. Each run
 (run seed or ``evolve_library`` call) sends its provider calls through one
-``_Session``, which memoizes accepted temperature-0 chat replies, likelihood
-scores and embeddings and counts the tokens of every reply and score it
-serves; each epoch reports the growth of that count.
+``_Session``, which memoizes accepted temperature-0 chat replies (as the
+values their consumers parsed), likelihood scores and embeddings and counts
+the tokens of every reply and score it serves; each epoch reports the growth
+of that count. A fault in embedding one batch of target or candidate tags
+drops only the pairs or candidates whose own tags fail.
 
 Wall-clock numbers come from an injectable monotonic clock and are excluded
 from determinism comparisons (see ``strip_wall_clock``).
@@ -146,16 +148,19 @@ class _Session:
     """One run's stand-in for all three roles of a bundle, memoizing replies
     and metering tokens.
 
-    ``complete`` serves a temperature-0 request the reply a consumer
-    ``accept``-ed for it, so re-asks and warmer requests reach the provider;
-    ``score_likelihood`` keeps each (condition, continuation) score; ``embed``
-    validates every call, hits included, and sends each text to the embedder
-    once (a text must get the same vector in any batch). A raising call stores
-    nothing. ``tokens`` sums ``tokens_in + tokens_out`` of every reply and
-    ``token_count`` of every score served, memo hits included, under the lock,
-    since stages call the session from threads. Chat and likelihood misses are
-    sent unlocked, so two threads missing on one request at once may both
-    send it.
+    ``complete`` always sends the request. ``accept(request, reply, parsed)``
+    keeps, for a temperature-0 request, the reply's token count and the value
+    the consumer parsed from it, and ``recall(request)`` serves that value
+    (``None`` when nothing is kept), so ``providers.base.ask`` neither sends
+    nor parses a request twice, while re-asks and warmer requests reach the
+    provider. ``score_likelihood`` keeps each (condition, continuation) score;
+    ``embed`` validates every call, hits included, and sends each text to the
+    embedder once (a text must get the same vector in any batch). A raising
+    call stores nothing. ``tokens`` sums ``tokens_in + tokens_out`` of every
+    reply and ``token_count`` of every score served, memo hits included,
+    under the lock, since stages call the session from threads. Chat and
+    likelihood misses are sent unlocked, so two threads missing on one
+    request at once may both send it.
     """
 
     chat = embedder = likelihood = property(lambda self: self)
@@ -163,21 +168,24 @@ class _Session:
     def __init__(self, providers: ProviderBundle) -> None:
         self._providers = providers
         self._lock = threading.Lock()
-        self._replies: dict[ChatRequest, ChatResponse] = {}
+        self._replies: dict[ChatRequest, tuple[int, object]] = {}
         self._scores: dict[tuple[str, str], LikelihoodResult] = {}
         self._vectors: dict[str, np.ndarray] = {}
         self.tokens = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        reply = self._replies.get(request)
-        if reply is None:
-            reply = self._providers.chat.complete(request)
+        reply = self._providers.chat.complete(request)
         self._add(reply.tokens_in + reply.tokens_out)
         return reply
 
-    def accept(self, request: ChatRequest, reply: ChatResponse) -> None:
+    def recall(self, request: ChatRequest):
+        tokens, parsed = self._replies.get(request, (0, None))
+        self._add(tokens)
+        return parsed
+
+    def accept(self, request: ChatRequest, reply: ChatResponse, parsed) -> None:
         if request.temperature == 0.0:
-            self._replies[request] = reply
+            self._replies[request] = (reply.tokens_in + reply.tokens_out, parsed)
 
     def score_likelihood(self, condition: str, continuation: str) -> LikelihoodResult:
         key = (condition, continuation)
@@ -355,19 +363,9 @@ def run_epoch(
             return None
 
     inferred = parallel_map(_infer, ordered, max_workers=config.max_workers)
-    target_tags: dict[str, TagSet] = {}
-    tagged_pairs = []
-    for pair, tags in zip(ordered, inferred):
-        if tags is None:
-            continue
-        target_tags[pair.task.id] = tags
-        tagged_pairs.append(pair)
-    ordered = tagged_pairs
-
-    all_targets: set[str] = set()
-    for tags in target_tags.values():
-        all_targets |= tags
-    eq.add_tags(all_targets, providers.embedder)
+    target_tags = {pair.task.id: tags for pair, tags in zip(ordered, inferred) if tags is not None}
+    target_tags = _add_tags_or_drop(eq, target_tags, providers.embedder, "pair")
+    ordered = [pair for pair in ordered if pair.task.id in target_tags]
 
     candidates = generate_candidates(
         ordered,
@@ -381,10 +379,8 @@ def run_epoch(
         max_workers=config.max_workers,
     )
 
-    candidate_tags: set[str] = set()
-    for candidate in candidates:
-        candidate_tags |= candidate.skill.tags
-    eq.add_tags(candidate_tags, providers.embedder)
+    kept = _add_tags_or_drop(eq, {c.skill.id: c.skill.tags for c in candidates}, providers.embedder, "candidate")
+    candidates = [candidate for candidate in candidates if candidate.skill.id in kept]
 
     tasks_by_id = {task.id: task for task in tasks}
 
@@ -415,6 +411,30 @@ def run_epoch(
         score_rows=tuple(rows),
     )
     return records, updated, stats
+
+
+def _add_tags_or_drop(
+    eq: EquivalenceIndex, tags_of: dict[str, TagSet], embedder: EmbeddingProvider, what: str
+) -> dict[str, TagSet]:
+    """Add the tags of every item (pair or candidate id -> tag set) to ``eq``
+    and return the items whose tags joined. One batch serves them all unless
+    it raises one of ``PAIR_FAULTS``; then each item's tags are added alone
+    and an item whose own tags fail is dropped with a warning. A raising
+    ``add_tags`` changes nothing, and the partition does not depend on the
+    order tags arrive in, so the kept items' classes are those of one batch."""
+    try:
+        eq.add_tags(set().union(*tags_of.values()), embedder)
+        return tags_of
+    except PAIR_FAULTS:
+        pass
+    kept = {}
+    for item, tags in tags_of.items():
+        try:
+            eq.add_tags(tags, embedder)
+            kept[item] = tags
+        except PAIR_FAULTS as exc:
+            logger.warning("skipping %s %s: %s", what, item, exc)
+    return kept
 
 
 def _mean(values: Sequence[float]) -> float | None:

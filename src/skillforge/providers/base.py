@@ -84,8 +84,14 @@ def ask(chat: ChatProvider, request: ChatRequest, parse: Callable[[str], T], wha
     """``parse(reply.text)`` of the first reply to ``request`` that parses.
     An unparseable one (``parse`` raises ``ParseError``) is logged and the
     request sent again; the last attempt's error is raised, naming ``what``.
-    A memoizing ``chat`` (one with ``accept``) is told which reply was taken;
-    only accepted replies may be served again."""
+    A memoizing ``chat`` (one with ``recall`` and ``accept``) is asked first
+    for the value it keeps for ``request``, which is returned unparsed, and
+    is told which reply was taken and what it parsed to; only accepted
+    replies may be served again. ``parse`` must be pure and return an
+    immutable value, since a kept one is served to every later ask."""
+    recalled = getattr(chat, "recall", lambda request: None)(request)
+    if recalled is not None:
+        return recalled
     for attempt in range(1, ASK_ATTEMPTS + 1):
         reply = chat.complete(request)
         try:
@@ -94,7 +100,7 @@ def ask(chat: ChatProvider, request: ChatRequest, parse: Callable[[str], T], wha
             logger.warning("unparseable reply for %s (attempt %d of %d): %s", what, attempt, ASK_ATTEMPTS, exc)
             error = exc
             continue
-        getattr(chat, "accept", lambda request, reply: None)(request, reply)
+        getattr(chat, "accept", lambda request, reply, parsed: None)(request, reply, parsed)
         return parsed
     raise type(error)(f"no parseable reply for {what} in {ASK_ATTEMPTS} attempts: {error}") from error
 

@@ -25,10 +25,14 @@ matrix ``weights`` with one row per distinct known term of the batch (row 0
 is all zeros and stands for unknown terms and padding) and one column per
 document in id order: each column's weight goes to the id-order position
 that the index computed once at build time, because appended ``evo-...``
-ids sort before ``human-...`` ones. A matrix ``positions`` has row i list,
-position by position, the rows of query i's terms, duplicates included,
+ids sort before ``human-...`` ones. Each query is keyed by the tuple of
+its known terms' rows, in query order, duplicates included; its unknown
+terms are left out, since their row 0 would only add ``x + 0.0``. Queries
+with equal keys get the same scores, so each distinct key is scored and
+ranked once and every query gets its own copy of its key's list. A matrix
+``positions`` has row i list, position by position, distinct key i's rows,
 padded with row 0. Scores start at zero and ``scores +=
-weights[positions[:, j]]`` adds position j of every query at once. A
+weights[positions[:, j]]`` adds position j of every key at once. A
 document therefore receives its contributions one at a time, in query
 order, like a term-by-term loop; every other add is ``x + 0.0``, which is
 exact for the non-negative finite scores BM25 produces, so every score is
@@ -198,19 +202,23 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tupl
     contributions = np.repeat(idf, per_term) * tf * (index.k1 + 1) / (tf + norm[posted])
     weights = np.zeros((len(rows) + 1, n_docs))
     weights[np.repeat(np.arange(1, len(rows) + 1), per_term), index._id_rank[posted]] = contributions
-    lengths = np.array([len(query) for query in terms], dtype=np.intp)
-    positions = np.zeros((len(terms), lengths.max()), dtype=np.intp)
-    # A boolean mask fills row by row: query i's terms, then query i + 1's.
-    positions[np.arange(positions.shape[1]) < lengths[:, None]] = [
-        rows.get(term, 0) for term in chain.from_iterable(terms)
+    # Equal keys score alike, so each distinct key is ranked once.
+    slots: dict[tuple[int, ...], int] = {}
+    slot_of = [
+        slots.setdefault(tuple(rows[term] for term in query if term in rows), len(slots)) for query in terms
     ]
-    scores = np.zeros((len(terms), n_docs))
+    lengths = np.array([len(key) for key in slots], dtype=np.intp)
+    positions = np.zeros((len(slots), lengths.max()), dtype=np.intp)
+    # A boolean mask fills row by row: key i's rows, then key i + 1's.
+    positions[np.arange(positions.shape[1]) < lengths[:, None]] = list(chain.from_iterable(slots))
+    scores = np.zeros((len(slots), n_docs))
     for j in range(positions.shape[1]):
         scores += weights[positions[:, j]]
     top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
     top_scores = np.take_along_axis(scores, top, axis=1).tolist()
     ids = index.doc_ids
-    return [
+    ranked = [
         [(ids[column], score) for column, score in zip(columns, row_scores) if score > 0.0]
         for columns, row_scores in zip(top.tolist(), top_scores)
     ]
+    return [ranked[slot].copy() for slot in slot_of]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from skillforge.cover import SelectionResult
+from skillforge.cover import CoverInstance, SelectionResult, select_sources
 from skillforge.errors import GenerationError, InputError, ParseError, ProviderError
 from skillforge.evolve import (
     assemble_generation_prompt,
@@ -239,10 +239,42 @@ def test_build_cover_instance_canonicalizes_through_index():
     # force a and a_alias into one class
     index2 = EquivalenceIndex()
     index2.add_tags(["a", "a_alias", "b"], GroupEmbedder(groups=[("a", "a_alias")]))
-    library = SkillLibrary(skills=(make_skill("s1", tags=("a_alias",)),))
-    instance = build_cover_instance(frozenset({"a", "b"}), library, index2)
+    instance = build_cover_instance(frozenset({"a_alias", "b"}), {"s1": frozenset({"a"})}, index2)
     assert instance.target_classes == frozenset({"a", "b"})
-    assert instance.skill_classes["s1"] == frozenset({"a"})
+    assert instance.skill_classes == {"s1": frozenset({"a"})}
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "primal_dual", "lp_round"])
+def test_generate_candidates_canonicalizes_each_library_skill_once(monkeypatch, strategy):
+    index = EquivalenceIndex()
+    index.add_tags(["a", "a_alias", "b", "c", "d", "e"], GroupEmbedder(groups=[("a", "a_alias")]))
+    library = SkillLibrary(skills=(
+        make_skill("s1", tags=("a_alias",)), make_skill("s2", tags=("b", "c")),
+        make_skill("s3", tags=("c", "d")), make_skill("s4", tags=("a", "e")),
+    ))
+    targets = {
+        "task-001": frozenset({"a", "b"}), "task-002": frozenset({"c", "e"}),
+        "task-003": frozenset({"a_alias", "d", "e"}), "task-004": frozenset({"b"}),
+    }
+    expected = {
+        pair_id: select_sources(CoverInstance(
+            target_classes=index.canonical_set(target),
+            skill_classes={skill.id: index.canonical_set(skill.tags) for skill in library},
+        ), strategy)
+        for pair_id, target in targets.items()
+    }
+    calls = []
+    canonical_set = EquivalenceIndex.canonical_set
+
+    def counting(self, tags):
+        calls.append(tags)
+        return canonical_set(self, tags)
+
+    monkeypatch.setattr(EquivalenceIndex, "canonical_set", counting)
+    pairs = [make_pair(pair_id) for pair_id in targets]
+    candidates = generate_candidates(pairs, library, index, MockChatProvider(seed=2), 0, targets, strategy=strategy)
+    assert len(calls) == len(pairs) + len(library)
+    assert {c.source_pair_id: c.selection for c in candidates} == expected
 
 
 def test_dump_prompts_writes_files(tmp_path):

@@ -41,7 +41,7 @@ from skillforge.harness import (
     _Session,
 )
 from skillforge.model import EvaluationRecord, SkillLibrary, Task, Trajectory, collect_failures
-from skillforge.providers.base import ASK_ATTEMPTS, ChatRequest, ChatResponse
+from skillforge.providers.base import ASK_ATTEMPTS, ChatRequest, ChatResponse, ask
 from skillforge.providers.http import HttpConfig, HttpLikelihoodProvider
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
 from skillforge.retrieval import build_index, retrieve
@@ -943,7 +943,7 @@ def _session(chat=None, embedder=None, likelihood=None):
 class _Unmemoized(_Session):
     """A session that memoizes nothing but still meters every reply and score."""
 
-    def accept(self, request, reply):
+    def accept(self, request, reply, parsed):
         pass
 
     def score_likelihood(self, condition, continuation):
@@ -1148,12 +1148,34 @@ def test_session_sends_every_warm_request():
     session = _session(chat=chat)
     warm = ChatRequest(system="s", user="u", temperature=0.7)
     for _ in range(3):
-        session.accept(warm, session.complete(warm))
+        assert session.recall(warm) is None
+        session.accept(warm, session.complete(warm), frozenset({"alpha_tag"}))
     assert chat.requests == [warm] * 3
     cold = replace(warm, temperature=0.0)
-    session.accept(cold, session.complete(cold))
-    session.complete(cold)
+    assert session.recall(cold) is None
+    session.accept(cold, session.complete(cold), frozenset({"alpha_tag"}))
+    assert session.recall(cold) == {"alpha_tag"}
     assert len(chat.requests) == 4
+    session.complete(cold)  # complete always sends; only recall serves the memo
+    assert len(chat.requests) == 5
+
+
+def test_a_memo_hit_is_served_parsed_and_metered_alike():
+    chat = ScriptedChat(["alpha_tag, beta_tag"])
+    session = _session(chat=chat)
+    request = ChatRequest(system=prompts.TARGET_TAG_SYSTEM, user="Task t1: two words")
+    parsed_texts = []
+
+    def parse(text):
+        parsed_texts.append(text)
+        return frozenset(text.split(", "))
+
+    first = ask(session, request, parse, "task 't1'")
+    sent_tokens = session.tokens
+    assert first == {"alpha_tag", "beta_tag"} and sent_tokens == 4 + 2
+    assert ask(session, request, parse, "task 't1'") is first
+    assert parsed_texts == ["alpha_tag, beta_tag"] and len(chat.requests) == 1
+    assert session.tokens == 2 * sent_tokens
 
 
 class CountingChat(MockChatProvider):
@@ -1205,9 +1227,8 @@ def test_session_memo_under_thread_contention():
         shift = worker * 5
         out = []
         for body, request in zip(bodies[shift:] + bodies[:shift], requests[shift:] + requests[:shift]):
-            reply = session.complete(request)
-            session.accept(request, reply)
-            out.append((body, request, session.score_likelihood("task", body), reply))
+            text = ask(session, request, str.strip, "a request")
+            out.append((body, request, session.score_likelihood("task", body), text))
         results[worker] = out
 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
@@ -1224,17 +1245,24 @@ def test_session_memo_under_thread_contention():
     assert len(results) == len(threads)
     mock_chat, mock_likelihood = MockChatProvider(seed=7), MockLikelihoodScorer(seed=7)
     for out in results.values():
-        for body, request, score, reply in out:
+        for body, request, score, text in out:
             assert score == mock_likelihood.score_likelihood("task", body)
-            assert reply == mock_chat.complete(request)
+            assert text == mock_chat.complete(request).text
     sent = (sum(chats.values()), sum(pairs.values()))
-    served = [(score, reply) for out in results.values() for _, _, score, reply in out]
+    served = [(body, request) for out in results.values() for body, request, _, _ in out]
     for body, request in zip(bodies, requests):
-        served.append((session.score_likelihood("task", body), session.complete(request)))
+        session.score_likelihood("task", body)
+        ask(session, request, str.strip, "a request")
+        served.append((body, request))
     assert (sum(chats.values()), sum(pairs.values())) == sent  # every key ended up memoized
     assert set(chats) == set(requests) and set(pairs) == {("task", b) for b in bodies}
+
+    def tokens(body, request):
+        reply = mock_chat.complete(request)
+        return mock_likelihood.score_likelihood("task", body).token_count + reply.tokens_in + reply.tokens_out
+
     # memo hits are metered too, and no thread's addition is lost
-    assert session.tokens == sum(s.token_count + r.tokens_in + r.tokens_out for s, r in served)
+    assert session.tokens == sum(tokens(body, request) for body, request in served)
 
 
 def _sent(counters):
@@ -1383,6 +1411,40 @@ def test_one_injected_fault_drops_one_pair_and_the_epoch_completes(fault):
     assert retained <= {row["candidate_id"] for row in stats.score_rows}
     assert set(ids) - set(library.ids()) == retained
     assert len(retained) == stats.n_retained == retention_count(stats.n_candidates, config.filter_ratio)
+
+
+class PoisonEmbedder(MockEmbedder):
+    """Mock embedder whose whole batch fails, as a malformed HTTP body does,
+    whenever it holds the tag ``poison_tag``."""
+
+    def embed(self, texts):
+        if "poison_tag" in texts:
+            raise ProviderError("malformed embedding response: ValueError('ragged rows')")
+        return super().embed(texts)
+
+
+@pytest.mark.parametrize("stage", ["target-tags", "candidate-tags"])
+def test_a_failed_embedding_batch_drops_only_the_pair_that_holds_the_bad_tag(stage):
+    world = _world(n_tasks=20)
+    library = world.initial_library()
+    tasks = list(world.tasks)
+    config = RunConfig(seed=7, max_workers=1)
+    records, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
+    failing = sorted(pair.task.id for pair in collect_failures(records))
+    victim = failing[len(failing) // 2]
+    chat = {
+        "target-tags": OneFaultChat(prompts.TARGET_TAG_SYSTEM, victim, "poison_tag\ncsv_parsing", seed=7),
+        "candidate-tags": OneFaultChat(
+            prompts.GENERATE_SYSTEM, victim, "NAME: odd routine\nDESCRIPTION: d\nBODY:\nuse poison_tag", seed=7),
+    }[stage]
+    bundle = replace(_bundle(chat), embedder=PoisonEmbedder())
+    _, updated, stats = run_epoch(library, tasks, world, _Session(bundle), config)
+
+    assert stats.n_failures == clean.n_failures
+    assert stats.n_candidates == clean.n_candidates - 1
+    assert {row["pair_id"] for row in stats.score_rows} == set(failing) - {victim}
+    assert updated.epoch == library.epoch + 1
+    assert len(updated) == len(library) + stats.n_retained
 
 
 def test_lp_memo_lives_for_one_run_seed(linprog_calls):

@@ -234,6 +234,23 @@ _WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "eps", "zeta", "x1"
 _QUERY = st.lists(st.one_of(_WORDS, st.just("absent"), st.just("")), max_size=12)
 
 
+def _batch(queries: list[list[str]]) -> list[str]:
+    """The drawn queries, each beside a copy with unindexed words spliced in,
+    then all of them again in reverse order, then a query with no indexed
+    word: equal keys recur both next to each other and far apart."""
+    texts = []
+    for query in queries:
+        texts += [" ".join(query), " ".join(["nowhere", *query[:1], "absent", *query[1:], "nowhere"])]
+    return texts + texts[::-1] + ["absent nowhere"]
+
+
+def _retrieve_apart(index: Bm25Index, texts: list[str], k: int) -> list[list[tuple[str, float]]]:
+    """``retrieve``, checking that no two queries share a result list."""
+    results = retrieve(index, texts, k)
+    assert len({id(result) for result in results}) == len(results)
+    return results
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(
     bodies=st.lists(st.lists(st.one_of(_WORDS, st.just("!!")), max_size=9), min_size=1, max_size=10),
@@ -249,8 +266,17 @@ def test_postings_match_the_full_scan_exactly(bodies, copies, queries, k, k1, b)
     bodies = bodies + [bodies[0]] * copies
     library = _library({f"d{i:02d}": " ".join(words) for i, words in enumerate(bodies)})
     index = build_index(library, k1=k1, b=b)
-    texts = [" ".join(query) for query in queries]
-    assert retrieve(index, texts, k) == [_full_scan(library, text, k, k1, b) for text in texts]
+    texts = _batch(queries)
+    assert _retrieve_apart(index, texts, k) == [_full_scan(library, text, k, k1, b) for text in texts]
+
+
+def test_equal_queries_get_lists_of_their_own():
+    library = _library({"d1": "alpha beta", "d2": "beta gamma"})
+    index = build_index(library)
+    first, second, spliced = retrieve(index, ["beta", "beta", "absent beta"], 2)
+    assert first == second == spliced == _full_scan(library, "beta", 2)
+    first.clear()
+    assert second == spliced == _full_scan(library, "beta", 2)
 
 
 def _counting_tokenize(monkeypatch) -> list[str]:
@@ -316,7 +342,7 @@ def _frozen(index: Bm25Index) -> tuple:
 )
 def test_a_chain_of_grown_indexes_ranks_like_fresh_builds(docs, cuts, queries, k, k1, b):
     bodies = [(doc_id, " ".join(words)) for doc_id, words in docs.items()]
-    texts = [" ".join(query) for query in queries]
+    texts = _batch(queries)
     index = None
     for end in sorted(set(cuts) | {len(bodies)}):
         library = _library(dict(bodies[:end]))
@@ -328,7 +354,7 @@ def test_a_chain_of_grown_indexes_ranks_like_fresh_builds(docs, cuts, queries, k
         assert _by_id(grown) == _by_id(fresh)
         assert grown.doc_ids == fresh.doc_ids
         expected = [_full_scan(library, text, k, k1, b) for text in texts]
-        assert retrieve(grown, texts, k) == retrieve(fresh, texts, k) == expected
+        assert _retrieve_apart(grown, texts, k) == _retrieve_apart(fresh, texts, k) == expected
         index = grown
 
 
