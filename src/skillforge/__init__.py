@@ -9,14 +9,12 @@ mock providers and a synthetic task world.
 """
 
 from skillforge.model import (
-    EvaluationRecord,
     FailurePair,
     Skill,
     SkillLibrary,
     Task,
     Trajectory,
     add_skills,
-    collect_failures,
     load_library,
     save_library,
 )
@@ -24,14 +22,12 @@ from skillforge.model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvaluationRecord",
     "FailurePair",
     "Skill",
     "SkillLibrary",
     "Task",
     "Trajectory",
     "add_skills",
-    "collect_failures",
     "load_library",
     "save_library",
     "__version__",

@@ -71,6 +71,18 @@ class CoverInstance:
     def coverable(self) -> frozenset[str]:
         return self.target_classes & _union(self.skill_classes.values())
 
+    def with_targets(self, target_classes: Iterable[str]) -> CoverInstance:
+        """These skills against other target classes, built without
+        ``__post_init__``: the new instance shares this one's ``skill_classes``
+        and ``skill_order`` instead of freezing and sorting them again, which
+        is safe since nothing mutates them. Setting each field, as
+        ``__init__`` does, keeps attribute reads as fast as on a built one."""
+        instance = object.__new__(type(self))
+        object.__setattr__(instance, "target_classes", frozenset(target_classes))
+        object.__setattr__(instance, "skill_classes", self.skill_classes)
+        object.__setattr__(instance, "skill_order", self.skill_order)
+        return instance
+
     @classmethod
     def from_file(cls, path: str | Path) -> CoverInstance:
         """Raises ``ParseError`` naming the file and a missing or mistyped field."""

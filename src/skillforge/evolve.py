@@ -55,12 +55,13 @@ def candidate_id(epoch: int, pair_id: str) -> str:
 
 
 def build_cover_instance(
-    target: TagSet, skill_classes: dict[str, TagSet], index: EquivalenceIndex
+    target: TagSet, library_instance: CoverInstance, index: EquivalenceIndex
 ) -> CoverInstance:
-    """Canonicalize the target tags into class ids; ``skill_classes`` maps
-    each library skill id to its tags' class ids, canonicalized once per
-    ``generate_candidates`` call."""
-    return CoverInstance(target_classes=index.canonical_set(target), skill_classes=skill_classes)
+    """Canonicalize the target tags into class ids and pose them against
+    ``library_instance``, which maps each library skill id to its tags'
+    class ids; ``generate_candidates`` builds it once per call, and every
+    pair's instance shares its map and order."""
+    return library_instance.with_targets(index.canonical_set(target))
 
 
 def assemble_generation_prompt(
@@ -133,12 +134,12 @@ def generate_candidates(
     """
     prepped: list[tuple[str, SelectionResult, ChatRequest]] = []
     # Neither the library nor ``index`` changes during the call.
-    skill_classes = {skill.id: index.canonical_set(skill.tags) for skill in library}
+    library_instance = CoverInstance(frozenset(), {skill.id: index.canonical_set(skill.tags) for skill in library})
     for pair in sorted(failures, key=lambda p: p.task.id):
         pair_id = pair.task.id
         if pair_id not in target_tags:
             raise InputError(f"no target tags supplied for failing task {pair_id!r}")
-        instance = build_cover_instance(target_tags[pair_id], skill_classes, index)
+        instance = build_cover_instance(target_tags[pair_id], library_instance, index)
         selection = select_sources(instance, strategy)
         sources = [library.get(sid) for sid in selection.selected]
         uncovered = sorted(selection.uncovered)

@@ -1,13 +1,15 @@
 """End-to-end orchestration: epoch loop, k-fold protocol, sweeps, reports.
 
 One evolution epoch evaluates every training task against the current
-library, keeps the failures, infers their required tags, selects covering
-source skills, generates and scores candidate skills, and folds the retained
-top fraction back into the library. One cell loop (``_evolve_cell``) runs
-the epochs of every entry point. The k-fold protocol runs it per fold and run
-seed, evolving on all folds but one and measuring pass rate on the held-out
-fold; ``evolve_library`` runs it once on every task with nothing held out,
-which is the leaky protocol that ``folds=1`` also gets. Epoch 0 is always
+library, which yields one outcome per task: ``None`` for a pass and a
+``FailurePair`` for a failure, so no record is built for a passing task. It
+then infers the failures' required tags, selects covering source skills,
+generates and scores candidate skills, and folds the retained top fraction
+back into the library. One cell loop (``_evolve_cell``) runs the epochs of
+every entry point. The k-fold protocol runs it per fold and run seed,
+evolving on all folds but one and measuring pass rate on the held-out fold;
+``evolve_library`` runs it once on every task with nothing held out, which
+is the leaky protocol that ``folds=1`` also gets. Epoch 0 is always
 evaluated first so the no-evolution baseline anchors each report. Each run
 (run seed or ``evolve_library`` call) sends its provider calls through one
 ``_Session``, which memoizes accepted temperature-0 chat replies (as the
@@ -40,14 +42,7 @@ from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import STRATEGIES, lp_memo
 from skillforge.errors import PAIR_FAULTS, ConfigError, InputError, ParseError
 from skillforge.evolve import CandidateSkill, generate_candidates
-from skillforge.model import (
-    EvaluationRecord,
-    SkillLibrary,
-    Task,
-    Trajectory,
-    _field,
-    collect_failures,
-)
+from skillforge.model import FailurePair, SkillLibrary, Task, Trajectory, _field
 from skillforge.providers.base import (
     ChatProvider,
     ChatRequest,
@@ -215,42 +210,42 @@ def simulate_agent(
     required_mask: int,
     class_names: Sequence[str],
     coverage_threshold: float,
-) -> EvaluationRecord:
+) -> FailurePair | None:
     """Oracle agent for the synthetic world, judging one task.
 
     Equivalence classes are bits: ``class_names[i]`` names bit ``i``.
     ``hits`` are the task's retrieved (skill id, score) pairs,
     ``skill_masks`` maps each library skill id to the mask of its tags'
     classes and ``required_mask`` is the mask of the task's required classes.
-    The task succeeds when the OR of its hits' masks covers at least
-    ``coverage_threshold`` of the required classes; ``int.bit_count`` gives
-    the same integer ratio a set intersection would. The trajectory records
-    the retrieved skill ids and, on failure, the missing classes, which is
-    what later tag inference reads; ``class_names`` is sorted, so the missing
-    names come out sorted, built only for a failure.
+    The task passes, and the judge returns ``None``, when the OR of its hits'
+    masks covers at least ``coverage_threshold`` of the required classes;
+    ``int.bit_count`` gives the same integer ratio a set intersection would.
+    Only a failure builds anything: a ``FailurePair`` whose trajectory
+    records the retrieved skill ids and the missing classes, which is what
+    later tag inference reads. ``class_names`` is sorted, so the missing
+    names come out sorted.
     """
     retrieved_mask = 0
     for skill_id, _ in hits:
         retrieved_mask |= skill_masks[skill_id]
     n_required = required_mask.bit_count()
     fraction = (required_mask & retrieved_mask).bit_count() / n_required if n_required else 1.0
-    success = fraction >= coverage_threshold - 1e-9
+    if fraction >= coverage_threshold - 1e-9:
+        return None
 
+    missing, missing_mask = [], required_mask & ~retrieved_mask
+    while missing_mask:
+        low = missing_mask & -missing_mask
+        missing.append(class_names[low.bit_length() - 1])
+        missing_mask ^= low
     retrieved_note = ", ".join([sid for sid, _ in hits]) if hits else "none"
-    steps = [("retrieve_skills", f"retrieved: {retrieved_note}")]
-    if success:
-        steps.append(("check_coverage", "all required capabilities covered"))
-        final = "success"
-    else:
-        missing, missing_mask = [], required_mask & ~retrieved_mask
-        while missing_mask:
-            low = missing_mask & -missing_mask
-            missing.append(class_names[low.bit_length() - 1])
-            missing_mask ^= low
-        steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
-        final = f"failure: missing {', '.join(missing)}"
-    trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
-    return EvaluationRecord(task=task, trajectory=trajectory, quality=1 if success else 0)
+    missing_note = ", ".join(missing)
+    steps = (
+        ("retrieve_skills", f"retrieved: {retrieved_note}"),
+        ("check_coverage", f"missing knowledge: {missing_note}"),
+    )
+    trajectory = Trajectory(task_id=task.id, steps=steps, final_output=f"failure: missing {missing_note}")
+    return FailurePair(task=task, trajectory=trajectory)
 
 
 def evaluate_tasks(
@@ -261,8 +256,10 @@ def evaluate_tasks(
     embedder: EmbeddingProvider,
     eq: EquivalenceIndex | None = None,
     index: Bm25Index | None = None,
-) -> list[EvaluationRecord]:
-    """Judge every task against ``library`` with one batched retrieval.
+) -> list[FailurePair | None]:
+    """Judge every task against ``library`` with one batched retrieval and
+    return one outcome per task, in task order: ``None`` for a pass and the
+    task's ``FailurePair`` for a failure.
 
     The library's tags and the tasks' required tags (parsed once per task)
     are added to ``eq``, a fresh equivalence index when not given. A caller
@@ -299,10 +296,11 @@ def evaluate_tasks(
     ]
 
 
-def pass_rate(records: Sequence[EvaluationRecord]) -> float:
-    if not records:
+def pass_rate(outcomes: Sequence[FailurePair | None]) -> float:
+    """The share of passes (``None``) among ``evaluate_tasks`` outcomes."""
+    if not outcomes:
         return 0.0
-    return sum(r.quality for r in records) / len(records)
+    return outcomes.count(None) / len(outcomes)
 
 
 @dataclass(frozen=True)
@@ -329,9 +327,11 @@ def run_epoch(
     dump_dir: str | Path | None = None,
     index: Bm25Index | None = None,
     eq: EquivalenceIndex | None = None,
-) -> tuple[list[EvaluationRecord], SkillLibrary, EpochStats]:
-    """One full evolution epoch over ``tasks``; returns the evaluation records
-    (measured on the incoming library), the updated library, and the stats row.
+) -> tuple[list[FailurePair | None], SkillLibrary, EpochStats]:
+    """One full evolution epoch over ``tasks``; returns the evaluation's
+    outcomes (measured on the incoming library: ``None`` per pass, a
+    ``FailurePair`` per failure, in task order), the updated library, and the
+    stats row.
     ``providers`` is the run's ``_Session``, handed to every stage; the
     epoch's ``tokens_used`` is the growth of ``providers.tokens`` while it
     runs. That is exact as long as nothing else calls chat or likelihood on
@@ -348,11 +348,11 @@ def run_epoch(
 
     if eq is None:
         eq = EquivalenceIndex(config.delta)
-    records = evaluate_tasks(tasks, library, world, config, providers.embedder, eq, index)
+    outcomes = evaluate_tasks(tasks, library, world, config, providers.embedder, eq, index)
     # Target and candidate tags join a fork, so ``eq`` keeps only the
     # evaluation's tags.
     eq = eq.fork()
-    failures = collect_failures(records)
+    failures = [outcome for outcome in outcomes if outcome is not None]
     ordered = sorted(failures, key=lambda pair: pair.task.id)
 
     def _infer(pair):
@@ -410,7 +410,7 @@ def run_epoch(
         wall_clock_ms=int((clock() - started) * 1000),
         score_rows=tuple(rows),
     )
-    return records, updated, stats
+    return outcomes, updated, stats
 
 
 def _add_tags_or_drop(
@@ -664,14 +664,14 @@ def _evolve_cell(
                 evaluate_tasks(holdout, library, world, config, providers.embedder, holdout_eq, index)
             )
         if epoch < config.epochs:
-            records, new_library, stats = run_epoch(
+            outcomes, new_library, stats = run_epoch(
                 library, train, world, providers, config, clock=clock, dump_dir=dump_dir,
                 index=index, eq=train_eq,
             )
         else:
-            records = evaluate_tasks(train, library, world, config, providers.embedder, train_eq, index)
+            outcomes = evaluate_tasks(train, library, world, config, providers.embedder, train_eq, index)
             new_library, stats = library, None
-        train_rate = pass_rate(records)
+        train_rate = pass_rate(outcomes)
         rows.append(
             EpochRow(
                 epoch=epoch,
@@ -811,7 +811,7 @@ def sweep(
             providers = factory(config.seed)
             library, _, _ = evolve_library(config, source_world, providers, clock=clock)
             for target_name, target_world in named.items():
-                records = evaluate_tasks(
+                outcomes = evaluate_tasks(
                     sorted(target_world.tasks, key=lambda t: t.id),
                     library,
                     target_world,
@@ -825,7 +825,7 @@ def sweep(
                         "source": source_name,
                         "target": target_name,
                         "base_pass_rate": None,
-                        "final_pass_rate": pass_rate(records),
+                        "final_pass_rate": pass_rate(outcomes),
                         "total_tokens": None,
                     }
                 )

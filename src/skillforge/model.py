@@ -1,4 +1,4 @@
-"""Domain types for skills, tasks, trajectories, and evaluation records.
+"""Domain types for skills, tasks, trajectories, and failure pairs.
 
 The skill library persists as JSONL: a leading metadata line carrying the
 epoch and format version, then one skill per line sorted by id. The file is
@@ -172,23 +172,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class EvaluationRecord:
-    """One task evaluation: the trajectory and its binary quality."""
-
-    task: Task
-    trajectory: Trajectory
-    quality: int
-
-    def __post_init__(self) -> None:
-        if self.quality not in (0, 1):
-            raise InputError("quality must be 0 or 1")
-        if self.trajectory.task_id != self.task.id:
-            raise IntegrityError(
-                f"trajectory task_id {self.trajectory.task_id!r} does not match task {self.task.id!r}"
-            )
-
-
-@dataclass(frozen=True)
 class FailurePair:
     """A task together with the failed trajectory it produced."""
 
@@ -256,11 +239,6 @@ def add_skills(library: SkillLibrary, new: Iterable[Skill]) -> SkillLibrary:
             raise IntegrityError(f"skill id {skill.id!r} already present in library")
         existing.add(skill.id)
     return SkillLibrary(skills=library.skills + new, epoch=library.epoch + 1)
-
-
-def collect_failures(records: Sequence[EvaluationRecord]) -> tuple[FailurePair, ...]:
-    """Keep exactly the failed records, in order, as task-trajectory pairs."""
-    return tuple(FailurePair(task=r.task, trajectory=r.trajectory) for r in records if r.quality == 0)
 
 
 def load_tasks(path: str | Path) -> tuple[Task, ...]:

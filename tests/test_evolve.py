@@ -239,12 +239,14 @@ def test_build_cover_instance_canonicalizes_through_index():
     # force a and a_alias into one class
     index2 = EquivalenceIndex()
     index2.add_tags(["a", "a_alias", "b"], GroupEmbedder(groups=[("a", "a_alias")]))
-    instance = build_cover_instance(frozenset({"a_alias", "b"}), {"s1": frozenset({"a"})}, index2)
+    library_instance = CoverInstance(target_classes=frozenset(), skill_classes={"s1": frozenset({"a"})})
+    instance = build_cover_instance(frozenset({"a_alias", "b"}), library_instance, index2)
     assert instance.target_classes == frozenset({"a", "b"})
     assert instance.skill_classes == {"s1": frozenset({"a"})}
+    assert library_instance.target_classes == frozenset()
 
 
-@pytest.mark.parametrize("strategy", ["greedy", "primal_dual", "lp_round"])
+@pytest.mark.parametrize("strategy", ["greedy", "primal_dual", "lp_round", "brute_force"])
 def test_generate_candidates_canonicalizes_each_library_skill_once(monkeypatch, strategy):
     index = EquivalenceIndex()
     index.add_tags(["a", "a_alias", "b", "c", "d", "e"], GroupEmbedder(groups=[("a", "a_alias")]))
@@ -275,6 +277,30 @@ def test_generate_candidates_canonicalizes_each_library_skill_once(monkeypatch, 
     candidates = generate_candidates(pairs, library, index, MockChatProvider(seed=2), 0, targets, strategy=strategy)
     assert len(calls) == len(pairs) + len(library)
     assert {c.source_pair_id: c.selection for c in candidates} == expected
+
+
+def test_one_generate_candidates_call_shares_one_skill_map(monkeypatch):
+    import skillforge.evolve as evolve
+
+    index = EquivalenceIndex()
+    index.add_tags(["a", "b", "c"], GroupEmbedder(groups=[]))
+    library = SkillLibrary(skills=(make_skill("s2", tags=("b", "c")), make_skill("s1", tags=("a",))))
+    targets = {"task-001": frozenset({"a"}), "task-002": frozenset({"b"}), "task-003": frozenset({"a", "c"})}
+    built = []
+
+    def recording(*args):
+        built.append(build_cover_instance(*args))
+        return built[-1]
+
+    monkeypatch.setattr(evolve, "build_cover_instance", recording)
+    for _ in range(2):
+        generate_candidates([make_pair(p) for p in targets], library, index, MockChatProvider(seed=2), 0, targets)
+    first, second = built[:3], built[3:]
+    assert [instance.target_classes for instance in first] == list(targets.values())
+    assert all(i.skill_classes is first[0].skill_classes and i.skill_order is first[0].skill_order for i in first)
+    assert first[0].skill_order == ("s1", "s2")
+    # Each call builds its own map, since the library or the index may change between calls.
+    assert second[0].skill_classes is not first[0].skill_classes
 
 
 def test_dump_prompts_writes_files(tmp_path):

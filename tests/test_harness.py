@@ -40,7 +40,7 @@ from skillforge.harness import (
     sweep,
     _Session,
 )
-from skillforge.model import EvaluationRecord, SkillLibrary, Task, Trajectory, collect_failures
+from skillforge.model import FailurePair, SkillLibrary, Task, Trajectory
 from skillforge.providers.base import ASK_ATTEMPTS, ChatRequest, ChatResponse, ask
 from skillforge.providers.http import HttpConfig, HttpLikelihoodProvider
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
@@ -93,9 +93,7 @@ def test_simulate_agent_succeeds_when_tags_covered():
     hits = retrieve(build_index(library), [task.description], 5)[0]
     names, masks = _class_masks(eq, [world.required_tags(task), *(s.tags for s in library)])
     skill_masks = dict(zip(library.ids(), masks[1:]))
-    record = simulate_agent(task, hits, skill_masks, masks[0], names, world.coverage_threshold)
-    assert record.quality == 1
-    assert record.trajectory.final_output == "success"
+    assert simulate_agent(task, hits, skill_masks, masks[0], names, world.coverage_threshold) is None
 
 
 def test_simulate_agent_fails_on_empty_library_and_lists_missing_tags():
@@ -104,42 +102,44 @@ def test_simulate_agent_fails_on_empty_library_and_lists_missing_tags():
     eq = build_eq(world.required_tags(task), MockEmbedder())
     names, (required_mask,) = _class_masks(eq, [world.required_tags(task)])
     hits = retrieve(build_index(SkillLibrary()), [task.description], 5)[0]
-    record = simulate_agent(task, hits, {}, required_mask, names, world.coverage_threshold)
-    assert record.quality == 0
-    missing_note = record.trajectory.steps[-1][1]
+    pair = simulate_agent(task, hits, {}, required_mask, names, world.coverage_threshold)
+    assert isinstance(pair, FailurePair) and pair.task == task
+    assert pair.trajectory.steps[0] == ("retrieve_skills", "retrieved: none")
+    missing_note = pair.trajectory.steps[-1][1]
     for tag in world.required_tags(task):
         assert tag in missing_note
 
 
 def test_simulate_agent_lists_missing_classes_in_sorted_order():
     names = ["alpha", "beta", "delta", "gamma"]
-    record = simulate_agent(
+    pair = simulate_agent(
         Task(id="t", description="Task t"), [("s1", 1.0)], {"s1": 0b0110}, 0b1111, names, 0.5
     )
-    assert record.quality == 1  # two of four classes at threshold 0.5
-    record = simulate_agent(
+    assert pair is None  # two of four classes at threshold 0.5
+    pair = simulate_agent(
         Task(id="t", description="Task t"), [("s1", 1.0)], {"s1": 0b0100}, 0b1111, names, 1.0
     )
-    assert record.trajectory.final_output == "failure: missing alpha, beta, gamma"
+    assert pair.trajectory.final_output == "failure: missing alpha, beta, gamma"
 
 
 def test_base_pass_rate_matches_planted_coverable_fraction():
     world = _world()
     config = RunConfig(seed=7)
     providers = mock_provider_factory()(7)
-    records = evaluate_tasks(list(world.tasks), world.initial_library(), world, config, providers.embedder)
+    outcomes = evaluate_tasks(list(world.tasks), world.initial_library(), world, config, providers.embedder)
     direct = sum(1 for t in world.tasks if t.metadata["coverable"] == "true") / len(world.tasks)
-    assert pass_rate(records) == pytest.approx(direct, abs=0.02)
+    assert pass_rate(outcomes) == pytest.approx(direct, abs=0.02)
     assert direct == pytest.approx(0.40, abs=1e-12)
 
 
 def _reference_evaluation(tasks, library, world, config, embedder):
     """The per-task loop before batching: one retrieve per task and one
-    ``library.get`` per hit, classes taken over the task's own retrieved tags."""
+    ``library.get`` per hit, classes taken over the task's own retrieved tags.
+    A pass maps to None and a failure to its pair, as ``evaluate_tasks`` does."""
     index = build_index(library)
     tags = set().union(*(skill.tags for skill in library), *(world.required_tags(t) for t in tasks))
     eq = build_eq(tags, embedder, config.delta)
-    records = []
+    outcomes = []
     for task in tasks:
         required = world.required_tags(task)
         hits = retrieve(index, [task.description], config.retrieval_k)[0]
@@ -163,8 +163,8 @@ def _reference_evaluation(tasks, library, world, config, embedder):
             steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
             final = f"failure: missing {', '.join(missing)}"
         trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
-        records.append(EvaluationRecord(task=task, trajectory=trajectory, quality=1 if success else 0))
-    return records
+        outcomes.append(None if success else FailurePair(task=task, trajectory=trajectory))
+    return outcomes
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.9, 1.0])
@@ -198,7 +198,7 @@ def _set_based_simulate_agent(task, hits, skill_classes, world, eq):
         steps.append(("check_coverage", f"missing knowledge: {', '.join(missing)}"))
         final = f"failure: missing {', '.join(missing)}"
     trajectory = Trajectory(task_id=task.id, steps=tuple(steps), final_output=final)
-    return EvaluationRecord(task=task, trajectory=trajectory, quality=1 if success else 0)
+    return None if success else FailurePair(task=task, trajectory=trajectory)
 
 
 def _set_based_evaluation(tasks, library, world, config, embedder):
@@ -247,7 +247,7 @@ def test_mask_judge_equals_the_set_based_judge(seed, delta, threshold, which, pi
     given_eq = EquivalenceIndex(delta)
     given_index = build_index(library)
     assert evaluate_tasks(tasks, library, world, config, MockEmbedder(), given_eq, given_index) == expected
-    assert all(r.trajectory.steps[0][1] == "retrieved: none" for r in expected[len(picks):])
+    assert all(pair.trajectory.steps[0][1] == "retrieved: none" for pair in expected[len(picks):])
 
 
 def test_kfold_builds_one_bm25_index_per_epoch(monkeypatch):
@@ -300,8 +300,8 @@ def test_evaluation_starts_no_thread_pool(monkeypatch):
 
     monkeypatch.setattr(ThreadPoolExecutor, "__init__", refuse)
     world = _world(n_tasks=20)
-    records = evaluate_tasks(world.tasks, world.initial_library(), world, RunConfig(max_workers=4), MockEmbedder())
-    assert len(records) == 20
+    outcomes = evaluate_tasks(world.tasks, world.initial_library(), world, RunConfig(max_workers=4), MockEmbedder())
+    assert len(outcomes) == 20
     with pytest.raises(AssertionError, match="thread pool started"):
         parallel_map(str, [1, 2], max_workers=4)
 
@@ -332,20 +332,20 @@ def _fresh_evolve_cell(library, train, holdout, world, providers, config, clock,
         if holdout is not None:
             holdout_rate = pass_rate(evaluate_tasks(holdout, library, world, config, providers.embedder))
         if epoch < config.epochs:
-            records, new_library, stats = run_epoch(
+            outcomes, new_library, stats = run_epoch(
                 library, train, world, providers, config, clock=clock, dump_dir=dump_dir,
                 index=build_index(library), eq=EquivalenceIndex(config.delta),
             )
         else:
-            records = evaluate_tasks(train, library, world, config, providers.embedder)
+            outcomes = evaluate_tasks(train, library, world, config, providers.embedder)
             new_library, stats = library, None
         pending = stats_list[-1] if stats_list else None
         rows.append(
             harness.EpochRow(
                 epoch=epoch,
                 library_size=len(library),
-                train_pass_rate=pass_rate(records),
-                holdout_pass_rate=pass_rate(records) if holdout_rate is None else holdout_rate,
+                train_pass_rate=pass_rate(outcomes),
+                holdout_pass_rate=pass_rate(outcomes) if holdout_rate is None else holdout_rate,
                 n_failures=pending.n_failures if pending else None,
                 n_candidates=pending.n_candidates if pending else None,
                 n_retained=pending.n_retained if pending else None,
@@ -410,12 +410,58 @@ def test_a_kfold_cell_constructs_one_equivalence_index_per_task_set(monkeypatch,
     assert len(built) == per_cell * len(report.cells)
 
 
+def _record_builds(monkeypatch, name):
+    """Wrap ``harness.<name>`` and return the list of every object it builds."""
+    import skillforge.harness as harness
+
+    built, cls = [], getattr(harness, name)
+
+    def recording(*args, **kwargs):
+        built.append(cls(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, name, recording)
+    return built
+
+
+def test_evaluation_builds_one_failure_pair_per_failing_task_and_nothing_for_a_pass(monkeypatch):
+    import skillforge.harness as harness
+
+    world = _world(n_tasks=40)
+    pairs, trajectories = _record_builds(monkeypatch, "FailurePair"), _record_builds(monkeypatch, "Trajectory")
+    outcomes = evaluate_tasks(list(world.tasks), world.initial_library(), world, RunConfig(seed=7), MockEmbedder())
+    failing = [task.id for task, outcome in zip(world.tasks, outcomes) if outcome is not None]
+    assert 0 < len(failing) < len(world.tasks)
+    assert [pair.task.id for pair in pairs] == [trajectory.task_id for trajectory in trajectories] == failing
+    assert all(a is b for a, b in zip(pairs, (outcome for outcome in outcomes if outcome is not None)))
+
+    # Over a whole k-fold run, every evaluation builds one pair per failure.
+    failures = []
+    evaluate = harness.evaluate_tasks
+
+    def counted(*args, **kwargs):
+        outcomes = evaluate(*args, **kwargs)
+        failures.append(len(outcomes) - outcomes.count(None))
+        return outcomes
+
+    monkeypatch.setattr(harness, "evaluate_tasks", counted)
+    pairs.clear()
+    trajectories.clear()
+    config = RunConfig(seed=7, epochs=2, folds=2, runs=1)
+    report = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
+    assert len(pairs) == len(trajectories) == sum(failures) > 0
+    # Both folds hold 20 tasks, so the report's pass rates count the same failures.
+    rows = [row for cell in report.cells for row in cell.rows]
+    assert sum(round(20 * (2 - row.train_pass_rate - row.holdout_pass_rate)) for row in rows) == sum(failures)
+
+
 def test_run_epoch_without_failures_only_bumps_epoch():
     world = _world(n_tasks=10, covered_tags=10, coverable_fraction=1.0)
     library = world.initial_library()
     providers = _Session(mock_provider_factory()(7))
-    records, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
-    assert pass_rate(records) == 1.0
+    outcomes, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
+    assert outcomes == [None] * len(world.tasks)
+    assert pass_rate(outcomes) == 1.0
     assert stats.n_failures == 0
     assert len(updated) == len(library)
     assert updated.epoch == library.epoch + 1
@@ -425,8 +471,8 @@ def test_run_epoch_grows_library_by_retention_rule():
     world = _world()
     library = world.initial_library()
     providers = _Session(mock_provider_factory()(7))
-    records, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
-    failures = collect_failures(records)
+    outcomes, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
+    failures = [pair for pair in outcomes if pair is not None]
     assert stats.n_failures == len(failures) > 0
     assert len(updated) == len(library) + retention_count(len(failures), 0.2)
     assert stats.n_retained == retention_count(len(failures), 0.2)
@@ -702,7 +748,7 @@ def test_run_epoch_skips_pairs_whose_tagging_fails():
         chat=TagFlakyChat(seed=7), embedder=MockEmbedder(), likelihood=MockLikelihoodScorer(seed=7)
     ))
     library = world.initial_library()
-    records, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
+    _, updated, stats = run_epoch(library, list(world.tasks), world, providers, RunConfig(seed=7))
     assert stats.n_failures > 0
     assert stats.n_candidates == 0
     assert len(updated) == len(library)  # nothing retained, epoch still advances
@@ -1325,8 +1371,8 @@ def test_one_bad_reply_skips_one_pair_and_the_epoch_completes():
     library = world.initial_library()
     tasks = list(world.tasks)
     config = RunConfig(seed=7, max_workers=1)
-    records, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
-    failing = sorted(pair.task.id for pair in collect_failures(records))
+    outcomes, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
+    failing = sorted(pair.task.id for pair in outcomes if pair is not None)
     assert len(failing) >= 3 and clean.n_candidates == len(failing)
 
     chat = FaultyChat(tag_fails=failing[0], generation_fails=failing[1], seed=7)
@@ -1340,8 +1386,8 @@ def test_one_bad_reply_skips_one_pair_and_the_epoch_completes():
 
 def test_evolve_library_survives_an_empty_completion():
     world = _world(n_tasks=20)
-    records = evaluate_tasks(world.tasks, world.initial_library(), world, RunConfig(), MockEmbedder())
-    failing = sorted(pair.task.id for pair in collect_failures(records))
+    outcomes = evaluate_tasks(world.tasks, world.initial_library(), world, RunConfig(), MockEmbedder())
+    failing = sorted(pair.task.id for pair in outcomes if pair is not None)
     chat = FaultyChat(tag_fails=failing[0], generation_fails=failing[1], seed=7)
     library, _, stats_list = evolve_library(RunConfig(seed=7, epochs=2), world, _bundle(chat))
     assert library.epoch == 2
@@ -1385,8 +1431,8 @@ def test_one_injected_fault_drops_one_pair_and_the_epoch_completes(fault):
     library = world.initial_library()
     tasks = list(world.tasks)
     config = RunConfig(seed=7, max_workers=1)
-    records, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
-    failing = sorted(pair.task.id for pair in collect_failures(records))
+    outcomes, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
+    failing = sorted(pair.task.id for pair in outcomes if pair is not None)
     victim = failing[len(failing) // 2]
     bundle = {
         "target-tag-generation-error": lambda: _bundle(OneFaultChat(
@@ -1429,8 +1475,8 @@ def test_a_failed_embedding_batch_drops_only_the_pair_that_holds_the_bad_tag(sta
     library = world.initial_library()
     tasks = list(world.tasks)
     config = RunConfig(seed=7, max_workers=1)
-    records, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
-    failing = sorted(pair.task.id for pair in collect_failures(records))
+    outcomes, _, clean = run_epoch(library, tasks, world, _Session(_bundle(MockChatProvider(seed=7))), config)
+    failing = sorted(pair.task.id for pair in outcomes if pair is not None)
     victim = failing[len(failing) // 2]
     chat = {
         "target-tags": OneFaultChat(prompts.TARGET_TAG_SYSTEM, victim, "poison_tag\ncsv_parsing", seed=7),

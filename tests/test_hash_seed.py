@@ -43,10 +43,11 @@ out["leaky"] = digest(strip_wall_clock(report.to_dict()))
 config = RunConfig(seed=7)
 library, report, _ = evolve_library(config, world, mock_provider_factory(noise_rate=3.0)(7))
 out["evolve"] = digest(strip_wall_clock(report.to_dict()))
-records = evaluate_tasks(world.tasks, library, world, RunConfig(seed=7, delta=0.5), MockEmbedder())
-assert any(r.quality == 0 for r in records)
+outcomes = evaluate_tasks(world.tasks, library, world, RunConfig(seed=7, delta=0.5), MockEmbedder())
+failures = [pair for pair in outcomes if pair is not None]
+assert failures and len(failures) < len(outcomes)
 out["evaluate"] = digest([
-    [r.task.id, r.quality, r.trajectory.steps, r.trajectory.final_output] for r in records
+    [pair.task.id, pair.trajectory.steps, pair.trajectory.final_output] for pair in failures
 ])
 print(json.dumps(out))
 """

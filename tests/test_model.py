@@ -9,25 +9,17 @@ import pytest
 
 from skillforge.errors import InputError, IntegrityError, ParseError
 from skillforge.model import (
-    EvaluationRecord,
+    FailurePair,
     Skill,
     SkillLibrary,
     Task,
     Trajectory,
     add_skills,
-    collect_failures,
     load_library,
     save_library,
 )
 
 from conftest import make_skill
-
-
-def _record(task_id: str, quality: int) -> EvaluationRecord:
-    task = Task(id=task_id, description=f"do {task_id}")
-    return EvaluationRecord(
-        task=task, trajectory=Trajectory(task_id=task_id), quality=quality
-    )
 
 
 def test_load_empty_file_gives_empty_library(tmp_path):
@@ -168,41 +160,15 @@ def test_monotone_growth_property():
         assert len(add_skills(base, extra)) == len(base) + len(extra)
 
 
-def test_collect_failures_empty_when_all_pass():
-    assert collect_failures([_record("t1", 1), _record("t2", 1)]) == ()
-
-
-def test_collect_failures_keeps_order_and_zero_quality_only():
-    records = [_record("t1", 0), _record("t2", 1), _record("t3", 0)]
-    pairs = collect_failures(records)
-    assert [p.task.id for p in pairs] == ["t1", "t3"]
-
-
-def test_collect_failures_count_matches_direct_filter():
-    # 100 seeded records with exactly 37 failures planted, then shuffled.
-    qualities = [0] * 37 + [1] * 63
-    random.Random(3).shuffle(qualities)
-    records = [_record(f"t{i:03d}", q) for i, q in enumerate(qualities)]
-    oracle = [r for r in records if r.quality == 0]
-    pairs = collect_failures(records)
-    assert len(pairs) == len(oracle) == 37
-    assert [p.task.id for p in pairs] == [r.task.id for r in oracle]
-
-
 def test_human_skill_with_nonzero_epoch_rejected():
     with pytest.raises(InputError):
         make_skill("a", origin="human", created_epoch=1)
 
 
-def test_quality_must_be_binary():
-    with pytest.raises(InputError):
-        _record("t1", 2)
-
-
 def test_trajectory_task_mismatch_rejected():
     task = Task(id="t1", description="do t1")
     with pytest.raises(IntegrityError):
-        EvaluationRecord(task=task, trajectory=Trajectory(task_id="other"), quality=1)
+        FailurePair(task=task, trajectory=Trajectory(task_id="other"))
 
 
 def test_task_and_trajectory_files_round_trip(tmp_path):
