@@ -21,9 +21,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from skillforge.cover import CoverInstance, SelectionResult, select_sources
+from skillforge.cover import CoverInstance, select_sources
 from skillforge.errors import ConfigError, SkillForgeError
-from skillforge.evolve import CandidateSkill
 from skillforge.harness import (
     EvolutionReport,
     ProviderBundle,
@@ -293,14 +292,9 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-_EMPTY_SELECTION = SelectionResult(
-    selected=(), covered=frozenset(), uncovered=frozenset(), irrelevant_count=0
-)
-
-
-def _candidate(raw: dict) -> tuple[CandidateSkill, Task, frozenset[str]]:
-    """One candidate-file row: the candidate, its source task and its target
-    tags. Raises ``ParseError`` naming a missing or mistyped field."""
+def _candidate(raw: dict) -> tuple[Skill, Task, frozenset[str]]:
+    """One candidate-file row: the candidate skill, its source task and its
+    target tags. Raises ``ParseError`` naming a missing or mistyped field."""
     skill_id = _field(raw, "id", str)
     skill = Skill(
         id=skill_id,
@@ -312,8 +306,7 @@ def _candidate(raw: dict) -> tuple[CandidateSkill, Task, frozenset[str]]:
         created_epoch=_field(raw, "created_epoch", int, 0),
     )
     task = Task(id=_field(raw, "pair_id", str), description=_field(raw, "task_description", str))
-    candidate = CandidateSkill(skill=skill, source_pair_id=task.id, selection=_EMPTY_SELECTION)
-    return candidate, task, frozenset(_field(raw, "target_tags", list, []))
+    return skill, task, frozenset(_field(raw, "target_tags", list, []))
 
 
 def cmd_score(args) -> int:
@@ -326,13 +319,13 @@ def cmd_score(args) -> int:
         raise ConfigError("candidate file is empty")
 
     all_tags: set[str] = set()
-    for candidate, _, target in rows_in:
-        all_tags |= candidate.skill.tags | target
+    for skill, _, target in rows_in:
+        all_tags |= skill.tags | target
     index = EquivalenceIndex(delta=config.delta)
     index.add_tags(all_tags, bundle.embedder)
     scored = [
-        score_candidate(candidate, target, task, index, bundle.likelihood)
-        for candidate, task, target in rows_in
+        score_candidate(skill, target, task, index, bundle.likelihood)
+        for skill, task, target in rows_in
     ]
     _, _, rows = filter_and_update(scored, SkillLibrary(), config.filter_ratio)
     write_score_csv(rows, args.out)

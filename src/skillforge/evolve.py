@@ -6,6 +6,8 @@ task, the trajectory, the selected skills, and the still-uncovered tags, and
 parses the chat reply into a new skill. Candidate tags are then produced by
 the same tagging path used for library skills rather than trusted from the
 generator's own claims, so the scoring pipeline sees one uniform tag source.
+Generation returns plain skills keyed by pair id; ``scoring.score_candidate``
+builds the one ``CandidateSkill`` each of them ever gets.
 
 Generation is best effort per pair: replies come through ``providers.base.ask``,
 which re-asks an unparseable one, and a pair whose work raises one of
@@ -41,12 +43,12 @@ _BODY_RE = re.compile(r"^BODY:\s*\n?(.*)\Z", re.MULTILINE | re.DOTALL)
 
 @dataclass(frozen=True)
 class CandidateSkill:
-    """A generated skill plus the selection snapshot that produced it."""
+    """A scored candidate: the generated skill, the id of the failure pair
+    that produced it and its scores. Only ``scoring.score_candidate`` builds one."""
 
     skill: Skill
     source_pair_id: str
-    selection: SelectionResult
-    scores: ScoreRecord | None = None
+    scores: ScoreRecord
 
 
 def candidate_id(epoch: int, pair_id: str) -> str:
@@ -124,15 +126,16 @@ def generate_candidates(
     strategy: str = "greedy",
     dump_dir: str | Path | None = None,
     max_workers: int = DEFAULT_MAX_WORKERS,
-) -> list[CandidateSkill]:
+) -> dict[str, Skill]:
     """Generate one candidate skill per failure pair for library ``epoch``.
 
     ``target_tags`` maps each failing task id to its inferred required tag
     set; every tag must already be present in ``index``, as must the tags of
     every library skill. Provider calls run with bounded parallelism over the
-    pairs; candidates come back in pair-id order.
+    pairs. Returns the tagged skills keyed by pair id, in pair-id order; a
+    skipped pair has no entry.
     """
-    prepped: list[tuple[str, SelectionResult, ChatRequest]] = []
+    prepped: list[tuple[str, ChatRequest]] = []
     # Neither the library nor ``index`` changes during the call.
     library_instance = CoverInstance(frozenset(), {skill.id: index.canonical_set(skill.tags) for skill in library})
     for pair in sorted(failures, key=lambda p: p.task.id):
@@ -146,18 +149,14 @@ def generate_candidates(
         request = assemble_generation_prompt(pair, selection, sources, uncovered)
         if dump_dir is not None:
             _dump_prompt(Path(dump_dir), epoch, pair_id, request)
-        prepped.append((pair_id, selection, request))
+        prepped.append((pair_id, request))
 
     skills = parallel_map(
-        lambda item: _complete_one(chat, item[2], epoch, item[0]),
+        lambda item: _complete_one(chat, item[1], epoch, item[0]),
         prepped,
         max_workers=max_workers,
     )
-    return [
-        CandidateSkill(skill=skill, source_pair_id=pair_id, selection=selection)
-        for (pair_id, selection, _), skill in zip(prepped, skills)
-        if skill is not None
-    ]
+    return {pair_id: skill for (pair_id, _), skill in zip(prepped, skills) if skill is not None}
 
 
 def _complete_one(chat: ChatProvider, request: ChatRequest, epoch: int, pair_id: str) -> Skill | None:

@@ -41,8 +41,8 @@ import numpy as np
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import STRATEGIES, lp_memo
 from skillforge.errors import PAIR_FAULTS, ConfigError, InputError, ParseError
-from skillforge.evolve import CandidateSkill, generate_candidates
-from skillforge.model import FailurePair, SkillLibrary, Task, Trajectory, _field
+from skillforge.evolve import generate_candidates
+from skillforge.model import FailurePair, Skill, SkillLibrary, Task, Trajectory, _field
 from skillforge.providers.base import (
     ChatProvider,
     ChatRequest,
@@ -367,7 +367,7 @@ def run_epoch(
     target_tags = _add_tags_or_drop(eq, target_tags, providers.embedder, "pair")
     ordered = [pair for pair in ordered if pair.task.id in target_tags]
 
-    candidates = generate_candidates(
+    generated = generate_candidates(
         ordered,
         library,
         eq,
@@ -379,25 +379,19 @@ def run_epoch(
         max_workers=config.max_workers,
     )
 
-    kept = _add_tags_or_drop(eq, {c.skill.id: c.skill.tags for c in candidates}, providers.embedder, "candidate")
-    candidates = [candidate for candidate in candidates if candidate.skill.id in kept]
-
+    kept = _add_tags_or_drop(eq, {s.id: s.tags for s in generated.values()}, providers.embedder, "candidate")
     tasks_by_id = {task.id: task for task in tasks}
 
-    def _score(candidate: CandidateSkill) -> CandidateSkill | None:
+    def _score(item: tuple[str, Skill]):
+        pair_id, skill = item
         try:
-            return score_candidate(
-                candidate,
-                target_tags[candidate.source_pair_id],
-                tasks_by_id[candidate.source_pair_id],
-                eq,
-                providers,
-            )
+            return score_candidate(skill, target_tags[pair_id], tasks_by_id[pair_id], eq, providers)
         except PAIR_FAULTS as exc:
-            logger.warning("dropping candidate %s: %s", candidate.skill.id, exc)
+            logger.warning("dropping candidate %s: %s", skill.id, exc)
             return None
 
-    scored = [c for c in parallel_map(_score, candidates, max_workers=config.max_workers) if c]
+    joined = [(pair_id, skill) for pair_id, skill in generated.items() if skill.id in kept]
+    scored = [c for c in parallel_map(_score, joined, max_workers=config.max_workers) if c]
 
     updated, retained, rows = filter_and_update(scored, library, config.filter_ratio)
     stats = EpochStats(
@@ -894,35 +888,36 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def scorer_sensitivity(
-    candidates: Sequence[CandidateSkill],
+    candidates: Mapping[str, Skill],
     tasks_by_id: Mapping[str, Task],
     scorers: Sequence[LikelihoodProvider],
 ) -> list[dict]:
     """Recompute task alignment under each scorer and compare to the first.
 
-    Each scorer uses its own token counts. Reported per scorer: mean
-    alignment, mean absolute difference from the reference, Spearman
-    correlation of the alignment rankings, and the overlap of the top
-    ``DEFAULT_FILTER_RATIO`` candidate sets (the filter rule's retention count).
+    ``candidates`` maps each pair id to the skill generated from it, as
+    ``generate_candidates`` returns them. Each scorer uses its own token
+    counts. Reported per scorer: mean alignment, mean absolute difference
+    from the reference, Spearman correlation of the alignment rankings, and
+    the overlap of the top ``DEFAULT_FILTER_RATIO`` candidate sets (the
+    filter rule's retention count).
     """
     if len(candidates) < 2:
         raise InputError("scorer sensitivity needs at least 2 candidates")
     if len(scorers) < 1:
         raise InputError("scorer sensitivity needs at least 1 scorer")
 
-    ordered = sorted(candidates, key=lambda c: c.skill.id)
+    ordered = sorted(candidates.items(), key=lambda item: item[1].id)
+    ids = [skill.id for _, skill in ordered]
     alignments = [
-        [alignment_score(c, tasks_by_id[c.source_pair_id], scorer)[0] for c in ordered]
+        [alignment_score(skill, tasks_by_id[pair_id], scorer)[0] for pair_id, skill in ordered]
         for scorer in scorers
     ]
 
     k = retention_count(len(ordered), DEFAULT_FILTER_RATIO)
 
     def top_set(values: Sequence[float]) -> frozenset[str]:
-        ranked = sorted(
-            range(len(ordered)), key=lambda i: (-values[i], ordered[i].skill.id)
-        )
-        return frozenset(ordered[i].skill.id for i in ranked[:k])
+        ranked = sorted(range(len(ids)), key=lambda i: (-values[i], ids[i]))
+        return frozenset(ids[i] for i in ranked[:k])
 
     reference = alignments[0]
     reference_top = top_set(reference)

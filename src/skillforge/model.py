@@ -231,14 +231,10 @@ def save_library(library: SkillLibrary, path: str | Path) -> None:
 
 
 def add_skills(library: SkillLibrary, new: Iterable[Skill]) -> SkillLibrary:
-    """Return a new library containing the prior skills plus ``new``, one epoch later."""
-    new = tuple(new)
-    existing = set(library.ids())
-    for skill in new:
-        if skill.id in existing:
-            raise IntegrityError(f"skill id {skill.id!r} already present in library")
-        existing.add(skill.id)
-    return SkillLibrary(skills=library.skills + new, epoch=library.epoch + 1)
+    """Return a new library containing the prior skills plus ``new``, one epoch
+    later. An id of ``new`` that the library already holds, or that ``new``
+    repeats, raises ``SkillLibrary``'s own duplicate-id ``IntegrityError``."""
+    return SkillLibrary(skills=library.skills + tuple(new), epoch=library.epoch + 1)
 
 
 def load_tasks(path: str | Path) -> tuple[Task, ...]:

@@ -19,11 +19,12 @@ concatenates the ones they do, and never writes to ``base``.
 ``retrieve`` computes BM25 contributions for the batch's own known terms
 only, in the order of operations a full scan uses: idf per term with
 ``math.log(1 + (N - df + 0.5) / (df + 0.5))``, the length norm
-``k1 * ((1 - b) + b * dl / avgdl)`` with numpy, and every contribution in
-one vectorized ``idf * tf * (k1 + 1) / (tf + norm)``. It fills a dense
-matrix ``weights`` with one row per distinct known term of the batch (row 0
-is all zeros and stands for unknown terms and padding) and one column per
-document in id order: each column's weight goes to the id-order position
+``K1 * ((1 - B) + B * dl / avgdl)`` with numpy, and every contribution in
+one vectorized ``idf * tf * (K1 + 1) / (tf + norm)``, where ``K1`` and
+``B`` are the module's fixed BM25 parameters. It fills a dense matrix
+``weights`` with one row per distinct known term of the batch (row 0 is all
+zeros and stands for unknown terms and padding) and one column per document
+in id order: each column's weight goes to the id-order position
 that the index computed once at build time, because appended ``evo-...``
 ids sort before ``human-...`` ones. Each query is keyed by the tuple of
 its known terms' rows, in query order, duplicates included; its unknown
@@ -71,8 +72,8 @@ from skillforge.model import SkillLibrary
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+K1 = 1.2
+B = 0.75
 
 # (document text -> (Counter, length), query text -> tokens) for the
 # innermost active ``token_memo()``.
@@ -119,8 +120,6 @@ class Bm25Index:
     columns: tuple[str, ...] = ()
     lengths: tuple[int, ...] = ()
     postings: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
     avgdl: float = field(init=False, repr=False, compare=False)
     doc_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _lengths: np.ndarray = field(init=False, repr=False, compare=False)
@@ -141,12 +140,7 @@ class Bm25Index:
         return len(self.columns)
 
 
-def build_index(
-    library: SkillLibrary,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-    base: Bm25Index | None = None,
-) -> Bm25Index:
+def build_index(library: SkillLibrary, base: Bm25Index | None = None) -> Bm25Index:
     """The BM25 index of ``library``, whose skills become columns in library
     order. ``base``, an index of some of the library's skills (the library of
     an earlier epoch), is grown rather than rebuilt: its columns come first,
@@ -174,7 +168,7 @@ def build_index(
     for term, (cols, tfs) in appended.items():
         old_cols, old_tfs = postings.get(term, ((), ()))
         postings[term] = (old_cols + tuple(cols), old_tfs + tuple(tfs))
-    return Bm25Index(tuple(columns), tuple(lengths), postings, k1, b)
+    return Bm25Index(tuple(columns), tuple(lengths), postings)
 
 
 def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
@@ -198,8 +192,8 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tupl
     idf = [math.log(1 + (n_docs - df + 0.5) / (df + 0.5)) for df in per_term]
     posted = np.fromiter(chain.from_iterable(c for c, _ in postings), dtype=np.intp)
     tf = np.fromiter(chain.from_iterable(t for _, t in postings), dtype=float)
-    norm = index.k1 * ((1 - index.b) + index.b * index._lengths / index.avgdl)
-    contributions = np.repeat(idf, per_term) * tf * (index.k1 + 1) / (tf + norm[posted])
+    norm = K1 * ((1 - B) + B * index._lengths / index.avgdl)
+    contributions = np.repeat(idf, per_term) * tf * (K1 + 1) / (tf + norm[posted])
     weights = np.zeros((len(rows) + 1, n_docs))
     weights[np.repeat(np.arange(1, len(rows) + 1), per_term), index._id_rank[posted]] = contributions
     # Equal keys score alike, so each distinct key is ranked once.

@@ -6,7 +6,9 @@ produced it. Task alignment is the sigmoid of the per-token gap between the
 task-conditioned and unconditional log-likelihood of the candidate body,
 which cancels the score model's prior preference for generically plausible
 text. The combined score is their geometric mean; the top fraction of
-candidates by combined score joins the library.
+candidates by combined score joins the library. ``score_candidate`` turns a
+generated ``Skill`` into the one ``CandidateSkill`` it ever gets, so every
+candidate that reaches the filter carries its scores.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import csv
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError
 from skillforge.evolve import CandidateSkill
-from skillforge.model import SkillLibrary, Task, add_skills
+from skillforge.model import Skill, SkillLibrary, Task, add_skills
 from skillforge.providers.base import LikelihoodProvider
 from skillforge.tags import EquivalenceIndex, TagSet, prf
 
@@ -62,41 +64,38 @@ class ScoreRecord:
         return asdict(self)
 
 
-def knowledge_coverage(
-    candidate: CandidateSkill, target: TagSet, index: EquivalenceIndex
-) -> tuple[float, float, float]:
-    """Class-canonical precision, recall, and F1 of the candidate's tags."""
-    predicted = index.canonical_set(candidate.skill.tags)
+def knowledge_coverage(skill: Skill, target: TagSet, index: EquivalenceIndex) -> tuple[float, float, float]:
+    """Class-canonical precision, recall, and F1 of a candidate skill's tags."""
+    predicted = index.canonical_set(skill.tags)
     if not predicted:
-        logger.warning("candidate %s has no tags; coverage forced to 0", candidate.skill.id)
+        logger.warning("candidate %s has no tags; coverage forced to 0", skill.id)
         return 0.0, 0.0, 0.0
     reference = index.canonical_set(target)
     if not reference:
         # Recall is undefined on an empty target set; treat as 0 so the
         # candidate is rejected on coverage rather than silently kept.
-        logger.warning(
-            "empty target tag set for candidate %s; recall treated as 0", candidate.skill.id
-        )
+        logger.warning("empty target tag set for candidate %s; recall treated as 0", skill.id)
         return 0.0, 0.0, 0.0
     return prf(len(predicted & reference), len(predicted), len(reference))
 
 
 def alignment_score(
-    candidate: CandidateSkill, task: Task, likelihood: LikelihoodProvider
+    skill: Skill, task: Task, likelihood: LikelihoodProvider
 ) -> tuple[float, float, float, int]:
-    """Sigmoid of the mean per-token conditional-vs-unconditional logprob gap."""
-    body = candidate.skill.body
+    """Sigmoid of the mean per-token conditional-vs-unconditional logprob gap
+    of a candidate skill's body."""
+    body = skill.body
     if not body:
-        raise InputError(f"candidate {candidate.skill.id!r} has an empty body")
+        raise InputError(f"candidate {skill.id!r} has an empty body")
     try:
         conditional = likelihood.score_likelihood(task.description, body)
         unconditional = likelihood.score_likelihood("", body)
     except ProviderError as exc:
-        raise ScoringError(f"likelihood scoring failed for {candidate.skill.id!r}: {exc}") from exc
+        raise ScoringError(f"likelihood scoring failed for {skill.id!r}: {exc}") from exc
     if unconditional.token_count != conditional.token_count:
         logger.warning(
             "token count mismatch for %s (cond=%d, uncond=%d); using the conditional count",
-            candidate.skill.id,
+            skill.id,
             conditional.token_count,
             unconditional.token_count,
         )
@@ -112,15 +111,16 @@ def combined_score(f_tag: float, alignment: float) -> float:
 
 
 def score_candidate(
-    candidate: CandidateSkill,
+    skill: Skill,
     target: TagSet,
     task: Task,
     index: EquivalenceIndex,
     likelihood: LikelihoodProvider,
 ) -> CandidateSkill:
-    """Return the candidate with a populated score record."""
-    p, r, f = knowledge_coverage(candidate, target, index)
-    alignment, cond, uncond, token_count = alignment_score(candidate, task, likelihood)
+    """Score ``skill``, generated from the failure of ``task`` whose target
+    tags are ``target``, and return it as a candidate of pair ``task.id``."""
+    p, r, f = knowledge_coverage(skill, target, index)
+    alignment, cond, uncond, token_count = alignment_score(skill, task, likelihood)
     record = ScoreRecord(
         p_tag=p,
         r_tag=r,
@@ -131,7 +131,7 @@ def score_candidate(
         uncond_logprob=uncond,
         token_count=token_count,
     )
-    return replace(candidate, scores=record)
+    return CandidateSkill(skill, task.id, record)
 
 
 def retention_count(n: int, ratio: float) -> int:
@@ -156,12 +156,10 @@ def filter_and_update(
     library: SkillLibrary,
     ratio: float,
 ) -> tuple[SkillLibrary, tuple[CandidateSkill, ...], list[dict]]:
-    """Keep the top candidates by combined score and fold them into the library;
-    return the new library, the retained candidates and one row per candidate."""
+    """Keep the top scored candidates by combined score and fold them into the
+    library; return the new library, the retained candidates and one row per
+    candidate."""
     keep = retention_count(len(candidates), ratio)
-    for candidate in candidates:
-        if candidate.scores is None:
-            raise InputError(f"candidate {candidate.skill.id!r} is unscored")
     ranked = rank_candidates(candidates)
     retained = tuple(ranked[:keep])
     retained_ids = {c.skill.id for c in retained}

@@ -14,8 +14,7 @@ import time
 
 import pytest
 
-from skillforge.cover import CoverInstance, SelectionResult, brute_force_select, select_sources
-from skillforge.evolve import CandidateSkill
+from skillforge.cover import CoverInstance, brute_force_select, select_sources
 from skillforge.harness import (
     RunConfig,
     mock_provider_factory,
@@ -162,17 +161,10 @@ def test_criterion_7_filter_ratio_sweep(default_world):
 
 
 def test_criterion_8_scorer_sensitivity_self_check():
-    selection = SelectionResult(
-        selected=(), covered=frozenset(), uncovered=frozenset(), irrelevant_count=0
-    )
-    candidates = [
-        CandidateSkill(
-            skill=make_skill(f"c{i}", tags=("t_x",), body=f"body{i}", origin="evolved", created_epoch=1),
-            source_pair_id=f"task-{i}",
-            selection=selection,
-        )
+    candidates = {
+        f"task-{i}": make_skill(f"c{i}", tags=("t_x",), body=f"body{i}", origin="evolved", created_epoch=1)
         for i in range(4)
-    ]
+    }
     tasks = {f"task-{i}": Task(id=f"task-{i}", description=f"task {i}") for i in range(4)}
 
     def scorer(gaps, name):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import skillforge.evolve as evolve
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
 from skillforge.errors import GenerationError, InputError, ParseError, ProviderError
 from skillforge.evolve import (
@@ -27,6 +28,18 @@ def _selection(selected=(), covered=(), uncovered=(), irrelevant=0):
         uncovered=frozenset(uncovered),
         irrelevant_count=irrelevant,
     )
+
+
+def _record_selections(monkeypatch):
+    """Record each selection ``generate_candidates`` makes, in call (pair-id) order."""
+    made = []
+
+    def recording(instance, strategy="greedy"):
+        made.append(select_sources(instance, strategy))
+        return made[-1]
+
+    monkeypatch.setattr(evolve, "select_sources", recording)
+    return made
 
 
 def _index_over(*tag_groups):
@@ -126,7 +139,7 @@ def test_zero_failures_yield_zero_candidates():
     library = SkillLibrary(skills=(make_skill("s1"),))
     index = _index_over(["csv_parsing"])
     out = generate_candidates([], library, index, MockChatProvider(), 0, {})
-    assert out == []
+    assert out == {}
 
 
 def test_three_failures_yield_three_candidates_with_sequential_ids():
@@ -138,16 +151,18 @@ def test_three_failures_yield_three_candidates_with_sequential_ids():
     targets = {p.task.id: frozenset({"csv_parsing"}) for p in pairs}
     index = _index_over(["csv_parsing"])
     out = generate_candidates(pairs, library, index, MockChatProvider(seed=1), 2, targets)
-    assert [c.skill.id for c in out] == [
+    assert list(out) == ["task-000", "task-001", "task-002"]
+    assert [s.id for s in out.values()] == [
         "evo-2-task-000-0",
         "evo-2-task-001-0",
         "evo-2-task-002-0",
     ]
-    assert all(c.skill.origin == "evolved" and c.skill.created_epoch == 2 for c in out)
-    assert len({c.skill.id for c in out}) == 3
+    assert all(s.origin == "evolved" and s.created_epoch == 2 for s in out.values())
+    assert len({s.id for s in out.values()}) == 3
 
 
-def test_candidate_tags_include_uncovered_target_tag():
+def test_candidate_tags_include_uncovered_target_tag(monkeypatch):
+    selections = _record_selections(monkeypatch)
     library = SkillLibrary(skills=(make_skill("s1", tags=("csv_parsing",)),))
     pair = make_pair("task-009", description="Task task-009: requires csv_parsing and t9_special.")
     targets = {"task-009": frozenset({"csv_parsing", "t9_special"})}
@@ -155,11 +170,11 @@ def test_candidate_tags_include_uncovered_target_tag():
     out = generate_candidates(
         [pair], library, index, MockChatProvider(seed=4), 0, targets
     )
-    assert len(out) == 1
-    candidate = out[0]
-    assert candidate.selection.uncovered == frozenset({"t9_special"})
-    assert "t9_special" in candidate.skill.tags
-    assert "csv_parsing" in candidate.skill.tags
+    assert list(out) == ["task-009"]
+    skill = out["task-009"]
+    assert [selection.uncovered for selection in selections] == [frozenset({"t9_special"})]
+    assert "t9_special" in skill.tags
+    assert "csv_parsing" in skill.tags
 
 
 def test_generation_is_reproducible():
@@ -181,13 +196,13 @@ def test_unparseable_reply_is_reasked_then_pair_skipped():
 
     garbage = ScriptedChat(["not a skill"])
     out = generate_candidates([pair], library, index, garbage, 0, targets)
-    assert out == []
+    assert out == {}
     assert len(garbage.requests) == 3  # one ask plus two re-asks
 
     flaky = ScriptedChat(["bad", "bad", GOOD_REPLY, "some_tag"])
     out = generate_candidates([pair], library, index, flaky, 0, targets)
-    assert len(out) == 1
-    assert out[0].skill.tags == frozenset({"some_tag"})
+    assert list(out) == ["task-001"]
+    assert out["task-001"].tags == frozenset({"some_tag"})
 
 
 def test_provider_hard_failure_skips_pair():
@@ -204,7 +219,7 @@ def test_provider_hard_failure_skips_pair():
         0,
         {"task-001": frozenset({"csv_parsing"})},
     )
-    assert out == []
+    assert out == {}
 
 
 def test_empty_completion_skips_only_its_pair():
@@ -223,7 +238,7 @@ def test_empty_completion_skips_only_its_pair():
         0,
         {p.task.id: frozenset({"csv_parsing"}) for p in pairs},
     )
-    assert [c.source_pair_id for c in out] == ["task-001", "task-003"]
+    assert list(out) == ["task-001", "task-003"]
 
 
 def test_missing_target_tags_is_an_input_error():
@@ -273,15 +288,15 @@ def test_generate_candidates_canonicalizes_each_library_skill_once(monkeypatch, 
         return canonical_set(self, tags)
 
     monkeypatch.setattr(EquivalenceIndex, "canonical_set", counting)
+    selections = _record_selections(monkeypatch)
     pairs = [make_pair(pair_id) for pair_id in targets]
     candidates = generate_candidates(pairs, library, index, MockChatProvider(seed=2), 0, targets, strategy=strategy)
     assert len(calls) == len(pairs) + len(library)
-    assert {c.source_pair_id: c.selection for c in candidates} == expected
+    assert list(candidates) == sorted(targets)
+    assert dict(zip(sorted(targets), selections, strict=True)) == expected
 
 
 def test_one_generate_candidates_call_shares_one_skill_map(monkeypatch):
-    import skillforge.evolve as evolve
-
     index = EquivalenceIndex()
     index.add_tags(["a", "b", "c"], GroupEmbedder(groups=[]))
     library = SkillLibrary(skills=(make_skill("s2", tags=("b", "c")), make_skill("s1", tags=("a",))))
@@ -325,9 +340,10 @@ def test_candidate_id_format():
     assert candidate_id(3, "task-042") == "evo-3-task-042-0"
 
 
-def test_empty_target_tag_set_still_generates_a_candidate():
+def test_empty_target_tag_set_still_generates_a_candidate(monkeypatch):
     # An empty inferred target set flows through as an empty uncovered list;
     # the scoring stage decides the candidate's fate.
+    selections = _record_selections(monkeypatch)
     pair = make_pair("task-001")
     out = generate_candidates(
         [pair],
@@ -337,6 +353,6 @@ def test_empty_target_tag_set_still_generates_a_candidate():
         0,
         {"task-001": frozenset()},
     )
-    assert len(out) == 1
-    assert out[0].selection.uncovered == frozenset()
-    assert out[0].skill.tags
+    assert list(out) == ["task-001"]
+    assert [selection.uncovered for selection in selections] == [frozenset()]
+    assert out["task-001"].tags

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillforge import prompts
-from skillforge.cover import SelectionResult
 from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError, ScoringError, TaggingError
 from skillforge.evolve import CandidateSkill, generate_candidates
 from skillforge.harness import (
@@ -319,6 +318,22 @@ def test_run_epoch_builds_one_equivalence_index(monkeypatch):
     _, _, stats = run_epoch(world.initial_library(), list(world.tasks), world, _Session(mock_provider_factory()(7)), RunConfig(seed=7))
     assert stats.n_candidates > 0
     assert len(built) == 1
+
+
+def test_run_epoch_builds_each_candidate_once_when_it_is_scored(monkeypatch):
+    built = []
+    original = CandidateSkill.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CandidateSkill, "__init__", counting)
+    world = _world(n_tasks=20)
+    _, _, stats = run_epoch(world.initial_library(), list(world.tasks), world, _Session(mock_provider_factory()(7)), RunConfig(seed=7))
+    assert stats.n_failures > 0
+    assert len(built) == stats.n_candidates > 0
+    assert sorted(c.skill.id for c in built) == sorted(row["candidate_id"] for row in stats.score_rows)
 
 
 def _fresh_evolve_cell(library, train, holdout, world, providers, config, clock, dump_dir=None):
@@ -770,20 +785,11 @@ def test_spearman_reference_cases():
 
 
 def _sensitivity_fixture():
-    selection = SelectionResult(
-        selected=(), covered=frozenset(), uncovered=frozenset(), irrelevant_count=0
-    )
-    candidates = []
-    tasks = {}
-    for i in range(4):
-        candidates.append(
-            CandidateSkill(
-                skill=make_skill(f"c{i}", tags=("t_x",), body=f"body{i}", origin="evolved", created_epoch=1),
-                source_pair_id=f"task-{i}",
-                selection=selection,
-            )
-        )
-        tasks[f"task-{i}"] = Task(id=f"task-{i}", description=f"task {i}")
+    candidates = {
+        f"task-{i}": make_skill(f"c{i}", tags=("t_x",), body=f"body{i}", origin="evolved", created_epoch=1)
+        for i in range(4)
+    }
+    tasks = {f"task-{i}": Task(id=f"task-{i}", description=f"task {i}") for i in range(4)}
     return candidates, tasks
 
 
@@ -825,7 +831,7 @@ def test_scorer_sensitivity_adjacent_swap_case():
 def test_scorer_sensitivity_needs_two_candidates():
     candidates, tasks = _sensitivity_fixture()
     with pytest.raises(InputError):
-        scorer_sensitivity(candidates[:1], tasks, [_scorer_with_gaps([0.1], "ref")])
+        scorer_sensitivity({"task-0": candidates["task-0"]}, tasks, [_scorer_with_gaps([0.1], "ref")])
 
 
 def test_scorer_sensitivity_reports_a_failing_scorer_as_a_scoring_error():
@@ -840,17 +846,10 @@ def test_scorer_sensitivity_reports_a_failing_scorer_as_a_scoring_error():
 
 
 def test_scorer_sensitivity_uses_each_scorers_token_count():
-    selection = SelectionResult(
-        selected=(), covered=frozenset(), uncovered=frozenset(), irrelevant_count=0
-    )
-    candidates = [
-        CandidateSkill(
-            skill=make_skill(f"c{i}", tags=("t_x",), body=f"body{i}", origin="evolved", created_epoch=1),
-            source_pair_id=f"task-{i}",
-            selection=selection,
-        )
+    candidates = {
+        f"task-{i}": make_skill(f"c{i}", tags=("t_x",), body=f"body{i}", origin="evolved", created_epoch=1)
         for i in range(2)
-    ]
+    }
     tasks = {f"task-{i}": Task(id=f"task-{i}", description="d") for i in range(2)}
     reference = StubLikelihood(
         {(True, "body0"): (-4.0, 4), (False, "body0"): (-8.0, 4),
@@ -1105,7 +1104,7 @@ def test_session_asks_again_after_a_rejected_reply_and_serves_the_accepted_one()
         for _ in range(2)
     ]
     assert len(gen_chat.requests) == 3  # bad + re-ask, then the skill-tag request
-    assert runs[0] == runs[1] and runs[0][0].skill.tags == {"some_tag"}
+    assert runs[0] == runs[1] and runs[0]["task-001"].tags == {"some_tag"}
 
 
 class RoutedChat:
@@ -1152,13 +1151,13 @@ def test_every_consumer_reasks_the_same_way(consumer, bad):
         assert chat.sent[system] == bad + 1  # the accepted reply is served from the memo
         return
     if what is None:
-        assert call(session) == []  # the pair is skipped
+        assert call(session) == {}  # the pair is skipped
     else:
         with pytest.raises(TaggingError, match=f"no parseable reply for {what} in 3 attempts"):
             call(session)
     assert chat.sent[system] == ASK_ATTEMPTS
     if what is None:
-        assert call(session) == []
+        assert call(session) == {}
     else:
         with pytest.raises(TaggingError):
             call(session)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from skillforge.errors import InputError
 from skillforge.model import SkillLibrary
-from skillforge.retrieval import DEFAULT_B, DEFAULT_K1, Bm25Index, build_index, retrieve, token_memo, tokenize
+from skillforge.retrieval import B, K1, Bm25Index, build_index, retrieve, token_memo, tokenize
 
 from conftest import make_skill
 
@@ -197,9 +197,7 @@ def test_many_tied_documents_keep_id_order():
         assert retrieve(index, queries, 400) == expected
 
 
-def _full_scan(
-    library: SkillLibrary, query: str, k: int, k1: float = DEFAULT_K1, b: float = DEFAULT_B
-) -> list[tuple[str, float]]:
+def _full_scan(library: SkillLibrary, query: str, k: int) -> list[tuple[str, float]]:
     """Reference: tokenize every skill of ``library`` and score it term by
     term from its own counts, document frequencies and average length."""
     terms = tokenize(query)
@@ -215,14 +213,14 @@ def _full_scan(
         doc = counts[doc_id]
         if not doc:
             continue  # an empty document matches nothing (and avgdl may be 0)
-        norm = k1 * (1 - b + b * doc.total() / avgdl)
+        norm = K1 * (1 - B + B * doc.total() / avgdl)
         score = 0.0
         for term in terms:
             tf = doc.get(term, 0)
             if tf == 0:
                 continue
             idf = math.log(1 + (len(counts) - df[term] + 0.5) / (df[term] + 0.5))
-            score += idf * tf * (k1 + 1) / (tf + norm)
+            score += idf * tf * (K1 + 1) / (tf + norm)
         if score > 0.0:
             scored.append((doc_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -257,17 +255,15 @@ def _retrieve_apart(index: Bm25Index, texts: list[str], k: int) -> list[list[tup
     copies=st.integers(min_value=0, max_value=2),
     queries=st.lists(_QUERY, max_size=8),
     k=st.integers(min_value=1, max_value=14),
-    k1=st.sampled_from([0.0, 1.2, 2.0]),
-    b=st.sampled_from([0.0, 0.75, 1.0]),
 )
-def test_postings_match_the_full_scan_exactly(bodies, copies, queries, k, k1, b):
+def test_postings_match_the_full_scan_exactly(bodies, copies, queries, k):
     # Copies of the first body make tied documents; "!!" tokenizes to nothing,
     # so some corpora hold only empty documents.
     bodies = bodies + [bodies[0]] * copies
     library = _library({f"d{i:02d}": " ".join(words) for i, words in enumerate(bodies)})
-    index = build_index(library, k1=k1, b=b)
+    index = build_index(library)
     texts = _batch(queries)
-    assert _retrieve_apart(index, texts, k) == [_full_scan(library, text, k, k1, b) for text in texts]
+    assert _retrieve_apart(index, texts, k) == [_full_scan(library, text, k) for text in texts]
 
 
 def test_equal_queries_get_lists_of_their_own():
@@ -337,23 +333,21 @@ def _frozen(index: Bm25Index) -> tuple:
     cuts=st.lists(st.integers(0, 14), max_size=4),
     queries=st.lists(_QUERY, min_size=1, max_size=6),
     k=st.integers(min_value=1, max_value=16),
-    k1=st.sampled_from([0.0, 1.2, 2.0]),
-    b=st.sampled_from([0.0, 0.75, 1.0]),
 )
-def test_a_chain_of_grown_indexes_ranks_like_fresh_builds(docs, cuts, queries, k, k1, b):
+def test_a_chain_of_grown_indexes_ranks_like_fresh_builds(docs, cuts, queries, k):
     bodies = [(doc_id, " ".join(words)) for doc_id, words in docs.items()]
     texts = _batch(queries)
     index = None
     for end in sorted(set(cuts) | {len(bodies)}):
         library = _library(dict(bodies[:end]))
         before = None if index is None else _frozen(index)
-        grown = build_index(library, k1=k1, b=b, base=index)
+        grown = build_index(library, base=index)
         if index is not None:
             assert _frozen(index) == before
-        fresh = build_index(library, k1=k1, b=b)
+        fresh = build_index(library)
         assert _by_id(grown) == _by_id(fresh)
         assert grown.doc_ids == fresh.doc_ids
-        expected = [_full_scan(library, text, k, k1, b) for text in texts]
+        expected = [_full_scan(library, text, k) for text in texts]
         assert _retrieve_apart(grown, texts, k) == _retrieve_apart(fresh, texts, k) == expected
         index = grown
 

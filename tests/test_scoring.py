@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from skillforge.cover import SelectionResult
 from skillforge.errors import ConfigError, InputError, ScoringError
 from skillforge.evolve import CandidateSkill
 from skillforge.model import SkillLibrary, Task
@@ -25,18 +24,8 @@ from skillforge.scoring import (
 
 from conftest import StubLikelihood, make_index, make_skill
 
-EMPTY_SELECTION = SelectionResult(
-    selected=(), covered=frozenset(), uncovered=frozenset(), irrelevant_count=0
-)
-
-
-def _candidate(skill_id="c1", tags=("a",), body="candidate body text", scores=None):
-    return CandidateSkill(
-        skill=make_skill(skill_id, tags=tags, body=body, origin="evolved", created_epoch=1),
-        source_pair_id="task-001",
-        selection=EMPTY_SELECTION,
-        scores=scores,
-    )
+def _candidate(skill_id="c1", tags=("a",), body="candidate body text"):
+    return make_skill(skill_id, tags=tags, body=body, origin="evolved", created_epoch=1)
 
 
 def _scored(skill_id, combined, f_tag=0.5, alignment=0.5):
@@ -50,7 +39,7 @@ def _scored(skill_id, combined, f_tag=0.5, alignment=0.5):
         uncond_logprob=-2.0,
         token_count=4,
     )
-    return _candidate(skill_id, scores=record)
+    return CandidateSkill(skill=_candidate(skill_id), source_pair_id="task-001", scores=record)
 
 
 def test_coverage_identity_gives_ones():
@@ -159,6 +148,7 @@ def test_score_record_consistency_property():
         provider = StubLikelihood({(True, "body"): (cond, count), (False, "body"): (uncond, count)})
         candidate = _candidate(tags=tags, body="body")
         scored = score_candidate(candidate, target, Task(id="t", description="d"), index, provider)
+        assert (scored.skill, scored.source_pair_id) == (candidate, "t")
         record = scored.scores
         assert record.combined == pytest.approx(
             math.sqrt(record.f_tag * record.alignment), abs=1e-12
@@ -206,11 +196,6 @@ def test_filter_zero_candidates_only_bumps_epoch():
     assert rows == []
     assert updated.ids() == ("a",)
     assert updated.epoch == 3
-
-
-def test_filter_rejects_unscored_candidates():
-    with pytest.raises(InputError):
-        filter_and_update([_candidate()], SkillLibrary(), 0.2)
 
 
 def test_ranking_tie_breaks_combined_then_f_tag_then_id():
