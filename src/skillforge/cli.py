@@ -48,6 +48,7 @@ from skillforge.model import (
     load_library,
     load_tasks,
     save_library,
+    write_text_atomic,
 )
 from skillforge.providers.base import ChatRequest, ask
 from skillforge.providers.http import (
@@ -260,7 +261,7 @@ def cmd_tag(args) -> int:
     for task in tasks:
         pair = FailurePair(task=task, trajectory=Trajectory(task_id=task.id))
         mapping[task.id] = sorted(generate_target_tags(pair, bundle.chat))
-    Path(args.out).write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(args.out, json.dumps(mapping, indent=2, sort_keys=True) + "\n")
     print(f"inferred target tags for {len(mapping)} tasks -> {args.out}")
     return 0
 
@@ -369,11 +370,8 @@ def cmd_sweep(args) -> int:
     rows = sweep(config, args.dimension, world=world, provider_factory=factory)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.json").write_text(
-        json.dumps({"dimension": args.dimension, "config": config.to_dict(), "rows": rows}, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    payload = {"dimension": args.dimension, "config": config.to_dict(), "rows": rows}
+    write_text_atomic(out / "sweep.json", json.dumps(payload, indent=2) + "\n")
     write_sweep_csv(rows, out / "sweep.csv")
     print(f"swept {args.dimension} over {len(rows)} cells -> {out}")
     return 0
@@ -381,7 +379,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     report = _read_json(args.input, "report", EvolutionReport.from_dict)
-    Path(args.out).write_text(report.markdown(), encoding="utf-8")
+    write_text_atomic(args.out, report.markdown())
     print(f"rendered {args.input} -> {args.out}")
     return 0
 

@@ -22,12 +22,13 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
+from urllib.parse import quote
 
 from skillforge import prompts
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import CoverInstance, SelectionResult, select_sources
 from skillforge.errors import PAIR_FAULTS, InputError, ParseError
-from skillforge.model import ORIGIN_EVOLVED, FailurePair, Skill, SkillLibrary
+from skillforge.model import ORIGIN_EVOLVED, FailurePair, Skill, SkillLibrary, write_text_atomic
 from skillforge.providers.base import ChatProvider, ChatRequest, ask
 from skillforge.tags import EquivalenceIndex, TagSet, generate_skill_tags
 
@@ -177,6 +178,8 @@ def _complete_one(chat: ChatProvider, request: ChatRequest, epoch: int, pair_id:
 
 
 def _dump_prompt(directory: Path, epoch: int, pair_id: str, request: ChatRequest) -> None:
+    """Write the prompt to ``evo-{epoch}-{pair id}.prompt.txt``, the pair id
+    percent-encoded so that an id holding ``/`` still names one file."""
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"evo-{epoch}-{pair_id}.prompt.txt"
-    path.write_text(f"SYSTEM:\n{request.system}\n\nUSER:\n{request.user}\n", encoding="utf-8")
+    path = directory / f"evo-{epoch}-{quote(pair_id, safe='')}.prompt.txt"
+    write_text_atomic(path, f"SYSTEM:\n{request.system}\n\nUSER:\n{request.user}\n")

@@ -42,7 +42,7 @@ from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
 from skillforge.cover import STRATEGIES, lp_memo
 from skillforge.errors import PAIR_FAULTS, ConfigError, InputError, ParseError
 from skillforge.evolve import generate_candidates
-from skillforge.model import FailurePair, Skill, SkillLibrary, Task, Trajectory, _field
+from skillforge.model import FailurePair, Skill, SkillLibrary, Task, Trajectory, _field, write_csv, write_text_atomic
 from skillforge.providers.base import (
     ChatProvider,
     ChatRequest,
@@ -839,14 +839,8 @@ def _sweep_row(dimension: str, value, report: EvolutionReport) -> dict:
 
 
 def write_sweep_csv(rows: Sequence[dict], path: str | Path) -> None:
-    import csv
-
     columns = ("dimension", "value", "source", "target", "base_pass_rate", "final_pass_rate", "total_tokens")
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: row.get(key) for key in columns})
+    write_csv(rows, columns, path)
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
@@ -941,10 +935,8 @@ def emit_report(report: EvolutionReport, base_path: str | Path) -> tuple[Path, P
     base = Path(base_path)
     json_path = base.with_suffix(".json")
     md_path = base.with_suffix(".md")
-    json_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    md_path.write_text(report.markdown(), encoding="utf-8")
+    write_text_atomic(json_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_text_atomic(md_path, report.markdown())
     return json_path, md_path
 
 

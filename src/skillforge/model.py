@@ -7,6 +7,8 @@ canonical, so saving the same library twice yields byte-identical output.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import secrets
@@ -207,10 +209,8 @@ def load_library(path: str | Path) -> SkillLibrary:
 
 
 def save_library(library: SkillLibrary, path: str | Path) -> None:
-    """Write the canonical JSONL form: metadata line, then skills sorted by id.
-    A temporary file beside ``path`` replaces it in one step, so a failed
-    write leaves any previous file as it was."""
-    path = Path(path)
+    """Write the canonical JSONL form, metadata line then skills sorted by id,
+    through ``write_text_atomic``."""
     lines = [
         json.dumps(
             {"format": LIBRARY_FORMAT, "version": LIBRARY_VERSION, "epoch": library.epoch},
@@ -219,15 +219,32 @@ def save_library(library: SkillLibrary, path: str | Path) -> None:
     ]
     for skill in library.skills:
         lines.append(json.dumps(skill.to_dict(), separators=(",", ":"), ensure_ascii=True))
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, newlines untranslated, through a
+    synced temporary file beside it that replaces it in one step: a failed
+    write leaves any previous file as it was, and a symlink is replaced."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        with tmp.open("x", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        with tmp.open("x", encoding="utf-8", newline="") as handle:
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_csv(rows: Iterable[dict], columns: Sequence[str], path: str | Path) -> None:
+    """Write ``rows`` as CSV under a ``columns`` header; a missing column is empty, an extra key ignored."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    write_text_atomic(path, buffer.getvalue())
 
 
 def add_skills(library: SkillLibrary, new: Iterable[Skill]) -> SkillLibrary:
@@ -243,9 +260,8 @@ def load_tasks(path: str | Path) -> tuple[Task, ...]:
 
 
 def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(json.dumps(t.to_dict(), separators=(",", ":"), ensure_ascii=True) + "\n" for t in tasks),
-        encoding="utf-8",
+    write_text_atomic(
+        path, "".join(json.dumps(t.to_dict(), separators=(",", ":"), ensure_ascii=True) + "\n" for t in tasks)
     )
 
 
@@ -262,11 +278,14 @@ def _record(what: str, parse, raw: dict, where: str):
 
 def _read_json(path: str | Path, what: str, parse):
     """``parse(raw)`` of the JSON object in file ``path``. Invalid JSON, a
-    value that is no object, and a ``ParseError`` from ``parse`` come out as a
-    ``ParseError`` naming the file, and a ``ConfigError`` from ``parse`` (a
-    value out of range) as a ``ConfigError`` naming it."""
+    value that is no object, text that is not UTF-8 and a ``ParseError`` from
+    ``parse`` come out as a ``ParseError`` naming the file, and a
+    ``ConfigError`` from ``parse`` (a value out of range) as a ``ConfigError``
+    naming it."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     try:
@@ -281,17 +300,21 @@ def _read_json(path: str | Path, what: str, parse):
 
 def _iter_jsonl(path: str | Path):
     """Yield (where, object) for each non-blank line of a JSONL file, where
-    ``where`` names the file and the line, as in ``tasks.jsonl: line 2``."""
+    ``where`` names the file and the line, as in ``tasks.jsonl: line 2``.
+    Text that is not UTF-8 raises a ``ParseError`` naming the file."""
     with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(raw, dict):
-                raise ParseError(f"{where}: expected a JSON object")
-            yield where, raw
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}: line {lineno}"
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
+                if not isinstance(raw, dict):
+                    raise ParseError(f"{where}: expected a JSON object")
+                yield where, raw
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc

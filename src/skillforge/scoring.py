@@ -13,7 +13,6 @@ candidate that reaches the filter carries its scores.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections.abc import Sequence
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError
 from skillforge.evolve import CandidateSkill
-from skillforge.model import Skill, SkillLibrary, Task, add_skills
+from skillforge.model import Skill, SkillLibrary, Task, add_skills, write_csv
 from skillforge.providers.base import LikelihoodProvider
 from skillforge.tags import EquivalenceIndex, TagSet, prf
 
@@ -184,8 +183,4 @@ def filter_and_update(
 
 
 def write_score_csv(rows: Sequence[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=SCORE_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: row[key] for key in SCORE_CSV_COLUMNS})
+    write_csv(rows, SCORE_CSV_COLUMNS, path)

@@ -32,7 +32,7 @@ import numpy as np
 
 from skillforge import prompts
 from skillforge.errors import ConfigError, InputError, MissingTagError, TaggingError
-from skillforge.model import FailurePair, Skill, SkillLibrary
+from skillforge.model import FailurePair, Skill, SkillLibrary, write_text_atomic
 from skillforge.providers.base import ChatProvider, ChatRequest, EmbeddingProvider, ask
 
 logger = logging.getLogger(__name__)
@@ -249,4 +249,4 @@ def self_consistency(runs: Sequence[TagSet], index: EquivalenceIndex) -> float:
 def dump_tags(library: SkillLibrary, path: str | Path) -> None:
     """Write the skill-id to tag-list mapping as JSON."""
     mapping = {skill.id: sorted(skill.tags) for skill in library}
-    Path(path).write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(mapping, indent=2, sort_keys=True) + "\n")

@@ -32,6 +32,7 @@ from skillforge.model import (
     load_tasks,
     save_library,
     save_tasks,
+    write_text_atomic,
 )
 
 TAG_VOCABULARY = (
@@ -228,7 +229,7 @@ def save_world(world: SyntheticWorld, directory: str | Path) -> None:
         "tag_universe": list(world.tag_universe),
         "covered_universe": list(world.covered_universe),
     }
-    (directory / WORLD_FILE).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(directory / WORLD_FILE, json.dumps(payload, indent=2) + "\n")
     save_tasks(world.tasks, directory / TASKS_FILE)
     save_library(world.initial_library(), directory / LIBRARY_FILE)
 

@@ -100,6 +100,30 @@ def test_invalid_json_in_an_input_file_names_the_file(tmp_path, capsys, argv, na
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["retrieve", "--library", "{path}", "--query", "csv"], "library.jsonl"),
+        (["tag", "--mock", "--tasks", "{path}", "--out", "{out}"], "tasks.jsonl"),
+        (["score", "--mock", "--candidates", "{path}", "--out", "{out}"], "candidates.jsonl"),
+        (["select", "--instance", "{path}"], "instance.json"),
+        (["report", "--input", "{path}", "--out", "{out}"], "report.json"),
+        (["eval", "--mock", "--config", "{path}", "--out", "{out}"], "config.json"),
+        (["evolve", "--mock", "--world-dir", "{dir}", "--out", "{out}"], "world.json"),
+    ],
+    ids=["library", "tasks", "candidates", "instance", "report", "config", "world-dir"],
+)
+def test_an_input_file_that_is_not_utf8_names_the_file(tmp_path, capsys, argv, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte-order mark
+    out = tmp_path / "out"
+    assert dispatch([arg.format(path=path, dir=tmp_path, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "change, message",
     [
         ({"config": {"seed": 7, "foo": 1}}, "world field 'config' holds unknown key(s): foo"),
@@ -152,18 +176,23 @@ def test_evolve_generates_world_when_no_dir_given(tmp_path):
 
 
 def test_evolve_dump_prompts(tmp_path):
+    world = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--out", str(world)]) == 0
+    tasks = world / "tasks.jsonl"
+    tasks.write_text(tasks.read_text(encoding="utf-8").replace('"task-001"', '"suite/task-001"'), encoding="utf-8")
     out = tmp_path / "run"
     prompts = tmp_path / "prompts"
     assert (
         dispatch(
             [
-                "evolve", "--mock", "--seed", "3", "--epochs", "1",
+                "evolve", "--mock", "--seed", "7", "--epochs", "1", "--world-dir", str(world),
                 "--out", str(out), "--dump-prompts", str(prompts),
             ]
         )
         == 0
     )
-    assert list(prompts.glob("*.prompt.txt"))
+    # A pair id is percent-encoded in the file name, so one holding "/" still names one file.
+    assert "evo-0-suite%2Ftask-001.prompt.txt" in [path.name for path in prompts.iterdir()]
 
 
 def test_eval_writes_kfold_report(tmp_path):

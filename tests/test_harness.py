@@ -37,6 +37,7 @@ from skillforge.harness import (
     spearman,
     strip_wall_clock,
     sweep,
+    write_sweep_csv,
     _Session,
 )
 from skillforge.model import FailurePair, SkillLibrary, Task, Trajectory
@@ -932,6 +933,22 @@ def test_emit_report_zero_epochs_is_valid(tmp_path):
     json_path, _ = emit_report(report, tmp_path / "report")
     parsed = json.loads(json_path.read_text(encoding="utf-8"))
     assert len(parsed["summary"]["per_epoch"]) == 1
+
+
+def test_sweep_csv_bytes(tmp_path):
+    rows = [
+        {"dimension": "epochs", "value": 2, "source": None, "target": None, "base_pass_rate": 0.25,
+         "final_pass_rate": 0.5, "total_tokens": 1200},
+        {"dimension": "transfer", "value": "A->B", "source": "A", "target": "B", "base_pass_rate": None,
+         "final_pass_rate": 0.75, "total_tokens": None},
+    ]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    assert path.read_bytes() == (
+        b"dimension,value,source,target,base_pass_rate,final_pass_rate,total_tokens\r\n"
+        b"epochs,2,,,0.25,0.5,1200\r\n"
+        b"transfer,A->B,A,B,,0.75,\r\n"
+    )
 
 
 def test_report_markdown_is_stable_under_fake_clock(tmp_path):

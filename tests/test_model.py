@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from skillforge import cli
 from skillforge.errors import InputError, IntegrityError, ParseError
+from skillforge.evolve import _dump_prompt
+from skillforge.harness import EvolutionReport, emit_report, write_sweep_csv
 from skillforge.model import (
     FailurePair,
     Skill,
@@ -17,7 +20,12 @@ from skillforge.model import (
     add_skills,
     load_library,
     save_library,
+    save_tasks,
 )
+from skillforge.providers.base import ChatRequest
+from skillforge.scoring import write_score_csv
+from skillforge.tags import dump_tags
+from skillforge.world import WorldConfig, generate_world, save_world
 
 from conftest import make_skill
 
@@ -82,29 +90,79 @@ def test_save_to_unwritable_path_raises(tmp_path):
         save_library(SkillLibrary(), tmp_path)  # a directory, not a file
 
 
-def test_failure_mid_write_leaves_the_previous_file_byte_identical(tmp_path, monkeypatch):
-    path = tmp_path / "library.jsonl"
-    save_library(SkillLibrary(skills=(make_skill("a"),), epoch=1), path)
-    before = path.read_bytes()
+_SCORE_ROW = dict.fromkeys(("candidate_id", "pair_id", "p_tag", "r_tag", "f_tag", "alignment", "combined"), "x")
+_SWEEP_ROW = {"dimension": "epochs", "value": 1, "base_pass_rate": 0.25, "final_pass_rate": 0.5, "total_tokens": 9}
+_REPORT = EvolutionReport.from_dict({"config": {}, "leaky": False, "providers": [], "cells": []})
+_LIBRARY = SkillLibrary(skills=(make_skill("a"),), epoch=1)
+
+
+def _run_cli(*argv):
+    """Run a subcommand without ``dispatch``, so its ``OSError`` propagates."""
+    args = cli.build_parser().parse_args([str(arg) for arg in argv])
+    args.func(args)
+
+
+# Each writer in the package: the name of the file to interrupt, and a call
+# that writes it (and maybe other files) into ``out``, reading from ``src``.
+_WRITERS = {
+    "library": ("lib.jsonl", lambda src, out: save_library(_LIBRARY, out / "lib.jsonl")),
+    "tasks": ("tasks.jsonl", lambda src, out: save_tasks([Task(id="t1", description="d")], out / "tasks.jsonl")),
+    "world": ("world.json", lambda src, out: save_world(generate_world(WorldConfig(n_tasks=4)), out)),
+    "tags": ("lib.tags.json", lambda src, out: dump_tags(_LIBRARY, out / "lib.tags.json")),
+    "report-json": ("report.json", lambda src, out: emit_report(_REPORT, out / "report")),
+    "report-md": ("report.md", lambda src, out: emit_report(_REPORT, out / "report")),
+    "prompt": ("evo-1-t1.prompt.txt", lambda src, out: _dump_prompt(out, 1, "t1", ChatRequest(system="s", user="u"))),
+    "score-csv": ("scores.csv", lambda src, out: write_score_csv([_SCORE_ROW], out / "scores.csv")),
+    "sweep-csv": ("sweep.csv", lambda src, out: write_sweep_csv([_SWEEP_ROW], out / "sweep.csv")),
+    "cli-target-tags": (
+        "targets.json",
+        lambda src, out: _run_cli("tag", "--mock", "--tasks", src / "tasks.jsonl", "--out", out / "targets.json"),
+    ),
+    "cli-sweep-json": ("sweep.json", lambda src, out: _run_cli("sweep", "--mock", "--dimension", "epochs", "--out", out)),
+    "cli-report-md": (
+        "again.md",
+        lambda src, out: _run_cli("report", "--input", src / "report.json", "--out", out / "again.md"),
+    ),
+}
+
+
+def _snapshot(directory):
+    return {path.relative_to(directory): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_failure_mid_write_leaves_the_previous_file_byte_identical(tmp_path, monkeypatch, writer):
+    target, write = _WRITERS[writer]
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    out.mkdir()
+    save_tasks([Task(id="t1", description="Task t1: requires capabilities: csv_parsing.")], src / "tasks.jsonl")
+    emit_report(_REPORT, src / "report")
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: [_SWEEP_ROW])  # the rows, not the runs, are written
+    write(src, out)
+    assert (out / target).is_file()
+    before = _snapshot(out)
     real_open = Path.open
 
     def half_writing_open(self, *args, **kwargs):
         handle = real_open(self, *args, **kwargs)
+        if target not in self.name:
+            return handle
         real_write = handle.write
 
-        def write(text):
+        def write_half(text):
             real_write(text[: len(text) // 2])
             raise OSError("no space left on device")
 
-        handle.write = write
+        handle.write = write_half
         return handle
 
     monkeypatch.setattr(Path, "open", half_writing_open)
     with pytest.raises(OSError, match="no space"):
-        save_library(SkillLibrary(skills=(make_skill("a"), make_skill("b")), epoch=2), path)
+        write(src, out)
     monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["library.jsonl"]
+    assert _snapshot(out) == before
+    assert not list(out.rglob(".*.tmp"))
 
 
 def test_library_sorts_skills_and_rejects_duplicates():

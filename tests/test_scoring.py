@@ -231,6 +231,8 @@ def test_score_csv_round_trip(tmp_path):
     _, _, rows = filter_and_update(candidates, SkillLibrary(), 0.5)
     path = tmp_path / "scores.csv"
     write_score_csv(rows, path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "candidate_id,pair_id,p_tag,r_tag,f_tag,alignment,combined,retained"
-    assert len(lines) == 3
+    assert path.read_bytes() == (
+        b"candidate_id,pair_id,p_tag,r_tag,f_tag,alignment,combined,retained\r\n"
+        b"c1,task-001,0.5,0.5,0.5,0.5,0.9,True\r\n"
+        b"c2,task-001,0.5,0.5,0.5,0.5,0.1,False\r\n"
+    )
