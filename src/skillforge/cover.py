@@ -21,11 +21,12 @@ which adds the best-ranked skill covering something new, ties broken by id:
                     then completed by the greedy step.
 * ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills).
 
-Inside an ``lp_memo()`` block (one per run seed or evolve call) each distinct
-numeric LP model is solved once. The key is the whole model and the value the
-rounded skill columns in sorted-id order, so instances differing only in
-names that keep their sort order share a solve and, HiGHS being
-deterministic, a hit returns what a fresh solve would.
+Inside an ``lp_memo()`` block (one per ``run_kfold`` or ``evolve_library``
+call, across all its run seeds) each distinct numeric LP model is solved once.
+The key is the whole model and the value the rounded skill columns in
+sorted-id order, so instances differing only in names that keep their sort
+order share a solve and, HiGHS being deterministic, a hit returns what a
+fresh solve would.
 
 All strategies finish with a redundancy prune that drops, scanning in reverse
 order of addition, any skill whose removal leaves the covered target classes

@@ -77,8 +77,10 @@ SWEEP_DIMENSIONS = ("epochs", "filter_ratio", "label_scale", "transfer")
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings. ``max_workers`` bounds the thread pools of the
-    stages that call providers (target-tag inference, generation, scoring);
-    evaluation and sweep cells always run serially."""
+    stages that call providers (target-tag inference, generation, scoring).
+    Those stages use pools only when some provider of the run is not in
+    process (``providers.base``); with the mocks they run serially and start
+    no thread, as evaluation and sweep cells always do."""
 
     epochs: int = 3
     filter_ratio: float = DEFAULT_FILTER_RATIO
@@ -155,13 +157,18 @@ class _Session:
     reply and ``token_count`` of every score served, memo hits included,
     under the lock, since stages call the session from threads. Chat and
     likelihood misses are sent unlocked, so two threads missing on one
-    request at once may both send it.
+    request at once may both send it. ``in_process`` is true when all three
+    providers declare ``in_process = True``; ``run_epoch`` then runs its
+    stages serially, so no two calls are ever in flight at once and that
+    race cannot happen.
     """
 
     chat = embedder = likelihood = property(lambda self: self)
 
     def __init__(self, providers: ProviderBundle) -> None:
         self._providers = providers
+        roles = (providers.chat, providers.embedder, providers.likelihood)
+        self.in_process = all(getattr(provider, "in_process", False) for provider in roles)
         self._lock = threading.Lock()
         self._replies: dict[ChatRequest, tuple[int, object]] = {}
         self._scores: dict[tuple[str, str], LikelihoodResult] = {}
@@ -337,7 +344,9 @@ def run_epoch(
     runs. That is exact as long as nothing else calls chat or likelihood on
     the session meanwhile, which holds: folds and sweep cells run serially,
     evaluation only embeds, the stages' pools join before this returns, and
-    the epoch-0 and final rows carry 0 tokens.
+    the epoch-0 and final rows carry 0 tokens. The stages run in pools of
+    ``config.max_workers`` threads only when the session is not
+    ``in_process``; otherwise each runs serially.
     ``index`` is the incoming library's BM25 index, built when not given.
     The evaluation adds its tags to ``eq``, a fresh equivalence index when
     not given; target and candidate tags then join a fork of it, so ``eq``
@@ -345,6 +354,8 @@ def run_epoch(
     evaluation of the same tasks."""
     tokens_before = providers.tokens
     started = clock()
+    # Threads only take turns running in-process providers.
+    workers = 1 if providers.in_process else config.max_workers
 
     if eq is None:
         eq = EquivalenceIndex(config.delta)
@@ -362,7 +373,7 @@ def run_epoch(
             logger.warning("skipping pair %s: %s", pair.task.id, exc)
             return None
 
-    inferred = parallel_map(_infer, ordered, max_workers=config.max_workers)
+    inferred = parallel_map(_infer, ordered, max_workers=workers)
     target_tags = {pair.task.id: tags for pair, tags in zip(ordered, inferred) if tags is not None}
     target_tags = _add_tags_or_drop(eq, target_tags, providers.embedder, "pair")
     ordered = [pair for pair in ordered if pair.task.id in target_tags]
@@ -376,7 +387,7 @@ def run_epoch(
         target_tags,
         strategy=config.strategy,
         dump_dir=dump_dir,
-        max_workers=config.max_workers,
+        max_workers=workers,
     )
 
     kept = _add_tags_or_drop(eq, {s.id: s.tags for s in generated.values()}, providers.embedder, "candidate")
@@ -391,7 +402,7 @@ def run_epoch(
             return None
 
     joined = [(pair_id, skill) for pair_id, skill in generated.items() if skill.id in kept]
-    scored = [c for c in parallel_map(_score, joined, max_workers=config.max_workers) if c]
+    scored = [c for c in parallel_map(_score, joined, max_workers=workers) if c]
 
     updated, retained, rows = filter_and_update(scored, library, config.filter_ratio)
     stats = EpochStats(
@@ -699,7 +710,11 @@ def run_kfold(
     With ``folds=1`` evolution and evaluation share the same tasks; each cell
     is then ``evolve_library``'s leaky cell and the report is flagged leaky.
     ``task_transform`` is an optional hook applied to the task list up front
-    (e.g. paraphrasing descriptions).
+    (e.g. paraphrasing descriptions). Each run seed gets its own provider
+    session, while one LP memo and one token memo serve the whole call: both
+    are keyed by their whole input (the numeric LP model, the text) and
+    depend on no seed, so a hit from another run seed returns what a fresh
+    solve or tokenization would.
     """
     factory = provider_factory or mock_provider_factory()
     tasks: Sequence[Task] = world.tasks
@@ -714,14 +729,13 @@ def run_kfold(
 
     cells: list[CellResult] = []
     audit: tuple[str, ...] = ()
-    for run_idx in range(config.runs):
-        run_seed = config.seed + run_idx
-        providers = factory(run_seed)
-        audit = providers.audit_names()
-        providers = _Session(providers)
-        fold_lists = _partition_folds(tasks, config.folds, run_seed)
-        # One LP memo and one token memo per run seed, like the provider session.
-        with lp_memo(), token_memo():
+    with lp_memo(), token_memo():
+        for run_idx in range(config.runs):
+            run_seed = config.seed + run_idx
+            providers = factory(run_seed)
+            audit = providers.audit_names()
+            providers = _Session(providers)
+            fold_lists = _partition_folds(tasks, config.folds, run_seed)
             for fold_idx in range(config.folds):
                 # The leaky cell trains on its only fold and holds nothing out.
                 holdout = None if leaky else fold_lists[fold_idx]

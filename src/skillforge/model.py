@@ -12,6 +12,7 @@ import io
 import json
 import os
 import secrets
+import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -225,14 +226,21 @@ def save_library(library: SkillLibrary, path: str | Path) -> None:
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, newlines untranslated, through a
     synced temporary file beside it that replaces it in one step: a failed
-    write leaves any previous file as it was, and a symlink is replaced."""
+    write leaves any previous file as it was, and a symlink is replaced. A
+    replaced file's permission bits carry over; a new file takes the umask's."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        mode = stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        mode = None
     try:
         with tmp.open("x", encoding="utf-8", newline="") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

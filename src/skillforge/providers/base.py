@@ -4,6 +4,13 @@ Providers are duck-typed: anything with the right method shape works. The
 engine ships seeded mocks (``skillforge.providers.mock``) and an
 OpenAI-compatible HTTP adapter (``skillforge.providers.http``). Every chat
 reply a consumer uses comes through ``ask``, the one routine that re-asks.
+
+A provider whose calls do all their work in this process and wait on
+nothing may declare the class attribute ``in_process = True``, as the mocks
+do. A run whose three providers all declare it calls them serially, since
+threads would only take turns under the GIL; a provider without it (the
+HTTP adapter, any duck-typed one) is taken to wait, and the stages that call
+it run in thread pools bounded by ``max_workers``.
 """
 
 from __future__ import annotations

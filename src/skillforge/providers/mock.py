@@ -3,7 +3,8 @@
 Every mock is a pure function of (seed, call inputs): repeated calls are
 bit-identical and instances are stateless, so they are safe to share across
 threads. The embedder has no seed, since one embedding model serves every
-run. No mock performs any I/O.
+run. No mock performs any I/O or waits on anything, so each declares
+``in_process = True`` (see ``providers.base``).
 
 The mock chat provider understands the three prompt roles used by the engine
 (skill tagging, target tagging, candidate generation) and answers from the
@@ -71,6 +72,8 @@ class MockEmbedder:
     dimensions, L2 normalized. It has no seed: every instance hashes with
     seed 0, so a text gets the same vector in every run."""
 
+    in_process = True
+
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         texts = validate_embed_inputs(texts)
         out = np.zeros((len(texts), EMBED_DIM), dtype=np.float64)
@@ -99,6 +102,8 @@ class MockChatProvider:
     generic boilerplate line, which is how weakly useful skills show up in
     downstream retrieval.
     """
+
+    in_process = True
 
     def __init__(self, seed: int = 0, noise_rate: float = 0.0) -> None:
         if noise_rate < 0:
@@ -204,6 +209,8 @@ class MockLikelihoodScorer:
     while scorers with different seeds stay positively correlated without
     agreeing exactly.
     """
+
+    in_process = True
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

@@ -41,16 +41,17 @@ the same float a full scan computes. Ranking is a stable argsort of
 ``-scores`` along each row: tied documents keep id order, exactly as
 sorting ``(-score, id)`` would. Scores that are not positive are dropped.
 
-Inside a ``token_memo()`` block (one per run seed or evolve call, opened
-beside ``cover.lp_memo()``) each distinct document text is tokenized once,
-kept as its ``(Counter, length)``, and each distinct query text once, kept as
-its token list. Both are keyed by the text itself, never by a skill id: one
-``candidate_id`` can name different bodies in different folds, while equal
-texts always tokenize alike. The document half still pays with grown
-indexes: every fold of a run seed starts from the same initial library, and
-candidate texts recur across folds, so a fold's appended skills are often
-texts an earlier fold already tokenized. The cached values are never
-mutated. Outside any block nothing is cached, so separate runs share no
+Inside a ``token_memo()`` block (one per ``run_kfold`` or ``evolve_library``
+call, across all its run seeds, opened beside ``cover.lp_memo()``) each
+distinct document text is tokenized once, kept as its ``(Counter, length)``,
+and each distinct query text once, kept as its token list. Both are keyed by
+the text itself, never by a skill id: one ``candidate_id`` can name
+different bodies in different folds, while equal texts always tokenize
+alike. The document half still pays with grown indexes: every fold starts
+from an initial library drawn from the same human skills, and candidate
+texts recur across folds and run seeds, so a fold's appended skills are
+often texts an earlier fold already tokenized. The cached values are never
+mutated. Outside any block nothing is cached, so separate calls share no
 work.
 """
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -148,6 +149,14 @@ def linprog_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
     return calls
+
+
+@pytest.fixture
+def new_file_mode():
+    """Run the test under umask 027 and give the mode a new file gets."""
+    previous = os.umask(0o027)
+    yield 0o640
+    os.umask(previous)
 
 
 @pytest.fixture

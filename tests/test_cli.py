@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import stat
 
 import pytest
 
@@ -239,6 +240,16 @@ def test_tag_command_tags_untagged_library(tmp_path):
     assert json.loads(out.with_suffix(".tags.json").read_text(encoding="utf-8")) == {
         "s1": ["csv_parsing", "json_validation"]
     }
+
+
+def test_tag_force_over_its_own_library_keeps_the_file_mode(tmp_path, new_file_mode):
+    src = tmp_path / "library.jsonl"
+    save_library(SkillLibrary(skills=(make_skill("s1", tags=("stale_tag",), body="Requires csv_parsing."),)), src)
+    src.chmod(0o600)
+    assert dispatch(["tag", "--mock", "--library", str(src), "--out", str(src), "--force"]) == 0
+    assert load_library(src).skills[0].tags == frozenset({"csv_parsing"})
+    assert stat.S_IMODE(src.stat().st_mode) == 0o600
+    assert stat.S_IMODE(src.with_suffix(".tags.json").stat().st_mode) == new_file_mode
 
 
 def test_tag_command_infers_task_target_tags(tmp_path):

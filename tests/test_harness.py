@@ -267,7 +267,7 @@ def test_kfold_builds_one_bm25_index_per_epoch(monkeypatch):
     assert builds == [row.library_size for cell in report.cells for row in cell.rows]
 
 
-def test_each_kfold_run_tokenizes_afresh(monkeypatch):
+def test_each_kfold_call_tokenizes_a_text_once(monkeypatch):
     import skillforge.retrieval as retrieval
 
     calls = []
@@ -285,8 +285,8 @@ def test_each_kfold_run_tokenizes_afresh(monkeypatch):
     second = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
     assert strip_wall_clock(second.to_dict()) == strip_wall_clock(first.to_dict())
     assert calls == first_calls
-    # Each run seed tokenizes a text once; the initial skills' texts recur in every run.
-    assert max(Counter(first_calls).values()) == config.runs
+    # One memo serves every run seed of a call; the next call starts afresh.
+    assert max(Counter(first_calls).values()) == 1
     assert retrieval._TOKEN_MEMO.get() is None
 
 
@@ -304,6 +304,25 @@ def test_evaluation_starts_no_thread_pool(monkeypatch):
     assert len(outcomes) == 20
     with pytest.raises(AssertionError, match="thread pool started"):
         parallel_map(str, [1, 2], max_workers=4)
+
+
+def test_kfold_with_in_process_providers_starts_no_thread_pool(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    world = _world(n_tasks=30)
+    config = RunConfig(seed=7, epochs=2, folds=2, runs=2, max_workers=1)
+    serial = strip_wall_clock(run_kfold(config, world, mock_provider_factory(noise_rate=0.5)).to_dict())
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", refuse)
+    wide = replace(config, max_workers=4)
+    report = strip_wall_clock(run_kfold(wide, world, mock_provider_factory(noise_rate=0.5)).to_dict())
+    assert report["config"].pop("max_workers") == 4
+    assert serial["config"].pop("max_workers") == 1
+    assert report == serial
+    assert sum(row["n_candidates"] or 0 for cell in report["cells"] for row in cell["rows"]) > 0
 
 
 def test_run_epoch_builds_one_equivalence_index(monkeypatch):
@@ -711,7 +730,10 @@ def test_sweep_epochs_grid_starts_at_base():
 
 class GaugedChat(MockChatProvider):
     """Mock chat that sleeps in each call and records the peak number of
-    calls in flight across every bundle sharing ``gauge``."""
+    calls in flight across every bundle sharing ``gauge``. It stands in for
+    a provider that waits, so it is not in process and gets thread pools."""
+
+    in_process = False
 
     def __init__(self, gauge, **kwargs):
         super().__init__(**kwargs)
@@ -742,7 +764,7 @@ def test_sweep_keeps_provider_calls_within_max_workers():
     config = RunConfig(seed=7, epochs=1, folds=2, runs=1, max_workers=2)
     rows = sweep(config, "filter_ratio", world=_world(n_tasks=30), provider_factory=factory)
     assert len(rows) == len(RATIO_SWEEP_VALUES)
-    assert 1 <= gauge["peak"] <= config.max_workers
+    assert gauge["peak"] == config.max_workers
 
 
 def test_run_epoch_skips_pairs_whose_tagging_fails():
@@ -1509,14 +1531,25 @@ def test_a_failed_embedding_batch_drops_only_the_pair_that_holds_the_bad_tag(sta
     assert len(updated) == len(library) + stats.n_retained
 
 
-def test_lp_memo_lives_for_one_run_seed(linprog_calls):
+def test_lp_memo_solves_each_model_once_per_kfold_call(monkeypatch):
+    import skillforge.cover as cover
+
+    models = []
+    solve = cover._solve_lp
+
+    def counted(*model):
+        models.append(model)
+        return solve(*model)
+
+    monkeypatch.setattr(cover, "_solve_lp", counted)
     world = _world(n_tasks=30)
     config = _quick_config(strategy="lp_round", runs=2)
     first = run_kfold(config, world, mock_provider_factory())
-    first_calls = len(linprog_calls)
+    first_models, models[:] = list(models), []
     second = run_kfold(config, world, mock_provider_factory())
-    assert first_calls > 0
-    assert len(linprog_calls) == 2 * first_calls
+    assert len(first_models) == len(set(first_models)) > 0
+    # The memo starts empty on every call, so the second solves the same models again.
+    assert models == first_models
     assert strip_wall_clock(first.to_dict()) == strip_wall_clock(second.to_dict())
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,17 @@ def test_failure_mid_write_leaves_the_previous_file_byte_identical(tmp_path, mon
     monkeypatch.undo()
     assert _snapshot(out) == before
     assert not list(out.rglob(".*.tmp"))
+
+
+def test_replacing_a_file_keeps_its_mode_and_a_new_file_takes_the_umask(tmp_path, new_file_mode):
+    kept, fresh = tmp_path / "kept.jsonl", tmp_path / "fresh.jsonl"
+    save_library(_LIBRARY, kept)
+    kept.chmod(0o600)
+    save_library(add_skills(_LIBRARY, [make_skill("b")]), kept)
+    save_library(_LIBRARY, fresh)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    assert load_library(kept).ids() == ("a", "b")
+    assert stat.S_IMODE(fresh.stat().st_mode) == new_file_mode
 
 
 def test_library_sorts_skills_and_rejects_duplicates():
