@@ -210,6 +210,23 @@ class _Session:
             return np.array([self._vectors[t] for t in texts])
 
 
+def _retrieved_mask(hits: Sequence[tuple[str, float]], skill_masks: Mapping[str, int]) -> int:
+    """The OR of the masks of the skills in ``hits``."""
+    retrieved_mask = 0
+    for skill_id, _ in hits:
+        retrieved_mask |= skill_masks[skill_id]
+    return retrieved_mask
+
+
+def _covers(required_mask: int, retrieved_mask: int, coverage_threshold: float) -> bool:
+    """Whether ``retrieved_mask`` covers at least ``coverage_threshold`` of
+    the classes of ``required_mask`` (an empty one is covered);
+    ``int.bit_count`` gives the same integer ratio a set intersection would."""
+    n_required = required_mask.bit_count()
+    fraction = (required_mask & retrieved_mask).bit_count() / n_required if n_required else 1.0
+    return fraction >= coverage_threshold - 1e-9
+
+
 def simulate_agent(
     task: Task,
     hits: Sequence[tuple[str, float]],
@@ -225,19 +242,16 @@ def simulate_agent(
     ``skill_masks`` maps each library skill id to the mask of its tags'
     classes and ``required_mask`` is the mask of the task's required classes.
     The task passes, and the judge returns ``None``, when the OR of its hits'
-    masks covers at least ``coverage_threshold`` of the required classes;
-    ``int.bit_count`` gives the same integer ratio a set intersection would.
-    Only a failure builds anything: a ``FailurePair`` whose trajectory
-    records the retrieved skill ids and the missing classes, which is what
-    later tag inference reads. ``class_names`` is sorted, so the missing
-    names come out sorted.
+    masks covers at least ``coverage_threshold`` of the required classes
+    (``_covers``, the one coverage test, which ``evaluate_tasks`` also
+    applies). Only a failure builds anything: a ``FailurePair`` whose
+    trajectory records the retrieved skill ids and the missing classes, which
+    is what later tag inference reads. ``class_names`` is sorted, so the
+    missing names come out sorted. ``evaluate_tasks`` calls it for failing
+    tasks only.
     """
-    retrieved_mask = 0
-    for skill_id, _ in hits:
-        retrieved_mask |= skill_masks[skill_id]
-    n_required = required_mask.bit_count()
-    fraction = (required_mask & retrieved_mask).bit_count() / n_required if n_required else 1.0
-    if fraction >= coverage_threshold - 1e-9:
+    retrieved_mask = _retrieved_mask(hits, skill_masks)
+    if _covers(required_mask, retrieved_mask, coverage_threshold):
         return None
 
     missing, missing_mask = [], required_mask & ~retrieved_mask
@@ -268,23 +282,30 @@ def evaluate_tasks(
     return one outcome per task, in task order: ``None`` for a pass and the
     task's ``FailurePair`` for a failure.
 
-    The library's tags and the tasks' required tags (parsed once per task)
-    are added to ``eq``, a fresh equivalence index when not given. A caller
+    The library's tags and the tasks' required tags (each distinct metadata
+    string parsed once, by ``world.required_tag_sets``) are added to ``eq``,
+    a fresh equivalence index when not given. A caller
     may pass the index it gave the evaluation of the same tasks against an
     earlier library of this one: it then holds this evaluation's tags and no
     other, and the partition is the one a fresh index would find, since it
     does not depend on the order tags arrive in. ``index`` is ``library``'s
     BM25 index, built here when not given. Each class gets one bit, in sorted
     order of the class names, and each skill and task the Python-int mask of
-    its tags' classes, which ``simulate_agent`` judges. Evaluation calls no
+    its tags' classes. The work is paid per distinct input, not per task:
+    each distinct required-tag set is masked once; ``retrieve`` gives tasks
+    with equal queries one shared ranking, whose skill masks are ORed once;
+    and each distinct (ranking, required-tag set) pair gets one coverage
+    verdict. Only a failing task goes to ``simulate_agent``, which builds its
+    ``FailurePair``. Every memo is local to the call. Evaluation calls no
     provider beyond ``eq``'s embeddings, so the tasks run serially.
     """
     if index is None:
         index = build_index(library)
     if eq is None:
         eq = EquivalenceIndex(config.delta)
-    required = [world.required_tags(task) for task in tasks]
-    tags = set().union(*(skill.tags for skill in library), *required)
+    required = world.required_tag_sets(tasks)
+    distinct_required = set(required)
+    tags = set().union(*(skill.tags for skill in library), *distinct_required)
     eq.add_tags(tags, embedder)
     class_of = {tag: eq.representative(tag) for tag in tags}
     class_names = sorted(set(class_of.values()))
@@ -295,11 +316,24 @@ def evaluate_tasks(
         return reduce(or_, map(tag_bit.__getitem__, tag_set), 0)
 
     skill_masks = {skill.id: mask(skill.tags) for skill in library}
+    required_masks = {tag_set: mask(tag_set) for tag_set in distinct_required}
     hits = retrieve(index, [task.description for task in tasks], config.retrieval_k)
     threshold = world.coverage_threshold
+    # Rankings are keyed by identity: equal queries share one ranking object,
+    # and ``hits`` keeps every one alive for the whole call. Each distinct
+    # (ranking, required-tag set) pair of a task gets one coverage verdict.
+    rankings = {id(ranking): ranking for ranking in hits}
+    hit_masks = {key: _retrieved_mask(ranking, skill_masks) for key, ranking in rankings.items()}
+    pairs = list(zip(map(id, hits), required))
+    covered = {
+        (key, tag_set): _covers(required_masks[tag_set], hit_masks[key], threshold)
+        for key, tag_set in dict.fromkeys(pairs)
+    }
     return [
-        simulate_agent(task, task_hits, skill_masks, mask(task_required), class_names, threshold)
-        for task, task_hits, task_required in zip(tasks, hits, required)
+        None
+        if covered[pair]
+        else simulate_agent(task, ranking, skill_masks, required_masks[pair[1]], class_names, threshold)
+        for task, ranking, pair in zip(tasks, hits, pairs)
     ]
 
 

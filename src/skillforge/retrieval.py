@@ -27,17 +27,18 @@ zeros and stands for unknown terms and padding) and one column per document
 in id order: each column's weight goes to the id-order position
 that the index computed once at build time, because appended ``evo-...``
 ids sort before ``human-...`` ones. Each query is keyed by the tuple of
-its known terms' rows, in query order, duplicates included; its unknown
-terms are left out, since their row 0 would only add ``x + 0.0``. Queries
-with equal keys get the same scores, so each distinct key is scored and
-ranked once and every query gets its own copy of its key's list. A matrix
-``positions`` has row i list, position by position, distinct key i's rows,
-padded with row 0. Scores start at zero and ``scores +=
-weights[positions[:, j]]`` adds position j of every key at once. A
-document therefore receives its contributions one at a time, in query
-order, like a term-by-term loop; every other add is ``x + 0.0``, which is
-exact for the non-negative finite scores BM25 produces, so every score is
-the same float a full scan computes. Ranking is a stable argsort of
+its known terms, in query order, duplicates included; its unknown terms are
+left out, since their row 0 would only add ``x + 0.0``. Queries with equal
+keys get the same scores, so each distinct key is scored and ranked once,
+into a tuple that every query with that key shares: no copy is made per
+query, and being immutable, no caller can change another query's ranking
+through it. A matrix ``positions`` has row i list, position by position,
+the rows of distinct key i's terms, padded with row 0. Scores start at zero
+and ``scores += weights[positions[:, j]]`` adds position j of every key at
+once. A document therefore receives its contributions one at a time, in
+query order, like a term-by-term loop; every other add is ``x + 0.0``,
+which is exact for the non-negative finite scores BM25 produces, so every
+score is the same float a full scan computes. Ranking is a stable argsort of
 ``-scores`` along each row: tied documents keep id order, exactly as
 sorting ``(-score, id)`` would. Scores that are not positive are dropped.
 
@@ -172,21 +173,25 @@ def build_index(library: SkillLibrary, base: Bm25Index | None = None) -> Bm25Ind
     return Bm25Index(tuple(columns), tuple(lengths), postings)
 
 
-def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
+def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[tuple[tuple[str, float], ...]]:
     """Top-k skill ids by BM25 score for each query, descending, ties by id;
-    zero scores dropped. One ranked list per query, in query order."""
+    zero scores dropped. One ranking per query, in query order: a tuple of
+    ``(id, score)`` pairs, one object shared by all queries with equal keys."""
     if k < 1:
         raise InputError("k must be at least 1")
     if isinstance(queries, str):
         raise InputError("retrieve takes a sequence of queries, not a single string")
     _, memo = _TOKEN_MEMO.get() or (None, None)
     terms = [_memoized(memo, query, tokenize) for query in queries]
-    rows: dict[str, int] = {}  # row 0 is the zero row
-    for term in dict.fromkeys(chain.from_iterable(terms)):
-        if term in index.postings:
-            rows[term] = len(rows) + 1
+    # A query's key is its known terms, in order, duplicates included. Equal
+    # keys score alike, so each distinct key is scored and ranked once.
+    slots: dict[tuple[str, ...], int] = {}
+    known = index.postings.__contains__
+    slot_of = [slots.setdefault(tuple(filter(known, query)), len(slots)) for query in terms]
+    # Row 0 is the zero row.
+    rows = {term: row for row, term in enumerate(dict.fromkeys(chain.from_iterable(slots)), 1)}
     if not rows:
-        return [[] for _ in terms]  # also every index whose avgdl is 0: it has no postings
+        return [() for _ in terms]  # also every index whose avgdl is 0: it has no postings
     n_docs = index.size
     postings = [index.postings[term] for term in rows]
     per_term = [len(term_columns) for term_columns, _ in postings]  # each term's df
@@ -197,23 +202,21 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[list[tupl
     contributions = np.repeat(idf, per_term) * tf * (K1 + 1) / (tf + norm[posted])
     weights = np.zeros((len(rows) + 1, n_docs))
     weights[np.repeat(np.arange(1, len(rows) + 1), per_term), index._id_rank[posted]] = contributions
-    # Equal keys score alike, so each distinct key is ranked once.
-    slots: dict[tuple[int, ...], int] = {}
-    slot_of = [
-        slots.setdefault(tuple(rows[term] for term in query if term in rows), len(slots)) for query in terms
-    ]
     lengths = np.array([len(key) for key in slots], dtype=np.intp)
     positions = np.zeros((len(slots), lengths.max()), dtype=np.intp)
     # A boolean mask fills row by row: key i's rows, then key i + 1's.
-    positions[np.arange(positions.shape[1]) < lengths[:, None]] = list(chain.from_iterable(slots))
+    filled = np.arange(positions.shape[1]) < lengths[:, None]
+    positions[filled] = [rows[term] for term in chain.from_iterable(slots)]
     scores = np.zeros((len(slots), n_docs))
     for j in range(positions.shape[1]):
         scores += weights[positions[:, j]]
     top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    top_scores = np.take_along_axis(scores, top, axis=1).tolist()
+    top_scores = np.take_along_axis(scores, top, axis=1)
+    # No score is negative, so each row's positive scores are its first ones.
+    positive = np.count_nonzero(top_scores > 0.0, axis=1).tolist()
     ids = index.doc_ids
     ranked = [
-        [(ids[column], score) for column, score in zip(columns, row_scores) if score > 0.0]
-        for columns, row_scores in zip(top.tolist(), top_scores)
+        tuple(zip(map(ids.__getitem__, columns[:n]), row_scores[:n]))
+        for columns, row_scores, n in zip(top.tolist(), top_scores.tolist(), positive)
     ]
-    return [ranked[slot].copy() for slot in slot_of]
+    return list(map(ranked.__getitem__, slot_of))

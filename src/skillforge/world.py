@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from skillforge.model import (
     save_tasks,
     write_text_atomic,
 )
+from skillforge.tags import normalize_tag
 
 TAG_VOCABULARY = (
     "pdf_text_extraction",
@@ -110,10 +112,31 @@ class SyntheticWorld:
         return SkillLibrary(skills=self.initial_skills, epoch=0)
 
     def required_tags(self, task: Task) -> frozenset[str]:
-        raw = task.metadata.get(METADATA_REQUIRED_TAGS, "")
-        if not raw:
-            raise InputError(f"task {task.id!r} carries no required-tag ground truth")
-        return frozenset(raw.split(","))
+        """The task's required tags: its comma-separated metadata string, each
+        piece normalized as every other tag is (so ``"a, b"`` means ``a`` and
+        ``b``). A missing string or an empty piece raises ``InputError``."""
+        return self.required_tag_sets([task])[0]
+
+    def required_tag_sets(self, tasks: Sequence[Task]) -> list[frozenset[str]]:
+        """``required_tags`` of each task, in task order. Each distinct
+        metadata string is parsed once and each distinct piece normalized
+        once, so tasks with equal strings share one set."""
+        raws = [task.metadata.get(METADATA_REQUIRED_TAGS, "") for task in tasks]
+        normalized: dict[str, str] = {}
+        parsed: dict[str, frozenset[str]] = {}
+        for raw in dict.fromkeys(raws):
+            if not raw:
+                raise InputError(f"task {tasks[raws.index(raw)].id!r} carries no required-tag ground truth")
+            pieces = raw.split(",")
+            try:
+                for piece in pieces:
+                    if piece not in normalized:
+                        normalized[piece] = normalize_tag(piece)
+            except InputError as exc:
+                task_id = tasks[raws.index(raw)].id
+                raise InputError(f"task {task_id!r} has a bad required-tag list {raw!r}: {exc}") from None
+            parsed[raw] = frozenset(map(normalized.__getitem__, pieces))
+        return [parsed[raw] for raw in raws]
 
 
 def _task_description(task_id: str, required: list[str]) -> str:

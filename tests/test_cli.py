@@ -167,6 +167,42 @@ def test_simworld_then_evolve_is_deterministic(tmp_path, capsys):
     assert report1["providers"] == ["MockChatProvider", "MockEmbedder", "MockLikelihoodScorer"]
 
 
+def _rewrite_required_tags(tasks_path, rewrite):
+    """Pass every task's required-tag string in ``tasks_path`` through ``rewrite``."""
+    tasks = [json.loads(line) for line in tasks_path.read_text(encoding="utf-8").splitlines()]
+    for task in tasks:
+        task["metadata"]["required_tags"] = rewrite(task["metadata"]["required_tags"])
+    tasks_path.write_text("".join(json.dumps(task) + "\n" for task in tasks), encoding="utf-8")
+
+
+def test_a_required_tag_list_with_spaces_reads_like_one_without(tmp_path):
+    plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+    assert dispatch(["simworld", "--seed", "7", "--out", str(plain)]) == 0
+    assert dispatch(["simworld", "--seed", "7", "--out", str(spaced)]) == 0
+    _rewrite_required_tags(spaced / "tasks.jsonl", lambda tags: " " + ", ".join(tags.split(",")) + " ")
+    reports, libraries = [], []
+    for world_dir in (plain, spaced):
+        out = tmp_path / f"run-{world_dir.name}"
+        assert dispatch(["evolve", "--mock", "--seed", "7", "--world-dir", str(world_dir), "--out", str(out)]) == 0
+        reports.append(strip_wall_clock(json.loads((out / "report.json").read_text(encoding="utf-8"))))
+        libraries.append((out / "library.jsonl").read_bytes())
+    assert reports[0] == reports[1] and libraries[0] == libraries[1]
+    assert reports[0]["cells"][0]["rows"][0]["train_pass_rate"] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [lambda tags: tags.replace(",", ",,", 1), lambda tags: tags + ",", lambda tags: " ," + tags],
+    ids=["double-comma", "trailing-comma", "blank-piece"],
+)
+def test_an_empty_required_tag_exits_two_naming_the_task(tmp_path, capsys, rewrite):
+    world_dir = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--out", str(world_dir)]) == 0
+    _rewrite_required_tags(world_dir / "tasks.jsonl", rewrite)
+    assert dispatch(["evolve", "--mock", "--world-dir", str(world_dir), "--out", str(tmp_path / "run")]) == 2
+    assert "error: task 'task-000' has a bad required-tag list" in capsys.readouterr().err
+
+
 def test_evolve_generates_world_when_no_dir_given(tmp_path):
     out = tmp_path / "run"
     assert dispatch(["evolve", "--mock", "--seed", "3", "--epochs", "1", "--out", str(out)]) == 0

@@ -181,6 +181,72 @@ def test_batched_evaluation_equals_the_per_task_loop(delta, world_seed):
             assert evaluate_tasks(tasks, library, world, config, MockEmbedder()) == expected
 
 
+@functools.cache
+def _shared_world(seed):
+    """A 4-tag world of 80 tasks, so at most 10 distinct required-tag sets,
+    with its initial, evolved and empty libraries."""
+    world = generate_world(WorldConfig(seed=seed, n_tasks=80, n_tags=4, covered_tags=2))
+    evolved, _, _ = evolve_library(
+        RunConfig(seed=seed, epochs=2), world, mock_provider_factory(noise_rate=0.5)(seed)
+    )
+    return world, (world.initial_library(), evolved, SkillLibrary())
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize("world_seed", [3, 11])
+def test_shared_rankings_and_tag_sets_judge_like_the_per_task_loop(delta, world_seed):
+    world, libraries = _shared_world(world_seed)
+    assert len({task.metadata["required_tags"] for task in world.tasks}) <= 10
+    # Tasks with equal descriptions share one ranking; "?" matches no skill,
+    # so those tasks share the empty ranking while their required tags differ.
+    twins = [replace(task, id=f"twin-{task.id}") for task in world.tasks[:20]]
+    no_hits = [replace(task, id=f"nohit-{task.id}", description="?") for task in world.tasks[::7]]
+    tasks = list(world.tasks) + twins + no_hits
+    config = RunConfig(seed=world_seed, delta=delta)
+    for library in libraries:
+        expected = _reference_evaluation(tasks, library, world, config, MockEmbedder())
+        outcomes = evaluate_tasks(tasks, library, world, config, MockEmbedder())
+        assert outcomes == expected
+        assert any(o is None for o in outcomes) or library is libraries[2]
+        assert all(o is not None for o in outcomes[-len(no_hits):])
+
+
+def test_evaluation_parses_each_distinct_tag_string_once_and_builds_only_failures(monkeypatch):
+    import skillforge.harness as harness
+
+    class CountedStr(str):
+        """A required-tag string that records each split of itself: a parse."""
+
+        def split(self, *args):
+            parses.append(str(self))
+            return super().split(*args)
+
+    parses: list[str] = []
+    built = []
+    original = harness.simulate_agent
+
+    def counting(*args):
+        pair = original(*args)
+        built.append(pair)
+        return pair
+
+    world = _world(n_tasks=60, n_tags=4, covered_tags=2)
+    tasks = [
+        replace(task, metadata={**task.metadata, "required_tags": CountedStr(task.metadata["required_tags"])})
+        for task in world.tasks
+    ]
+    distinct = {task.metadata["required_tags"] for task in tasks}
+    assert len(distinct) < len(tasks)
+    config = RunConfig(seed=7)
+    expected = evaluate_tasks(list(world.tasks), world.initial_library(), world, config, MockEmbedder())
+    monkeypatch.setattr(harness, "simulate_agent", counting)
+    outcomes = evaluate_tasks(tasks, world.initial_library(), world, config, MockEmbedder())
+    assert outcomes == expected
+    assert sorted(parses) == sorted(distinct)
+    assert 0 < len(built) == sum(o is not None for o in outcomes) < len(tasks)
+    assert all(pair is not None for pair in built)
+
+
 def _set_based_simulate_agent(task, hits, skill_classes, world, eq):
     """The judge before class masks: frozensets of classes per task."""
     required_classes = eq.canonical_set(world.required_tags(task))

@@ -27,7 +27,7 @@ def test_tokenizer_lowercases_and_splits_non_alphanumeric():
 def test_empty_library_index_returns_nothing():
     index = build_index(SkillLibrary())
     assert index.size == 0
-    assert retrieve(index, ["anything at all"], 5)[0] == []
+    assert retrieve(index, ["anything at all"], 5)[0] == ()
 
 
 def _by_id(index: Bm25Index) -> tuple:
@@ -65,7 +65,7 @@ def test_unique_term_ranks_its_document_first():
 
 def test_query_without_indexed_terms_is_empty():
     library = _library({"d1": "alpha beta"})
-    assert retrieve(build_index(library), ["zeta eta"], 5)[0] == []
+    assert retrieve(build_index(library), ["zeta eta"], 5)[0] == ()
 
 
 def test_k_must_be_positive():
@@ -157,7 +157,7 @@ def test_library_of_empty_documents_returns_nothing():
     library = SkillLibrary(skills=(make_skill("s1", tags=(), name="\u2014", description="", body="!!!"),))
     index = build_index(library)
     assert index.avgdl == 0.0
-    assert retrieve(index, ["anything"], 5)[0] == []
+    assert retrieve(index, ["anything"], 5)[0] == ()
 
 
 def test_bare_string_is_rejected():
@@ -172,7 +172,7 @@ def test_batch_returns_one_ranking_per_query_in_order():
     queries = ["gamma", "", "alpha", "absent words", "alpha"]
     batch = retrieve(index, queries, 2)
     assert batch == [retrieve(index, [query], 2)[0] for query in queries]
-    assert batch[1] == [] and batch[3] == []
+    assert batch[1] == () and batch[3] == ()
     assert batch[2] == batch[4]
     assert retrieve(index, [], 2) == []
 
@@ -197,7 +197,7 @@ def test_many_tied_documents_keep_id_order():
         assert retrieve(index, queries, 400) == expected
 
 
-def _full_scan(library: SkillLibrary, query: str, k: int) -> list[tuple[str, float]]:
+def _full_scan(library: SkillLibrary, query: str, k: int) -> tuple[tuple[str, float], ...]:
     """Reference: tokenize every skill of ``library`` and score it term by
     term from its own counts, document frequencies and average length."""
     terms = tokenize(query)
@@ -205,7 +205,7 @@ def _full_scan(library: SkillLibrary, query: str, k: int) -> list[tuple[str, flo
         skill.id: Counter(tokenize(f"{skill.name} {skill.description} {skill.body}")) for skill in library
     }
     if not terms or not counts:
-        return []
+        return ()
     df = Counter(term for doc in counts.values() for term in doc)
     avgdl = sum(doc.total() for doc in counts.values()) / len(counts)
     scored: list[tuple[str, float]] = []
@@ -224,7 +224,7 @@ def _full_scan(library: SkillLibrary, query: str, k: int) -> list[tuple[str, flo
         if score > 0.0:
             scored.append((doc_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    return tuple(scored[:k])
 
 
 # A small vocabulary makes shared terms, repeated terms and tied documents common.
@@ -242,10 +242,15 @@ def _batch(queries: list[list[str]]) -> list[str]:
     return texts + texts[::-1] + ["absent nowhere"]
 
 
-def _retrieve_apart(index: Bm25Index, texts: list[str], k: int) -> list[list[tuple[str, float]]]:
-    """``retrieve``, checking that no two queries share a result list."""
+def _retrieve_shared(index: Bm25Index, texts: list[str], k: int) -> list[tuple[tuple[str, float], ...]]:
+    """``retrieve``, checking that every ranking is a tuple and that queries
+    with equal keys (their indexed terms, in order) share one object."""
     results = retrieve(index, texts, k)
-    assert len({id(result) for result in results}) == len(results)
+    assert all(type(result) is tuple for result in results)
+    shared: dict[tuple[str, ...], tuple] = {}
+    for text, result in zip(texts, results):
+        key = tuple(term for term in tokenize(text) if term in index.postings)
+        assert shared.setdefault(key, result) is result
     return results
 
 
@@ -263,15 +268,20 @@ def test_postings_match_the_full_scan_exactly(bodies, copies, queries, k):
     library = _library({f"d{i:02d}": " ".join(words) for i, words in enumerate(bodies)})
     index = build_index(library)
     texts = _batch(queries)
-    assert _retrieve_apart(index, texts, k) == [_full_scan(library, text, k) for text in texts]
+    assert _retrieve_shared(index, texts, k) == [_full_scan(library, text, k) for text in texts]
 
 
-def test_equal_queries_get_lists_of_their_own():
+def test_equal_queries_share_one_immutable_ranking():
     library = _library({"d1": "alpha beta", "d2": "beta gamma"})
     index = build_index(library)
-    first, second, spliced = retrieve(index, ["beta", "beta", "absent beta"], 2)
+    first, second, spliced, other = retrieve(index, ["beta", "beta", "absent beta", "gamma"], 2)
     assert first == second == spliced == _full_scan(library, "beta", 2)
-    first.clear()
+    assert first is second is spliced and other is not first
+    # A caller cannot change one query's ranking, and so not another's.
+    with pytest.raises(AttributeError):
+        first.clear()
+    with pytest.raises(TypeError):
+        first[0] = ("d9", 1.0)
     assert second == spliced == _full_scan(library, "beta", 2)
 
 
@@ -348,7 +358,7 @@ def test_a_chain_of_grown_indexes_ranks_like_fresh_builds(docs, cuts, queries, k
         assert _by_id(grown) == _by_id(fresh)
         assert grown.doc_ids == fresh.doc_ids
         expected = [_full_scan(library, text, k) for text in texts]
-        assert _retrieve_apart(grown, texts, k) == _retrieve_apart(fresh, texts, k) == expected
+        assert _retrieve_shared(grown, texts, k) == _retrieve_shared(fresh, texts, k) == expected
         index = grown
 
 

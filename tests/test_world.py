@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from skillforge.errors import ConfigError
+from skillforge.errors import ConfigError, InputError
+from skillforge.model import Task
 from skillforge.providers.mock import MockEmbedder
 from skillforge.world import (
     TAG_VOCABULARY,
@@ -44,6 +45,26 @@ def test_task_descriptions_embed_their_required_tags():
     for task in world.tasks:
         for tag in world.required_tags(task):
             assert tag in task.description
+
+
+def test_required_tags_are_normalized_like_every_other_tag():
+    world = generate_world(WorldConfig(seed=3))
+    spaced = Task("t", "Task t", {"required_tags": " Email Threading ,video_editing, pdf_text_extraction"})
+    plain = Task("u", "Task u", {"required_tags": "email_threading,pdf_text_extraction,video_editing"})
+    expected = frozenset({"email_threading", "video_editing", "pdf_text_extraction"})
+    assert world.required_tags(spaced) == world.required_tags(plain) == expected
+    first, second, third = world.required_tag_sets([spaced, plain, spaced])
+    assert first == second == expected and first is third
+
+
+@pytest.mark.parametrize("raw", ["a,,b", "a,b,", " ,a", ",", ""])
+def test_an_empty_required_tag_names_its_task(raw):
+    world = generate_world(WorldConfig(seed=3))
+    tasks = [Task("ok", "Task ok", {"required_tags": "a,b"}), Task("bad-7", "Task bad-7", {"required_tags": raw})]
+    with pytest.raises(InputError, match="task 'bad-7'"):
+        world.required_tag_sets(tasks)
+    with pytest.raises(InputError, match="task 'bad-7'"):
+        world.required_tags(tasks[1])
 
 
 def test_initial_skills_cover_exactly_the_covered_universe():
