@@ -3,9 +3,11 @@
 For each failed task-trajectory pair the engine selects source skills that
 cover the task's required tag classes, assembles a generation prompt from the
 task, the trajectory, the selected skills, and the still-uncovered tags, and
-parses the chat reply into a new skill. Candidate tags are then produced by
-the same tagging path used for library skills rather than trusted from the
-generator's own claims, so the scoring pipeline sees one uniform tag source.
+parses the chat reply into a new skill. Pairs of one generation call whose
+targets canonicalize to the same class set share one selection. Candidate
+tags are then produced by the same tagging path used for library skills
+rather than trusted from the generator's own claims, so the scoring pipeline
+sees one uniform tag source.
 Generation returns plain skills keyed by pair id; ``scoring.score_candidate``
 builds the one ``CandidateSkill`` each of them ever gets.
 
@@ -132,22 +134,29 @@ def generate_candidates(
 
     ``target_tags`` maps each failing task id to its inferred required tag
     set; every tag must already be present in ``index``, as must the tags of
-    every library skill. Provider calls run with bounded parallelism over the
-    pairs. Returns the tagged skills keyed by pair id, in pair-id order; a
-    skipped pair has no entry.
+    every library skill. ``select_sources`` runs once per distinct
+    canonical target class set: within the call the library, ``index`` and
+    ``strategy`` are fixed, so pairs whose targets canonicalize equal get
+    the same selection, sources and uncovered tags, and each still gets its
+    own prompt. The memo is local to the call. Provider calls run with
+    bounded parallelism over the pairs. Returns the tagged skills keyed by
+    pair id, in pair-id order; a skipped pair has no entry.
     """
     prepped: list[tuple[str, ChatRequest]] = []
-    # Neither the library nor ``index`` changes during the call.
+    # Neither the library nor ``index`` changes during the call, so a
+    # selection depends on the canonical target classes alone.
     library_instance = CoverInstance(frozenset(), {skill.id: index.canonical_set(skill.tags) for skill in library})
+    chosen: dict[frozenset[str], tuple[SelectionResult, list[Skill], list[str]]] = {}
     for pair in sorted(failures, key=lambda p: p.task.id):
         pair_id = pair.task.id
         if pair_id not in target_tags:
             raise InputError(f"no target tags supplied for failing task {pair_id!r}")
         instance = build_cover_instance(target_tags[pair_id], library_instance, index)
-        selection = select_sources(instance, strategy)
-        sources = [library.get(sid) for sid in selection.selected]
-        uncovered = sorted(selection.uncovered)
-        request = assemble_generation_prompt(pair, selection, sources, uncovered)
+        if instance.target_classes not in chosen:
+            selection = select_sources(instance, strategy)
+            sources = [library.get(sid) for sid in selection.selected]
+            chosen[instance.target_classes] = (selection, sources, sorted(selection.uncovered))
+        request = assemble_generation_prompt(pair, *chosen[instance.target_classes])
         if dump_dir is not None:
             _dump_prompt(Path(dump_dir), epoch, pair_id, request)
         prepped.append((pair_id, request))

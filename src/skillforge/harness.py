@@ -277,10 +277,14 @@ def evaluate_tasks(
     embedder: EmbeddingProvider,
     eq: EquivalenceIndex | None = None,
     index: Bm25Index | None = None,
-) -> list[FailurePair | None]:
+    *,
+    build_failures: bool = True,
+) -> list[FailurePair | Task | None]:
     """Judge every task against ``library`` with one batched retrieval and
     return one outcome per task, in task order: ``None`` for a pass and the
-    task's ``FailurePair`` for a failure.
+    task's ``FailurePair`` for a failure. A caller that reads only the pass
+    rate passes ``build_failures=False``: a failure's outcome is then the
+    ``Task`` itself and nothing is built for it.
 
     The library's tags and the tasks' required tags (each distinct metadata
     string parsed once, by ``world.required_tag_sets``) are added to ``eq``,
@@ -296,8 +300,9 @@ def evaluate_tasks(
     with equal queries one shared ranking, whose skill masks are ORed once;
     and each distinct (ranking, required-tag set) pair gets one coverage
     verdict. Only a failing task goes to ``simulate_agent``, which builds its
-    ``FailurePair``. Every memo is local to the call. Evaluation calls no
-    provider beyond ``eq``'s embeddings, so the tasks run serially.
+    ``FailurePair``, and only when ``build_failures`` is set. Every memo is
+    local to the call. Evaluation calls no provider beyond ``eq``'s
+    embeddings, so the tasks run serially.
     """
     if index is None:
         index = build_index(library)
@@ -329,6 +334,8 @@ def evaluate_tasks(
         (key, tag_set): _covers(required_masks[tag_set], hit_masks[key], threshold)
         for key, tag_set in dict.fromkeys(pairs)
     }
+    if not build_failures:
+        return [None if covered[pair] else task for task, pair in zip(tasks, pairs)]
     return [
         None
         if covered[pair]
@@ -337,7 +344,7 @@ def evaluate_tasks(
     ]
 
 
-def pass_rate(outcomes: Sequence[FailurePair | None]) -> float:
+def pass_rate(outcomes: Sequence[FailurePair | Task | None]) -> float:
     """The share of passes (``None``) among ``evaluate_tasks`` outcomes."""
     if not outcomes:
         return 0.0
@@ -678,15 +685,16 @@ def _evolve_cell(
     Row ``e`` measures the library as it enters epoch ``e`` (the last row the
     final library) and carries the stats of the epoch that produced it.
     ``holdout=None`` is the leaky protocol: the held-out pass rate is the
-    train pass rate and no second evaluation runs. The indexes grow with the
-    library, which an epoch only ever adds to. Both evaluations of an epoch
-    rank against one BM25 index of its library, grown from the previous
-    epoch's. The held-out and the training tasks each keep one equivalence
-    index for the whole cell: the next evaluation's tag set is this one's
-    plus the retained skills' tags, and the partition does not depend on
-    insertion order, so each evaluation sees the classes a fresh index would.
-    The two are kept apart, since union-find over a larger tag set could
-    merge classes. ``build_index``, ``evaluate_tasks`` and ``run_epoch`` are
+    train pass rate and no second evaluation runs. Only the pass rate of the
+    held-out and the final evaluations is read, so they build no
+    ``FailurePair``. The indexes grow with the library, which an epoch only
+    ever adds to. Both evaluations of an epoch rank against one BM25 index
+    of its library, grown from the previous epoch's. The held-out and the
+    training tasks each keep one equivalence index for the whole cell: the
+    next evaluation's tag set is this one's plus the retained skills' tags,
+    and the partition does not depend on insertion order, so each
+    evaluation sees the classes a fresh index would. The two are kept
+    apart, since union-find over a larger tag set could merge classes. ``build_index``, ``evaluate_tasks`` and ``run_epoch`` are
     looked up as module globals on each call, so wrappers installed on this
     module see every epoch.
     """
@@ -700,7 +708,9 @@ def _evolve_cell(
         holdout_rate = None
         if holdout is not None:
             holdout_rate = pass_rate(
-                evaluate_tasks(holdout, library, world, config, providers.embedder, holdout_eq, index)
+                evaluate_tasks(
+                    holdout, library, world, config, providers.embedder, holdout_eq, index, build_failures=False
+                )
             )
         if epoch < config.epochs:
             outcomes, new_library, stats = run_epoch(
@@ -708,7 +718,9 @@ def _evolve_cell(
                 index=index, eq=train_eq,
             )
         else:
-            outcomes = evaluate_tasks(train, library, world, config, providers.embedder, train_eq, index)
+            outcomes = evaluate_tasks(
+                train, library, world, config, providers.embedder, train_eq, index, build_failures=False
+            )
             new_library, stats = library, None
         train_rate = pass_rate(outcomes)
         rows.append(

@@ -41,6 +41,7 @@ TagSet = frozenset[str]
 
 _COLLAPSE_RE = re.compile(r"[\s_]+")
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]+|\d+[.)])\s*")
+_CLEAN_TAG_RE = re.compile(r"[a-z0-9]+(?:_[a-z0-9]+)*")
 
 JOIN_BLOCK = 32
 NEAR_DELTA = 1e-9
@@ -59,28 +60,36 @@ def parse_tag_list(text: str) -> list[str]:
 
     Accepts one tag per line or comma-separated tags, with optional bullets
     or numbering. Returns normalized tags, deduplicated, in reply order.
+    A line that is already one normalized tag (lowercase ASCII letters and
+    digits in runs joined by single underscores) is taken as it is: it has
+    no bullet, comma, space or stray underscore, so the general path below
+    would return it unchanged.
     """
     found: list[str] = []
     seen: set[str] = set()
     for line in text.splitlines():
-        line = _BULLET_RE.sub("", line).strip()
-        if not line:
-            continue
-        pieces = line.split(",") if "," in line else [line]
-        for piece in pieces:
-            piece = piece.strip()
-            if not piece or len(piece.split()) > 8:
-                continue
-            if not any(ch.isalnum() for ch in piece):
-                continue
-            try:
-                tag = normalize_tag(piece)
-            except InputError:
-                continue
+        for tag in (line,) if _CLEAN_TAG_RE.fullmatch(line) else _line_tags(line):
             if tag not in seen:
                 seen.add(tag)
                 found.append(tag)
     return found
+
+
+def _line_tags(line: str) -> list[str]:
+    """The normalized tags of one reply line: bullet or numbering stripped,
+    split at commas, pieces of more than 8 words or without a letter or
+    digit dropped."""
+    line = _BULLET_RE.sub("", line).strip()
+    tags = []
+    for piece in line.split(",") if line else ():
+        piece = piece.strip()
+        if not piece or len(piece.split()) > 8 or not any(ch.isalnum() for ch in piece):
+            continue
+        try:
+            tags.append(normalize_tag(piece))
+        except InputError:
+            continue
+    return tags
 
 
 def build_skill_tag_request(skill: Skill) -> ChatRequest:

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 import skillforge.evolve as evolve
-from skillforge.cover import CoverInstance, SelectionResult, select_sources
-from skillforge.errors import GenerationError, InputError, ParseError, ProviderError
+from skillforge.cover import BRUTE_FORCE_CAP, STRATEGIES, CoverInstance, SelectionResult, select_sources
+from skillforge.errors import GenerationError, InputError, ParseError, ProviderError, SizeError
 from skillforge.evolve import (
     assemble_generation_prompt,
     build_cover_instance,
@@ -294,6 +294,57 @@ def test_generate_candidates_canonicalizes_each_library_skill_once(monkeypatch, 
     assert len(calls) == len(pairs) + len(library)
     assert list(candidates) == sorted(targets)
     assert dict(zip(sorted(targets), selections, strict=True)) == expected
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_generate_candidates_selects_once_per_distinct_canonical_target_set(monkeypatch, tmp_path, strategy):
+    index = EquivalenceIndex()
+    index.add_tags(["a", "a_alias", "b", "c", "d", "e"], GroupEmbedder(groups=[("a", "a_alias")]))
+    library = SkillLibrary(skills=(
+        make_skill("s1", tags=("a_alias",)), make_skill("s2", tags=("b", "c")),
+        make_skill("s3", tags=("c", "d")), make_skill("s4", tags=("a", "e")),
+    ))
+    # Six pairs, four canonical target sets: task-002 names task-001's "a" by
+    # its alias, task-004 repeats task-003's set.
+    targets = {
+        "task-001": frozenset({"a", "b"}), "task-002": frozenset({"a_alias", "b"}),
+        "task-003": frozenset({"c", "e"}), "task-004": frozenset({"e", "c"}),
+        "task-005": frozenset({"a_alias", "d", "e"}), "task-006": frozenset({"b"}),
+    }
+    pairs = [make_pair(pair_id) for pair_id in targets]
+    chat = MockChatProvider(seed=2)
+    per_pair = {}
+    for pair in pairs:
+        per_pair.update(generate_candidates(
+            [pair], library, index, chat, 0, targets, strategy=strategy, dump_dir=tmp_path / "per-pair"
+        ))
+
+    posed = []
+
+    def recording(instance, strategy="greedy"):
+        posed.append(instance.target_classes)
+        return select_sources(instance, strategy)
+
+    monkeypatch.setattr(evolve, "select_sources", recording)
+    shared = generate_candidates(pairs, library, index, chat, 0, targets, strategy=strategy, dump_dir=tmp_path / "shared")
+    assert posed == [frozenset(t) for t in ({"a", "b"}, {"c", "e"}, {"a", "d", "e"}, {"b"})]
+    assert list(shared) == sorted(targets)
+    assert shared == per_pair
+    names = sorted(path.name for path in (tmp_path / "per-pair").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "shared").iterdir())
+    assert len(names) == len(pairs)
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "per-pair" / name).read_bytes()
+
+
+def test_shared_selection_still_caps_brute_force():
+    tags = [f"t{i}" for i in range(BRUTE_FORCE_CAP + 1)]
+    index = _index_over(tags)
+    library = SkillLibrary(skills=tuple(make_skill(f"s{i:02d}", tags=(tag,)) for i, tag in enumerate(tags)))
+    targets = {"task-001": frozenset(tags), "task-002": frozenset(tags)}
+    pairs = [make_pair(pair_id) for pair_id in targets]
+    with pytest.raises(SizeError):
+        generate_candidates(pairs, library, index, MockChatProvider(seed=2), 0, targets, strategy="brute_force")
 
 
 def test_one_generate_candidates_call_shares_one_skill_map(monkeypatch):

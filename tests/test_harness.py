@@ -536,24 +536,49 @@ def test_evaluation_builds_one_failure_pair_per_failing_task_and_nothing_for_a_p
     assert [pair.task.id for pair in pairs] == [trajectory.task_id for trajectory in trajectories] == failing
     assert all(a is b for a, b in zip(pairs, (outcome for outcome in outcomes if outcome is not None)))
 
-    # Over a whole k-fold run, every evaluation builds one pair per failure.
-    failures = []
-    evaluate = harness.evaluate_tasks
-
-    def counted(*args, **kwargs):
-        outcomes = evaluate(*args, **kwargs)
-        failures.append(len(outcomes) - outcomes.count(None))
-        return outcomes
-
-    monkeypatch.setattr(harness, "evaluate_tasks", counted)
+    # Judged without building: the same verdicts, a failure's outcome is its task.
     pairs.clear()
     trajectories.clear()
+    judged = evaluate_tasks(
+        list(world.tasks), world.initial_library(), world, RunConfig(seed=7), MockEmbedder(), build_failures=False
+    )
+    assert pairs == trajectories == []
+    assert judged == [None if outcome is None else outcome.task for outcome in outcomes]
+    assert pass_rate(judged) == pass_rate(outcomes)
+
+
+def test_kfold_builds_a_failure_pair_only_for_train_failures_sent_to_tag_inference(monkeypatch):
+    import skillforge.harness as harness
+
+    world = _world(n_tasks=40)
     config = RunConfig(seed=7, epochs=2, folds=2, runs=1)
+    built, inferred = [], []
+    evaluate, simulate, infer = harness.evaluate_tasks, harness.simulate_agent, harness.generate_target_tags
+
+    def simulating(*args):
+        built.append(simulate(*args))
+        return built[-1]
+
+    def inferring(pair, chat):
+        inferred.append(pair)
+        return infer(pair, chat)
+
+    monkeypatch.setattr(harness, "simulate_agent", simulating)
+    monkeypatch.setattr(harness, "generate_target_tags", inferring)
+    # The reference run builds a pair for every failure of every evaluation.
+    monkeypatch.setattr(harness, "evaluate_tasks", lambda *args, build_failures=True: evaluate(*args))
+    reference = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
+    built_by_reference = len(built)
+    built.clear()
+    inferred.clear()
+
+    monkeypatch.setattr(harness, "evaluate_tasks", evaluate)
     report = run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
-    assert len(pairs) == len(trajectories) == sum(failures) > 0
-    # Both folds hold 20 tasks, so the report's pass rates count the same failures.
-    rows = [row for cell in report.cells for row in cell.rows]
-    assert sum(round(20 * (2 - row.train_pass_rate - row.holdout_pass_rate)) for row in rows) == sum(failures)
+    assert len(built) == len(inferred) > 0
+    assert all(a is b for a, b in zip(built, inferred))
+    # Held-out and final evaluations failed tasks too, but built nothing for them.
+    assert built_by_reference > len(built)
+    assert strip_wall_clock(report.to_dict()) == strip_wall_clock(reference.to_dict())
 
 
 def test_run_epoch_without_failures_only_bumps_epoch():

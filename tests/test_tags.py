@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import numpy as np
@@ -67,6 +68,55 @@ def test_parse_tag_list_accepts_common_shapes():
         "csv_parsing",
         "json_validation",
     ]
+
+
+def _parse_tag_list_reference(text: str) -> list[str]:
+    """Every line through the general path: bullet strip, comma split,
+    8-word cap, ``normalize_tag``."""
+    found: list[str] = []
+    for line in text.splitlines():
+        line = re.sub(r"^\s*(?:[-*•]+|\d+[.)])\s*", "", line).strip()
+        if not line:
+            continue
+        for piece in line.split(",") if "," in line else [line]:
+            piece = piece.strip()
+            if not piece or len(piece.split()) > 8 or not any(ch.isalnum() for ch in piece):
+                continue
+            try:
+                tag = normalize_tag(piece)
+            except InputError:
+                continue
+            if tag not in found:
+                found.append(tag)
+    return found
+
+
+_CLEAN_TAGS = st.lists(st.text("az09", min_size=1, max_size=3), min_size=1, max_size=3).map("_".join)
+# Each turns a clean tag into a line that only just fails the one-match path.
+_NEAR_MISSES = (
+    str.upper, str.capitalize, lambda t: f"_{t}", lambda t: f"{t}_", lambda t: t.replace("_", "__"),
+    lambda t: t.replace("_", " "), lambda t: f" {t}", lambda t: f"{t}\t", lambda t: f"- {t}", lambda t: f"•{t}",
+    lambda t: f"1. {t}", lambda t: f"2){t}", lambda t: f"{t},{t}", lambda t: f"{t}é", lambda t: f"ß{t}",
+    lambda t: f"{t}٣", lambda t: f"{t}²", lambda t: f"{t}!", lambda t: f"{t}\u00a0",
+)
+_FRAGMENTS = st.one_of(
+    _CLEAN_TAGS,
+    st.sampled_from(["- ", "* ", "• ", "--", "1. ", "12) ", "3.", ",", ", ", " ", "\t", "_", "__", "PDF", "Ünï", "½"]),
+    st.text(alphabet="aZ9_ ,-.é٣", max_size=5),
+)
+_LINES = st.one_of(
+    _CLEAN_TAGS,
+    st.builds(lambda miss, tag: miss(tag), st.sampled_from(_NEAR_MISSES), _CLEAN_TAGS),
+    st.lists(_FRAGMENTS, max_size=8).map("".join),
+    st.lists(_CLEAN_TAGS, min_size=7, max_size=11).map(" ".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=8), st.sampled_from(["\n", "\r\n"]))
+def test_parse_tag_list_matches_the_general_path(lines, newline):
+    text = newline.join(lines)
+    assert parse_tag_list(text) == _parse_tag_list_reference(text)
 
 
 def test_generate_skill_tags_dedupes_after_normalization():
