@@ -295,17 +295,10 @@ def cmd_evolve(args) -> int:
 
 def _candidate(raw: dict) -> tuple[Skill, Task, frozenset[str]]:
     """One candidate-file row: the candidate skill, its source task and its
-    target tags. Raises ``ParseError`` naming a missing or mistyped field."""
-    skill_id = _field(raw, "id", str)
-    skill = Skill(
-        id=skill_id,
-        name=_field(raw, "name", str, skill_id),
-        description=_field(raw, "description", str, ""),
-        body=_field(raw, "body", str),
-        tags=frozenset(_field(raw, "tags", list, [])),
-        origin=_field(raw, "origin", str, ORIGIN_EVOLVED),
-        created_epoch=_field(raw, "created_epoch", int, 0),
-    )
+    target tags. Raises ``ParseError`` naming a missing or mistyped field.
+    A candidate's name defaults to its id, its description to "" and its
+    origin to evolved; the rest reads as ``Skill.from_dict`` reads a skill."""
+    skill = Skill.from_dict({"name": raw.get("id"), "description": "", "origin": ORIGIN_EVOLVED, **raw})
     task = Task(id=_field(raw, "pair_id", str), description=_field(raw, "task_description", str))
     return skill, task, frozenset(_field(raw, "target_tags", list, []))
 
@@ -414,10 +407,7 @@ def dispatch(argv: list[str]) -> int:
         return 1
     try:
         return args.func(args)
-    except SkillForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (SkillForgeError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

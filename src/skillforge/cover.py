@@ -21,12 +21,12 @@ which adds the best-ranked skill covering something new, ties broken by id:
                     then completed by the greedy step.
 * ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills).
 
-Inside an ``lp_memo()`` block (one per ``run_kfold`` or ``evolve_library``
-call, across all its run seeds) each distinct numeric LP model is solved once.
-The key is the whole model and the value the rounded skill columns in
-sorted-id order, so instances differing only in names that keep their sort
-order share a solve and, HiGHS being deterministic, a hit returns what a
-fresh solve would.
+Inside a ``memo.scope()`` (one per ``run_kfold`` or ``evolve_library``
+call, across all its run seeds) each distinct numeric LP model is solved
+once, kept in the ``"lp"`` table. The key is the whole model and the value
+the rounded skill columns in sorted-id order, so instances differing only in
+names that keep their sort order share a solve and, HiGHS being
+deterministic, a hit returns what a fresh solve would.
 
 All strategies finish with a redundancy prune that drops, scanning in reverse
 order of addition, any skill whose removal leaves the covered target classes
@@ -35,22 +35,18 @@ unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from skillforge import memo
 from skillforge.errors import ConfigError, InputError, SizeError
 from skillforge.model import _field, _read_json
 
 LP_SIZE_CAP = 500
 BRUTE_FORCE_CAP = 20
-
-# LP model -> picked skill columns, for the innermost active ``lp_memo()``.
-_LP_MEMO: ContextVar[dict[tuple, tuple[int, ...]] | None] = ContextVar("lp_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -227,31 +223,12 @@ def lp_round_select(instance: CoverInstance) -> SelectionResult:
                 row += 1
 
         model = (n_skills, n_skills + len(irrelevant), len(coverable), tuple(entries))
-        memo = _LP_MEMO.get()
-        picks = memo.get(model) if memo is not None else None
-        if picks is None:
-            picks = _solve_lp(*model)
-            if memo is not None:
-                memo[model] = picks
+        picks = memo.cached(memo.table("lp"), model, lambda lp_model: _solve_lp(*lp_model))
         selected = [instance.skill_order[i] for i in picks]
         # A failed solve picks nothing and falls through to the greedy steps,
         # which still guarantee maximum coverage.
 
     return _greedy(instance, selected)
-
-
-@contextmanager
-def lp_memo() -> Iterator[None]:
-    """Share ``lp_round_select`` solves between identical LP models inside the block.
-
-    The key is the whole numeric model, so a hit returns what a fresh solve
-    would. Outside any block every call solves afresh.
-    """
-    token = _LP_MEMO.set({})
-    try:
-        yield
-    finally:
-        _LP_MEMO.reset(token)
 
 
 def _solve_lp(

@@ -38,8 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
+from skillforge import memo
 from skillforge._parallel import DEFAULT_MAX_WORKERS, parallel_map
-from skillforge.cover import STRATEGIES, lp_memo
+from skillforge.cover import STRATEGIES
 from skillforge.errors import PAIR_FAULTS, ConfigError, InputError, ParseError
 from skillforge.evolve import generate_candidates
 from skillforge.model import FailurePair, Skill, SkillLibrary, Task, Trajectory, _field, write_csv, write_text_atomic
@@ -53,7 +54,7 @@ from skillforge.providers.base import (
     validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
-from skillforge.retrieval import Bm25Index, build_index, retrieve, token_memo
+from skillforge.retrieval import Bm25Index, build_index, retrieve
 from skillforge.scoring import (
     DEFAULT_FILTER_RATIO,
     alignment_score,
@@ -210,14 +211,6 @@ class _Session:
             return np.array([self._vectors[t] for t in texts])
 
 
-def _retrieved_mask(hits: Sequence[tuple[str, float]], skill_masks: Mapping[str, int]) -> int:
-    """The OR of the masks of the skills in ``hits``."""
-    retrieved_mask = 0
-    for skill_id, _ in hits:
-        retrieved_mask |= skill_masks[skill_id]
-    return retrieved_mask
-
-
 def _covers(required_mask: int, retrieved_mask: int, coverage_threshold: float) -> bool:
     """Whether ``retrieved_mask`` covers at least ``coverage_threshold`` of
     the classes of ``required_mask`` (an empty one is covered);
@@ -228,33 +221,19 @@ def _covers(required_mask: int, retrieved_mask: int, coverage_threshold: float) 
 
 
 def simulate_agent(
-    task: Task,
-    hits: Sequence[tuple[str, float]],
-    skill_masks: Mapping[str, int],
-    required_mask: int,
-    class_names: Sequence[str],
-    coverage_threshold: float,
-) -> FailurePair | None:
-    """Oracle agent for the synthetic world, judging one task.
+    task: Task, hits: Sequence[tuple[str, float]], missing_mask: int, class_names: Sequence[str]
+) -> FailurePair:
+    """The oracle agent's record of one failed task of the synthetic world.
 
-    Equivalence classes are bits: ``class_names[i]`` names bit ``i``.
-    ``hits`` are the task's retrieved (skill id, score) pairs,
-    ``skill_masks`` maps each library skill id to the mask of its tags'
-    classes and ``required_mask`` is the mask of the task's required classes.
-    The task passes, and the judge returns ``None``, when the OR of its hits'
-    masks covers at least ``coverage_threshold`` of the required classes
-    (``_covers``, the one coverage test, which ``evaluate_tasks`` also
-    applies). Only a failure builds anything: a ``FailurePair`` whose
+    ``evaluate_tasks`` has already judged the task failed; this only writes
+    the ``FailurePair``. Equivalence classes are bits: ``class_names[i]``
+    names bit ``i``. ``hits`` are the task's retrieved (skill id, score)
+    pairs and ``missing_mask`` the required classes they do not cover. The
     trajectory records the retrieved skill ids and the missing classes, which
     is what later tag inference reads. ``class_names`` is sorted, so the
-    missing names come out sorted. ``evaluate_tasks`` calls it for failing
-    tasks only.
+    missing names come out sorted.
     """
-    retrieved_mask = _retrieved_mask(hits, skill_masks)
-    if _covers(required_mask, retrieved_mask, coverage_threshold):
-        return None
-
-    missing, missing_mask = [], required_mask & ~retrieved_mask
+    missing = []
     while missing_mask:
         low = missing_mask & -missing_mask
         missing.append(class_names[low.bit_length() - 1])
@@ -299,8 +278,9 @@ def evaluate_tasks(
     each distinct required-tag set is masked once; ``retrieve`` gives tasks
     with equal queries one shared ranking, whose skill masks are ORed once;
     and each distinct (ranking, required-tag set) pair gets one coverage
-    verdict. Only a failing task goes to ``simulate_agent``, which builds its
-    ``FailurePair``, and only when ``build_failures`` is set. Every memo is
+    verdict, here and nowhere else. Only a failing task goes to
+    ``simulate_agent``, which writes its ``FailurePair`` from the required
+    classes its hits miss, and only when ``build_failures`` is set. Every memo is
     local to the call. Evaluation calls no provider beyond ``eq``'s
     embeddings, so the tasks run serially.
     """
@@ -328,7 +308,9 @@ def evaluate_tasks(
     # and ``hits`` keeps every one alive for the whole call. Each distinct
     # (ranking, required-tag set) pair of a task gets one coverage verdict.
     rankings = {id(ranking): ranking for ranking in hits}
-    hit_masks = {key: _retrieved_mask(ranking, skill_masks) for key, ranking in rankings.items()}
+    hit_masks = {
+        key: reduce(or_, (skill_masks[sid] for sid, _ in ranking), 0) for key, ranking in rankings.items()
+    }
     pairs = list(zip(map(id, hits), required))
     covered = {
         (key, tag_set): _covers(required_masks[tag_set], hit_masks[key], threshold)
@@ -339,7 +321,7 @@ def evaluate_tasks(
     return [
         None
         if covered[pair]
-        else simulate_agent(task, ranking, skill_masks, required_masks[pair[1]], class_names, threshold)
+        else simulate_agent(task, ranking, required_masks[pair[1]] & ~hit_masks[pair[0]], class_names)
         for task, ranking, pair in zip(tasks, hits, pairs)
     ]
 
@@ -757,7 +739,7 @@ def run_kfold(
     is then ``evolve_library``'s leaky cell and the report is flagged leaky.
     ``task_transform`` is an optional hook applied to the task list up front
     (e.g. paraphrasing descriptions). Each run seed gets its own provider
-    session, while one LP memo and one token memo serve the whole call: both
+    session, while one ``memo.scope()`` serves the whole call: its tables
     are keyed by their whole input (the numeric LP model, the text) and
     depend on no seed, so a hit from another run seed returns what a fresh
     solve or tokenization would.
@@ -775,7 +757,7 @@ def run_kfold(
 
     cells: list[CellResult] = []
     audit: tuple[str, ...] = ()
-    with lp_memo(), token_memo():
+    with memo.scope():
         for run_idx in range(config.runs):
             run_seed = config.seed + run_idx
             providers = factory(run_seed)
@@ -815,7 +797,7 @@ def evolve_library(
     providers = _Session(providers)
     library = apply_label_scale(world, config.label_scale, config.seed)
     tasks = sorted(world.tasks, key=lambda t: t.id)
-    with lp_memo(), token_memo():
+    with memo.scope():
         library, rows, stats_list = _evolve_cell(
             library, tasks, None, world, providers, config, clock, dump_dir
         )
@@ -844,19 +826,19 @@ def sweep(
     if world is None and dimension != "transfer":
         world = generate_world(world_config)
 
+    # Each grid dimension is a ``RunConfig`` field name.
     grids = {
-        "epochs": (EPOCH_SWEEP_VALUES, lambda v: replace(config, epochs=v)),
-        "filter_ratio": (RATIO_SWEEP_VALUES, lambda v: replace(config, filter_ratio=v)),
-        "label_scale": (LABEL_SCALE_SWEEP_VALUES, lambda v: replace(config, label_scale=v)),
+        "epochs": EPOCH_SWEEP_VALUES,
+        "filter_ratio": RATIO_SWEEP_VALUES,
+        "label_scale": LABEL_SCALE_SWEEP_VALUES,
     }
     rows: list[dict] = []
     if dimension in grids:
-        values, vary = grids[dimension]
         # Cells run one after another: each cell's stages open their own
         # pools, so running cells in a pool too would exceed max_workers.
         rows = [
-            _sweep_row(dimension, value, run_kfold(vary(value), world, factory, clock=clock))
-            for value in values
+            _sweep_row(dimension, value, run_kfold(replace(config, **{dimension: value}), world, factory, clock))
+            for value in grids[dimension]
         ]
     else:
         world_a, world_b = generate_transfer_worlds(world_config)
@@ -871,6 +853,7 @@ def sweep(
                     target_world,
                     config,
                     providers.embedder,
+                    build_failures=False,
                 )
                 rows.append(
                     {

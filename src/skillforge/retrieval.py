@@ -42,18 +42,18 @@ score is the same float a full scan computes. Ranking is a stable argsort of
 ``-scores`` along each row: tied documents keep id order, exactly as
 sorting ``(-score, id)`` would. Scores that are not positive are dropped.
 
-Inside a ``token_memo()`` block (one per ``run_kfold`` or ``evolve_library``
-call, across all its run seeds, opened beside ``cover.lp_memo()``) each
-distinct document text is tokenized once, kept as its ``(Counter, length)``,
-and each distinct query text once, kept as its token list. Both are keyed by
-the text itself, never by a skill id: one ``candidate_id`` can name
-different bodies in different folds, while equal texts always tokenize
-alike. The document half still pays with grown indexes: every fold starts
-from an initial library drawn from the same human skills, and candidate
-texts recur across folds and run seeds, so a fold's appended skills are
-often texts an earlier fold already tokenized. The cached values are never
-mutated. Outside any block nothing is cached, so separate calls share no
-work.
+Inside a ``memo.scope()`` (one per ``run_kfold`` or ``evolve_library``
+call, across all its run seeds) each distinct document text is tokenized
+once, kept as its ``(Counter, length)`` in the ``"documents"`` table, and
+each distinct query text once, kept as its token list in ``"queries"``.
+Both are keyed by the text itself, never by a skill id: one
+``candidate_id`` can name different bodies in different folds, while equal
+texts always tokenize alike. The document half still pays with grown
+indexes: every fold starts from an initial library drawn from the same human
+skills, and candidate texts recur across folds and run seeds, so a fold's
+appended skills are often texts an earlier fold already tokenized. The
+cached values are never mutated. Outside any scope nothing is cached, so
+separate calls share no work.
 """
 
 from __future__ import annotations
@@ -61,14 +61,13 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
+from skillforge import memo
 from skillforge.errors import InputError
 from skillforge.model import SkillLibrary
 
@@ -77,32 +76,9 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 K1 = 1.2
 B = 0.75
 
-# (document text -> (Counter, length), query text -> tokens) for the
-# innermost active ``token_memo()``.
-_TOKEN_MEMO: ContextVar[tuple[dict, dict] | None] = ContextVar("token_memo", default=None)
-
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
-
-
-@contextmanager
-def token_memo() -> Iterator[None]:
-    """Tokenize each distinct document and query text once inside the block."""
-    token = _TOKEN_MEMO.set(({}, {}))
-    try:
-        yield
-    finally:
-        _TOKEN_MEMO.reset(token)
-
-
-def _memoized(table: dict | None, text: str, compute):
-    if table is None:
-        return compute(text)
-    value = table.get(text)
-    if value is None:
-        value = table[text] = compute(text)
-    return value
 
 
 def _document_counts(text: str) -> tuple[Counter, int]:
@@ -155,12 +131,12 @@ def build_index(library: SkillLibrary, base: Bm25Index | None = None) -> Bm25Ind
     columns, lengths, postings = list(base.columns), list(base.lengths), dict(base.postings)
     known = set(columns)
     appended: dict[str, tuple[list[int], list[int]]] = {}
-    memo, _ = _TOKEN_MEMO.get() or (None, None)
+    documents = memo.table("documents")
     for skill in library:
         if skill.id in known:
             continue
         text = f"{skill.name} {skill.description} {skill.body}"
-        counts, length = _memoized(memo, text, _document_counts)
+        counts, length = memo.cached(documents, text, _document_counts)
         for term, tf in counts.items():
             cols, tfs = appended.setdefault(term, ([], []))
             cols.append(len(columns))
@@ -181,8 +157,8 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[tuple[tup
         raise InputError("k must be at least 1")
     if isinstance(queries, str):
         raise InputError("retrieve takes a sequence of queries, not a single string")
-    _, memo = _TOKEN_MEMO.get() or (None, None)
-    terms = [_memoized(memo, query, tokenize) for query in queries]
+    query_tokens = memo.table("queries")
+    terms = [memo.cached(query_tokens, query, tokenize) for query in queries]
     # A query's key is its known terms, in order, duplicates included. Equal
     # keys score alike, so each distinct key is scored and ranked once.
     slots: dict[tuple[str, ...], int] = {}

@@ -10,13 +10,13 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skillforge import memo
 from skillforge.cover import (
     CoverInstance,
     _greedy,
     _result,
     brute_force_select,
     greedy_select,
-    lp_memo,
     lp_round_select,
     primal_dual_select,
     prune_redundant,
@@ -486,14 +486,14 @@ def test_lp_memo_returns_what_a_fresh_solve_returns(instances):
     batch = [variant for instance in instances for variant in (instance, _renamed(instance), instance)]
     fresh = [lp_round_select(instance) for instance in batch]
     assert fresh == [_reference_lp_round(instance) for instance in batch]
-    with lp_memo():
+    with memo.scope():
         memoized = [lp_round_select(instance) for instance in batch]
     assert memoized == fresh
 
 
 def test_lp_memo_shares_one_solve_between_renamed_models(linprog_calls):
     renamed = _renamed(FIXTURE)
-    with lp_memo():
+    with memo.scope():
         first = lp_round_select(FIXTURE)
         second = lp_round_select(renamed)
         assert lp_round_select(FIXTURE) == first
@@ -506,10 +506,10 @@ def test_lp_memo_shares_one_solve_between_renamed_models(linprog_calls):
 def test_nothing_is_memoized_outside_lp_memo(linprog_calls):
     lp_round_select(FIXTURE)
     lp_round_select(FIXTURE)
-    with lp_memo():
-        with lp_memo():
+    with memo.scope():
+        with memo.scope():
             lp_round_select(FIXTURE)
-        lp_round_select(FIXTURE)  # the inner block's memo ended with it
+        lp_round_select(FIXTURE)  # the inner scope's tables ended with it
     lp_round_select(FIXTURE)
     assert len(linprog_calls) == 5
 
@@ -518,7 +518,7 @@ def test_memoized_failed_solve_still_falls_through_to_repair(monkeypatch):
     calls = []
     failed = SimpleNamespace(status=2, x=None)
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: calls.append(1) or failed)
-    with lp_memo():
+    with memo.scope():
         results = [lp_round_select(NOISY_BROAD) for _ in range(2)]
     assert len(calls) == 1
     assert results == [greedy_select(NOISY_BROAD)] * 2

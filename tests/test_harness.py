@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillforge import prompts
+from skillforge import memo, prompts
 from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError, ScoringError, TaggingError
 from skillforge.evolve import CandidateSkill, generate_candidates
 from skillforge.harness import (
@@ -81,28 +81,13 @@ def _class_masks(eq, tag_sets):
     return names, masks
 
 
-def test_simulate_agent_succeeds_when_tags_covered():
-    world = _world(n_tasks=10)
-    task = Task(
-        id="task-x",
-        description=f"Task task-x: requires capabilities: {world.covered_universe[0]}.",
-        metadata={"required_tags": world.covered_universe[0], "coverable": "true"},
-    )
-    library = world.initial_library()
-    eq = build_eq(world.required_tags(task).union(*(s.tags for s in library)), MockEmbedder())
-    hits = retrieve(build_index(library), [task.description], 5)[0]
-    names, masks = _class_masks(eq, [world.required_tags(task), *(s.tags for s in library)])
-    skill_masks = dict(zip(library.ids(), masks[1:]))
-    assert simulate_agent(task, hits, skill_masks, masks[0], names, world.coverage_threshold) is None
-
-
 def test_simulate_agent_fails_on_empty_library_and_lists_missing_tags():
     world = _world(n_tasks=10)
     task = world.tasks[0]
     eq = build_eq(world.required_tags(task), MockEmbedder())
     names, (required_mask,) = _class_masks(eq, [world.required_tags(task)])
     hits = retrieve(build_index(SkillLibrary()), [task.description], 5)[0]
-    pair = simulate_agent(task, hits, {}, required_mask, names, world.coverage_threshold)
+    pair = simulate_agent(task, hits, required_mask, names)
     assert isinstance(pair, FailurePair) and pair.task == task
     assert pair.trajectory.steps[0] == ("retrieve_skills", "retrieved: none")
     missing_note = pair.trajectory.steps[-1][1]
@@ -112,13 +97,8 @@ def test_simulate_agent_fails_on_empty_library_and_lists_missing_tags():
 
 def test_simulate_agent_lists_missing_classes_in_sorted_order():
     names = ["alpha", "beta", "delta", "gamma"]
-    pair = simulate_agent(
-        Task(id="t", description="Task t"), [("s1", 1.0)], {"s1": 0b0110}, 0b1111, names, 0.5
-    )
-    assert pair is None  # two of four classes at threshold 0.5
-    pair = simulate_agent(
-        Task(id="t", description="Task t"), [("s1", 1.0)], {"s1": 0b0100}, 0b1111, names, 1.0
-    )
+    pair = simulate_agent(Task(id="t", description="Task t"), [("s1", 1.0)], 0b1111 & ~0b0100, names)
+    assert pair.trajectory.steps[0] == ("retrieve_skills", "retrieved: s1")
     assert pair.trajectory.final_output == "failure: missing alpha, beta, gamma"
 
 
@@ -353,7 +333,7 @@ def test_each_kfold_call_tokenizes_a_text_once(monkeypatch):
     assert calls == first_calls
     # One memo serves every run seed of a call; the next call starts afresh.
     assert max(Counter(first_calls).values()) == 1
-    assert retrieval._TOKEN_MEMO.get() is None
+    assert memo._TABLES.get() is None
 
 
 def test_evaluation_starts_no_thread_pool(monkeypatch):
@@ -579,6 +559,39 @@ def test_kfold_builds_a_failure_pair_only_for_train_failures_sent_to_tag_inferen
     # Held-out and final evaluations failed tasks too, but built nothing for them.
     assert built_by_reference > len(built)
     assert strip_wall_clock(report.to_dict()) == strip_wall_clock(reference.to_dict())
+
+
+def test_transfer_sweep_builds_a_failure_pair_only_for_tag_inference(monkeypatch):
+    import skillforge.harness as harness
+
+    config, world_config = RunConfig(seed=7, epochs=2), WorldConfig(seed=7, n_tasks=100)
+    built, inferred = [], []
+    evaluate, simulate, infer = harness.evaluate_tasks, harness.simulate_agent, harness.generate_target_tags
+
+    def simulating(*args):
+        built.append(simulate(*args))
+        return built[-1]
+
+    def inferring(pair, chat):
+        inferred.append(pair)
+        return infer(pair, chat)
+
+    monkeypatch.setattr(harness, "simulate_agent", simulating)
+    monkeypatch.setattr(harness, "generate_target_tags", inferring)
+    # The reference sweep builds a pair for every failure of every evaluation.
+    monkeypatch.setattr(harness, "evaluate_tasks", lambda *args, build_failures=True: evaluate(*args))
+    reference = sweep(config, "transfer", world_config=world_config)
+    built_by_reference = len(built)
+    built.clear()
+    inferred.clear()
+
+    monkeypatch.setattr(harness, "evaluate_tasks", evaluate)
+    rows = sweep(config, "transfer", world_config=world_config)
+    assert len(built) == len(inferred) > 0
+    assert all(a is b for a, b in zip(built, inferred))
+    # The transfer evaluations read only pass rates and built nothing.
+    assert built_by_reference > len(built)
+    assert rows == reference
 
 
 def test_run_epoch_without_failures_only_bumps_epoch():
@@ -1650,7 +1663,7 @@ def test_lp_round_kfold_report_equals_the_memo_free_run(monkeypatch, linprog_cal
     memoized = run_kfold(config, world, mock_provider_factory())
     memo_calls = len(linprog_calls)
 
-    monkeypatch.setattr("skillforge.harness.lp_memo", contextlib.nullcontext)
+    monkeypatch.setattr("skillforge.memo.scope", contextlib.nullcontext)
     plain = run_kfold(config, world, mock_provider_factory())
     assert memo_calls < len(linprog_calls) - memo_calls
     assert strip_wall_clock(memoized.to_dict()) == strip_wall_clock(plain.to_dict())
@@ -1662,7 +1675,7 @@ def test_lp_round_evolve_outputs_equal_the_memo_free_run(monkeypatch, linprog_ca
     library, report, _ = evolve_library(config, world, mock_provider_factory()(7))
     memo_calls = len(linprog_calls)
 
-    monkeypatch.setattr("skillforge.harness.lp_memo", contextlib.nullcontext)
+    monkeypatch.setattr("skillforge.memo.scope", contextlib.nullcontext)
     plain_library, plain_report, _ = evolve_library(config, world, mock_provider_factory()(7))
     assert memo_calls < len(linprog_calls) - memo_calls
     assert library == plain_library

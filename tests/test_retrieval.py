@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skillforge import memo
 from skillforge.errors import InputError
 from skillforge.model import SkillLibrary
-from skillforge.retrieval import B, K1, Bm25Index, build_index, retrieve, token_memo, tokenize
+from skillforge.retrieval import B, K1, Bm25Index, build_index, retrieve, tokenize
 
 from conftest import make_skill
 
@@ -305,6 +306,13 @@ def test_outside_a_token_memo_nothing_is_cached(monkeypatch):
     for _ in range(2):
         retrieve(build_index(library), ["beta", "gamma"], 2)
     assert len(calls) == 2 * (len(library) + 2)
+    calls.clear()
+    with memo.scope():
+        with memo.scope():
+            retrieve(build_index(library), ["beta", "gamma"], 2)
+        retrieve(build_index(library), ["beta", "gamma"], 2)  # the inner scope's tables ended with it
+        retrieve(build_index(library), ["beta", "gamma"], 2)  # served by the outer scope's tables
+    assert len(calls) == 2 * (len(library) + 2)
 
 
 def test_a_token_memo_tokenizes_each_text_once_and_changes_no_score(monkeypatch):
@@ -316,7 +324,7 @@ def test_a_token_memo_tokenizes_each_text_once_and_changes_no_score(monkeypatch)
     queries = ["beta gamma", "delta", "beta gamma"]
     plain = [(build_index(lib), retrieve(build_index(lib), queries, 3)) for lib in libraries]
     calls = _counting_tokenize(monkeypatch)
-    with token_memo():
+    with memo.scope():
         memoized = [(build_index(lib), retrieve(build_index(lib), queries, 3)) for lib in libraries]
     assert memoized == plain
     assert sorted(calls) == sorted(set(calls))
