@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import quote
@@ -32,7 +32,7 @@ from skillforge.cover import CoverInstance, SelectionResult, select_sources
 from skillforge.errors import PAIR_FAULTS, InputError, ParseError
 from skillforge.model import ORIGIN_EVOLVED, FailurePair, Skill, SkillLibrary, write_text_atomic
 from skillforge.providers.base import ChatProvider, ChatRequest, ask
-from skillforge.tags import EquivalenceIndex, TagSet, generate_skill_tags
+from skillforge.tags import EquivalenceIndex, SkillText, TagSet, generate_skill_tags
 
 if TYPE_CHECKING:
     from skillforge.scoring import ScoreRecord
@@ -172,15 +172,9 @@ def generate_candidates(
 def _complete_one(chat: ChatProvider, request: ChatRequest, epoch: int, pair_id: str) -> Skill | None:
     try:
         name, description, body = ask(chat, request, parse_skill_response, f"pair {pair_id!r}")
-        skill = Skill(
-            id=candidate_id(epoch, pair_id),
-            name=name,
-            description=description,
-            body=body,
-            origin=ORIGIN_EVOLVED,
-            created_epoch=epoch,
-        )
-        return replace(skill, tags=generate_skill_tags(skill, chat))
+        text = SkillText(candidate_id(epoch, pair_id), name, description, body)
+        tags = generate_skill_tags(text, chat)
+        return Skill(**text._asdict(), tags=tags, origin=ORIGIN_EVOLVED, created_epoch=epoch)
     except PAIR_FAULTS as exc:
         logger.warning("skipping pair %s: %s", pair_id, exc)
         return None

@@ -30,7 +30,7 @@ import random
 import statistics
 import threading
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
 from operator import or_
@@ -54,7 +54,7 @@ from skillforge.providers.base import (
     validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
-from skillforge.retrieval import Bm25Index, build_index, retrieve
+from skillforge.retrieval import Bm25Index, QueryBatch, build_index, retrieve
 from skillforge.scoring import (
     DEFAULT_FILTER_RATIO,
     alignment_score,
@@ -248,6 +248,21 @@ def simulate_agent(
     return FailurePair(task=task, trajectory=trajectory)
 
 
+class PreparedTasks(tuple):
+    """Tasks prepared once for any number of evaluations against ``world``:
+    the tuple of the tasks, ``required``, their ``world.required_tag_sets``,
+    and ``queries``, the ``QueryBatch`` of their descriptions."""
+
+    required: list[TagSet]
+    queries: QueryBatch
+
+    def __new__(cls, tasks: Iterable[Task], world: SyntheticWorld) -> PreparedTasks:
+        prepared = super().__new__(cls, tasks)
+        prepared.required = world.required_tag_sets(prepared)
+        prepared.queries = QueryBatch(task.description for task in prepared)
+        return prepared
+
+
 def evaluate_tasks(
     tasks: Sequence[Task],
     library: SkillLibrary,
@@ -265,9 +280,10 @@ def evaluate_tasks(
     rate passes ``build_failures=False``: a failure's outcome is then the
     ``Task`` itself and nothing is built for it.
 
-    The library's tags and the tasks' required tags (each distinct metadata
-    string parsed once, by ``world.required_tag_sets``) are added to ``eq``,
-    a fresh equivalence index when not given. A caller
+    ``tasks`` may be ``PreparedTasks``, whose required tags and query batch
+    were made once for every evaluation of the same tasks; any other
+    sequence is prepared here. The library's tags and the tasks' required
+    tags are added to ``eq``, a fresh equivalence index when not given. A caller
     may pass the index it gave the evaluation of the same tasks against an
     earlier library of this one: it then holds this evaluation's tags and no
     other, and the partition is the one a fresh index would find, since it
@@ -284,11 +300,13 @@ def evaluate_tasks(
     local to the call. Evaluation calls no provider beyond ``eq``'s
     embeddings, so the tasks run serially.
     """
+    if not isinstance(tasks, PreparedTasks):
+        tasks = PreparedTasks(tasks, world)
     if index is None:
         index = build_index(library)
     if eq is None:
         eq = EquivalenceIndex(config.delta)
-    required = world.required_tag_sets(tasks)
+    required = tasks.required
     distinct_required = set(required)
     tags = set().union(*(skill.tags for skill in library), *distinct_required)
     eq.add_tags(tags, embedder)
@@ -302,7 +320,7 @@ def evaluate_tasks(
 
     skill_masks = {skill.id: mask(skill.tags) for skill in library}
     required_masks = {tag_set: mask(tag_set) for tag_set in distinct_required}
-    hits = retrieve(index, [task.description for task in tasks], config.retrieval_k)
+    hits = retrieve(index, tasks.queries, config.retrieval_k)
     threshold = world.coverage_threshold
     # Rankings are keyed by identity: equal queries share one ranking object,
     # and ``hits`` keeps every one alive for the whole call. Each distinct
@@ -676,13 +694,20 @@ def _evolve_cell(
     next evaluation's tag set is this one's plus the retained skills' tags,
     and the partition does not depend on insertion order, so each
     evaluation sees the classes a fresh index would. The two are kept
-    apart, since union-find over a larger tag set could merge classes. ``build_index``, ``evaluate_tasks`` and ``run_epoch`` are
-    looked up as module globals on each call, so wrappers installed on this
-    module see every epoch.
+    apart, since union-find over a larger tag set could merge classes. Each
+    task set is prepared once (``PreparedTasks``: its required tags parsed
+    and its descriptions tokenized), before the first epoch, and every
+    evaluation of it reuses that. ``build_index``, ``evaluate_tasks`` and
+    ``run_epoch`` are looked up as module globals on each call, so wrappers
+    installed on this module see every epoch.
     """
     rows: list[EpochRow] = []
     stats_list: list[EpochStats] = []
     index = None
+    # Held-out first, as each epoch judges it first: a bad task in both sets
+    # is reported from the held-out set.
+    holdout = None if holdout is None else PreparedTasks(holdout, world)
+    train = PreparedTasks(train, world)
     train_eq = EquivalenceIndex(config.delta)
     holdout_eq = EquivalenceIndex(config.delta) if holdout is not None else None
     for epoch in range(config.epochs + 1):

@@ -8,7 +8,7 @@ return when it ends. Every table is keyed by a value's whole input (an LP
 model, a text), never by a name that could mean different inputs, so a hit
 returns what a fresh computation would. The tables in use: ``"lp"``
 (``cover.lp_round_select``), ``"documents"`` and ``"queries"``
-(``retrieval.build_index`` and ``retrieval.retrieve``).
+(``retrieval.build_index`` and ``retrieval.QueryBatch``).
 """
 
 from __future__ import annotations

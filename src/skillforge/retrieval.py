@@ -16,36 +16,42 @@ columns, lengths and postings, tokenizes only the skills ``base`` lacks,
 appends them as new columns, shares every posting they do not touch and
 concatenates the ones they do, and never writes to ``base``.
 
-``retrieve`` computes BM25 contributions for the batch's own known terms
-only, in the order of operations a full scan uses: idf per term with
+A ``QueryBatch`` prepares query texts once for any number of ``retrieve``
+calls, against indexes that may differ: it tokenizes each text and holds an
+n × L matrix of the batch's term ids, padded with 0. ``retrieve`` makes a
+plain sequence of texts into a batch on entry, so every call takes one path.
+
+``retrieve`` computes BM25 contributions for the batch's known terms only,
+in the order of operations a full scan uses: idf per term with
 ``math.log(1 + (N - df + 0.5) / (df + 0.5))``, the length norm
 ``K1 * ((1 - B) + B * dl / avgdl)`` with numpy, and every contribution in
 one vectorized ``idf * tf * (K1 + 1) / (tf + norm)``, where ``K1`` and
 ``B`` are the module's fixed BM25 parameters. It fills a dense matrix
-``weights`` with one row per distinct known term of the batch (row 0 is all
-zeros and stands for unknown terms and padding) and one column per document
-in id order: each column's weight goes to the id-order position
-that the index computed once at build time, because appended ``evo-...``
-ids sort before ``human-...`` ones. Each query is keyed by the tuple of
-its known terms, in query order, duplicates included; its unknown terms are
-left out, since their row 0 would only add ``x + 0.0``. Queries with equal
-keys get the same scores, so each distinct key is scored and ranked once,
-into a tuple that every query with that key shares: no copy is made per
-query, and being immutable, no caller can change another query's ranking
-through it. A matrix ``positions`` has row i list, position by position,
-the rows of distinct key i's terms, padded with row 0. Scores start at zero
-and ``scores += weights[positions[:, j]]`` adds position j of every key at
-once. A document therefore receives its contributions one at a time, in
-query order, like a term-by-term loop; every other add is ``x + 0.0``,
-which is exact for the non-negative finite scores BM25 produces, so every
-score is the same float a full scan computes. Ranking is a stable argsort of
-``-scores`` along each row: tied documents keep id order, exactly as
-sorting ``(-score, id)`` would. Scores that are not positive are dropped.
+``weights`` with one row per known term (row 0 is all zeros) and one column
+per document in id order: each column's weight goes to the id-order
+position that the index computed once at build time, because appended
+``evo-...`` ids sort before ``human-...`` ones. A query is keyed by the
+rows of its known terms, in query order, duplicates included, padded with
+row 0; its unknown terms are left out, since their row 0 would only add
+``x + 0.0``. Queries with equal keys get the same scores, so each distinct
+key is scored and ranked once, into a tuple that every query with that key
+shares: no copy is made per query, and being immutable, no caller can
+change another query's ranking through it. Scores start at zero and
+``scores += weights[keys[:, j]]`` adds position j of every key at once. A
+document therefore receives its contributions one at a time, in query
+order, like a term-by-term loop; every other add is ``x + 0.0``, which is
+exact for the non-negative finite scores BM25 produces, so every score is
+the same float a full scan computes. Each key's top k come from ``min(k,
+N)`` passes of ``argmax``, each setting the picked score to -1, below any
+BM25 score: ``argmax`` returns the first maximum, so tied documents keep id
+order, exactly as sorting ``(-score, id)`` would. Scores that are not
+positive are dropped.
 
 Inside a ``memo.scope()`` (one per ``run_kfold`` or ``evolve_library``
 call, across all its run seeds) each distinct document text is tokenized
 once, kept as its ``(Counter, length)`` in the ``"documents"`` table, and
-each distinct query text once, kept as its token list in ``"queries"``.
+each distinct query text once, when a ``QueryBatch`` is prepared, kept as
+its token list in ``"queries"``.
 Both are keyed by the text itself, never by a skill id: one
 ``candidate_id`` can name different bodies in different folds, while equal
 texts always tokenize alike. The document half still pays with grown
@@ -61,9 +67,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -149,25 +155,67 @@ def build_index(library: SkillLibrary, base: Bm25Index | None = None) -> Bm25Ind
     return Bm25Index(tuple(columns), tuple(lengths), postings)
 
 
+class QueryBatch(tuple):
+    """Query texts prepared once for any number of ``retrieve`` calls, over
+    indexes that may differ: the tuple of the texts, ``terms``, the batch's
+    distinct terms in order of first use, and ``term_ids``, an n × L matrix
+    whose row i holds query i's tokens as ids (term j has id j + 1), padded
+    with 0. Each text is tokenized through the ``"queries"`` memo table."""
+
+    terms: tuple[str, ...]
+    term_ids: np.ndarray
+
+    def __new__(cls, queries: Iterable[str]) -> QueryBatch:
+        if isinstance(queries, str):
+            raise InputError("retrieve takes a sequence of queries, not a single string")
+        batch = super().__new__(cls, queries)
+        query_tokens = memo.table("queries")
+        tokens = [memo.cached(query_tokens, query, tokenize) for query in batch]
+        ids: dict[str, int] = {}
+        flat = [ids.setdefault(term, len(ids) + 1) for term in chain.from_iterable(tokens)]
+        batch.terms = tuple(ids)
+        batch.term_ids = _padded(np.array([len(query) for query in tokens], dtype=np.intp), flat)
+        return batch
+
+
+def _padded(lengths: np.ndarray, values) -> np.ndarray:
+    """An n × max(lengths) matrix whose row i holds the next ``lengths[i]``
+    of ``values``, padded with 0: a boolean mask fills row by row."""
+    matrix = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.intp)
+    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = values
+    return matrix
+
+
 def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[tuple[tuple[str, float], ...]]:
     """Top-k skill ids by BM25 score for each query, descending, ties by id;
     zero scores dropped. One ranking per query, in query order: a tuple of
-    ``(id, score)`` pairs, one object shared by all queries with equal keys."""
+    ``(id, score)`` pairs, one object shared by all queries with equal keys.
+    ``queries`` is a ``QueryBatch`` or a sequence of texts made into one."""
     if k < 1:
         raise InputError("k must be at least 1")
-    if isinstance(queries, str):
-        raise InputError("retrieve takes a sequence of queries, not a single string")
-    query_tokens = memo.table("queries")
-    terms = [memo.cached(query_tokens, query, tokenize) for query in queries]
-    # A query's key is its known terms, in order, duplicates included. Equal
-    # keys score alike, so each distinct key is scored and ranked once.
-    slots: dict[tuple[str, ...], int] = {}
-    known = index.postings.__contains__
-    slot_of = [slots.setdefault(tuple(filter(known, query)), len(slots)) for query in terms]
-    # Row 0 is the zero row.
-    rows = {term: row for row, term in enumerate(dict.fromkeys(chain.from_iterable(slots)), 1)}
+    if not isinstance(queries, QueryBatch):
+        queries = QueryBatch(queries)
+    # Row 0 is the zero row; known terms get rows 1.. in batch order.
+    known = list(map(index.postings.__contains__, queries.terms))
+    rows = list(compress(queries.terms, known))
     if not rows:
-        return [() for _ in terms]  # also every index whose avgdl is 0: it has no postings
+        return [()] * len(queries)  # also every index whose avgdl is 0: it has no postings
+    row_of = np.zeros(len(known) + 1, dtype=np.intp)
+    row_of[1:][known] = np.arange(1, len(rows) + 1)
+    # A query's key is its known terms' rows, in order, duplicates included,
+    # padded with row 0. Equal keys score alike, so each distinct key is
+    # scored and ranked once: sorted, a key is new where it differs from the
+    # one before.
+    query_rows = row_of[queries.term_ids]
+    known_at = query_rows != 0
+    padded = _padded(np.count_nonzero(known_at, axis=1), query_rows[known_at])
+    order = np.lexsort(padded.T)
+    padded = padded[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (padded[1:] != padded[:-1]).any(axis=1)
+    keys = padded[new]
+    slot_of = np.empty(len(order), dtype=np.intp)
+    slot_of[order] = np.cumsum(new) - 1
     n_docs = index.size
     postings = [index.postings[term] for term in rows]
     per_term = [len(term_columns) for term_columns, _ in postings]  # each term's df
@@ -178,16 +226,18 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[tuple[tup
     contributions = np.repeat(idf, per_term) * tf * (K1 + 1) / (tf + norm[posted])
     weights = np.zeros((len(rows) + 1, n_docs))
     weights[np.repeat(np.arange(1, len(rows) + 1), per_term), index._id_rank[posted]] = contributions
-    lengths = np.array([len(key) for key in slots], dtype=np.intp)
-    positions = np.zeros((len(slots), lengths.max()), dtype=np.intp)
-    # A boolean mask fills row by row: key i's rows, then key i + 1's.
-    filled = np.arange(positions.shape[1]) < lengths[:, None]
-    positions[filled] = [rows[term] for term in chain.from_iterable(slots)]
-    scores = np.zeros((len(slots), n_docs))
-    for j in range(positions.shape[1]):
-        scores += weights[positions[:, j]]
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    top_scores = np.take_along_axis(scores, top, axis=1)
+    scores = np.zeros((len(keys), n_docs))
+    for key_rows in keys.T:
+        scores += weights[key_rows]
+    # argmax takes the first maximum, in id order, as a stable sort would;
+    # a picked score becomes -1, below every BM25 score.
+    every_key = np.arange(len(keys))
+    top = np.empty((len(keys), min(k, n_docs)), dtype=np.intp)
+    top_scores = np.empty(top.shape)
+    for j in range(top.shape[1]):
+        top[:, j] = columns = scores.argmax(axis=1)
+        top_scores[:, j] = scores[every_key, columns]
+        scores[every_key, columns] = -1.0
     # No score is negative, so each row's positive scores are its first ones.
     positive = np.count_nonzero(top_scores > 0.0, axis=1).tolist()
     ids = index.doc_ids
@@ -195,4 +245,4 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[tuple[tup
         tuple(zip(map(ids.__getitem__, columns[:n]), row_scores[:n]))
         for columns, row_scores, n in zip(top.tolist(), top_scores.tolist(), positive)
     ]
-    return list(map(ranked.__getitem__, slot_of))
+    return list(map(ranked.__getitem__, slot_of.tolist()))

@@ -27,6 +27,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,7 +93,17 @@ def _line_tags(line: str) -> list[str]:
     return tags
 
 
-def build_skill_tag_request(skill: Skill) -> ChatRequest:
+class SkillText(NamedTuple):
+    """The fields a skill-tag request reads. A ``Skill`` has them too, so a
+    candidate can be tagged before its ``Skill`` is built, once, with its tags."""
+
+    id: str
+    name: str
+    description: str
+    body: str
+
+
+def build_skill_tag_request(skill: Skill | SkillText) -> ChatRequest:
     user = (
         f"Skill name: {skill.name}\n"
         f"Skill description: {skill.description}\n"
@@ -120,7 +131,7 @@ def _tag_set(text: str) -> TagSet:
     return frozenset(tags)
 
 
-def generate_skill_tags(skill: Skill, chat: ChatProvider) -> TagSet:
+def generate_skill_tags(skill: Skill | SkillText, chat: ChatProvider) -> TagSet:
     """Ask the chat provider for the skill's knowledge tags."""
     if not skill.body:
         raise InputError(f"skill {skill.id!r} has an empty body")
@@ -212,7 +223,10 @@ class EquivalenceIndex:
             raise MissingTagError(f"tag {tag!r} is not in the equivalence index") from None
 
     def canonical_set(self, tags: Iterable[str]) -> TagSet:
-        return frozenset(map(self.representative, tags))
+        try:
+            return frozenset(map(self._parent.__getitem__, tags))
+        except KeyError as exc:
+            raise MissingTagError(f"tag {exc.args[0]!r} is not in the equivalence index") from None
 
 
 def prf(intersection: int, predicted: int, reference: int) -> tuple[float, float, float]:

@@ -161,6 +161,26 @@ def test_three_failures_yield_three_candidates_with_sequential_ids():
     assert len({s.id for s in out.values()}) == 3
 
 
+def test_generate_candidates_builds_each_candidate_skill_once(monkeypatch):
+    from skillforge.model import Skill
+
+    library = SkillLibrary(skills=(make_skill("s1", tags=("csv_parsing",)),))
+    pairs = [make_pair(f"task-{i:03d}") for i in range(3)]
+    targets = {p.task.id: frozenset({"csv_parsing"}) for p in pairs}
+    index = _index_over(["csv_parsing"])
+    built = []
+    original = Skill.__post_init__
+
+    def counting(skill):
+        built.append(skill.id)
+        original(skill)
+
+    monkeypatch.setattr(Skill, "__post_init__", counting)
+    out = generate_candidates(pairs, library, index, MockChatProvider(seed=1), 2, targets)
+    assert len(out) == 3 and all(skill.tags for skill in out.values())
+    assert built == [skill.id for skill in out.values()]
+
+
 def test_candidate_tags_include_uncovered_target_tag(monkeypatch):
     selections = _record_selections(monkeypatch)
     library = SkillLibrary(skills=(make_skill("s1", tags=("csv_parsing",)),))

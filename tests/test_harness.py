@@ -336,6 +336,36 @@ def test_each_kfold_call_tokenizes_a_text_once(monkeypatch):
     assert memo._TABLES.get() is None
 
 
+def test_each_kfold_cell_prepares_its_task_sets_once(monkeypatch):
+    import skillforge.retrieval as retrieval
+    from skillforge.world import SyntheticWorld
+
+    world = _world(n_tasks=30)
+    config = RunConfig(seed=7, epochs=2, folds=3, runs=1)
+    expected = run_kfold(config, world)
+    parsed, tokenized = [], []
+    parse, tokenize = SyntheticWorld.required_tag_sets, retrieval.tokenize
+
+    def counting_parse(self, tasks):
+        parsed.append(len(tasks))
+        return parse(self, tasks)
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(SyntheticWorld, "required_tag_sets", counting_parse)
+    monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
+    report = run_kfold(config, world)
+    assert strip_wall_clock(report.to_dict()) == strip_wall_clock(expected.to_dict())
+    # Once per task set per cell, a held-out fold and then its training
+    # folds; not once per evaluation, which would be 18 times.
+    assert len(parsed) == 2 * config.folds
+    assert [a + b for a, b in zip(parsed[::2], parsed[1::2])] == [len(world.tasks)] * config.folds
+    descriptions = {task.description for task in world.tasks}
+    assert Counter(text for text in tokenized if text in descriptions) == Counter(descriptions)
+
+
 def test_evaluation_starts_no_thread_pool(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from skillforge import memo
 from skillforge.errors import InputError
 from skillforge.model import SkillLibrary
-from skillforge.retrieval import B, K1, Bm25Index, build_index, retrieve, tokenize
+from skillforge.retrieval import B, K1, Bm25Index, QueryBatch, build_index, retrieve, tokenize
 
 from conftest import make_skill
 
@@ -368,6 +369,38 @@ def test_a_chain_of_grown_indexes_ranks_like_fresh_builds(docs, cuts, queries, k
         expected = [_full_scan(library, text, k) for text in texts]
         assert _retrieve_shared(grown, texts, k) == _retrieve_shared(fresh, texts, k) == expected
         index = grown
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    docs=st.dictionaries(
+        st.text(alphabet="abcz-", min_size=1, max_size=3),
+        st.lists(st.one_of(_WORDS, st.just("!!")), max_size=9),
+        min_size=1,
+        max_size=14,
+    ),
+    copies=st.integers(min_value=0, max_value=3),
+    cuts=st.lists(st.integers(0, 17), max_size=4),
+    queries=st.lists(_QUERY, max_size=6),
+    k=st.integers(min_value=1, max_value=20),
+)
+def test_one_prepared_batch_ranks_like_plain_texts_across_grown_indexes(docs, copies, cuts, queries, k):
+    # Copies of the first body make tied documents; k may exceed the document
+    # count; _batch adds queries with no known term. The batch is prepared
+    # once, before any index, and reused while the vocabulary grows.
+    bodies = [(doc_id, " ".join(words)) for doc_id, words in docs.items()]
+    bodies += [(f"{bodies[0][0]}~{i}", bodies[0][1]) for i in range(copies)]
+    texts = _batch(queries)
+    batch = QueryBatch(texts)
+    term_ids = batch.term_ids.copy()
+    assert batch == tuple(texts)
+    index = None
+    for end in sorted(set(cuts) | {len(bodies)}):
+        library = _library(dict(bodies[:end]))
+        index = build_index(library, base=index)
+        expected = [_full_scan(library, text, k) for text in texts]
+        assert _retrieve_shared(index, batch, k) == retrieve(index, texts, k) == expected
+        assert np.array_equal(batch.term_ids, term_ids)
 
 
 def test_a_grown_index_tokenizes_only_the_new_skills(monkeypatch):

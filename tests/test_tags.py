@@ -218,6 +218,15 @@ def test_missing_tag_raises_index_error():
         index.canonical_set(["known_tag", "unknown_tag"])
 
 
+def test_canonical_set_names_the_missing_tag_as_representative_does():
+    index = make_index(["known_tag"])
+    with pytest.raises(MissingTagError, match="'unknown_tag' is not in the equivalence index") as from_set:
+        index.canonical_set(iter(["known_tag", "unknown_tag"]))
+    with pytest.raises(MissingTagError) as from_one:
+        index.representative("unknown_tag")
+    assert str(from_set.value) == str(from_one.value)
+
+
 def test_tag_quality_identity_is_all_ones():
     index = make_index(["a", "b"])
     report = tag_quality_metrics(frozenset({"a", "b"}), frozenset({"a", "b"}), index)
