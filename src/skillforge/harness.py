@@ -54,7 +54,7 @@ from skillforge.providers.base import (
     validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
-from skillforge.retrieval import Bm25Index, QueryBatch, build_index, retrieve
+from skillforge.retrieval import Bm25Index, QueryBatch, Rankings, build_index, distinct_rows, retrieve
 from skillforge.scoring import (
     DEFAULT_FILTER_RATIO,
     alignment_score,
@@ -248,19 +248,42 @@ def simulate_agent(
     return FailurePair(task=task, trajectory=trajectory)
 
 
-class PreparedTasks(tuple):
-    """Tasks prepared once for any number of evaluations against ``world``:
-    the tuple of the tasks, ``required``, their ``world.required_tag_sets``,
-    and ``queries``, the ``QueryBatch`` of their descriptions."""
+class TaskTable(tuple):
+    """Tasks prepared once for every evaluation of them or of their rows:
+    the tasks, ``required_sets`` (each distinct ``world.required_tag_sets``
+    set once), ``required_id`` (each task's position in it) and ``queries``
+    (the descriptions' ``QueryBatch``). ``rank(index, k)`` ranks all tasks in
+    one ``retrieve`` call and keeps the last result, keyed by ``k`` and the
+    index object, which the table holds so that no other index can match."""
 
-    required: list[TagSet]
-    queries: QueryBatch
+    def __new__(cls, tasks: Iterable[Task], world: SyntheticWorld) -> TaskTable:
+        table = super().__new__(cls, tasks)
+        ids: dict[TagSet, int] = {}
+        required = world.required_tag_sets(table)
+        table.required_id = np.array([ids.setdefault(tag_set, len(ids)) for tag_set in required], dtype=np.intp)
+        table.required_sets = tuple(ids)
+        table.queries = QueryBatch(task.description for task in table)
+        table.release()
+        return table
 
-    def __new__(cls, tasks: Iterable[Task], world: SyntheticWorld) -> PreparedTasks:
-        prepared = super().__new__(cls, tasks)
-        prepared.required = world.required_tag_sets(prepared)
-        prepared.queries = QueryBatch(task.description for task in prepared)
+    def rank(self, index: Bm25Index, k: int) -> Rankings:
+        if self._ranked[0] is not index or self._ranked[1] != k:
+            self._ranked = (index, k, retrieve(index, self.queries, k))
+        return self._ranked[2]
+
+    def release(self) -> None:
+        self._ranked = (None, 0, None)
+
+    def take(self, tasks: Iterable[Task]) -> PreparedTasks:
+        """``tasks``, each one of this table's task objects, as rows of it."""
+        row_of = {id(task): row for row, task in enumerate(self)}
+        prepared = PreparedTasks(tasks)
+        prepared.table, prepared.rows = self, np.array([row_of[id(task)] for task in prepared], dtype=np.intp)
         return prepared
+
+
+class PreparedTasks(tuple):
+    """Rows of a ``TaskTable``: its tasks, with ``table`` and ``rows`` set by ``TaskTable.take``."""
 
 
 def evaluate_tasks(
@@ -274,41 +297,46 @@ def evaluate_tasks(
     *,
     build_failures: bool = True,
 ) -> list[FailurePair | Task | None]:
-    """Judge every task against ``library`` with one batched retrieval and
-    return one outcome per task, in task order: ``None`` for a pass and the
-    task's ``FailurePair`` for a failure. A caller that reads only the pass
-    rate passes ``build_failures=False``: a failure's outcome is then the
-    ``Task`` itself and nothing is built for it.
+    """Judge every task against ``library`` and return one outcome per task,
+    in task order: ``None`` for a pass and the task's ``FailurePair`` for a
+    failure. A caller that reads only the pass rate passes
+    ``build_failures=False``: a failure's outcome is then the ``Task``
+    itself and nothing is built for it.
 
-    ``tasks`` may be ``PreparedTasks``, whose required tags and query batch
-    were made once for every evaluation of the same tasks; any other
-    sequence is prepared here. The library's tags and the tasks' required
-    tags are added to ``eq``, a fresh equivalence index when not given. A caller
-    may pass the index it gave the evaluation of the same tasks against an
-    earlier library of this one: it then holds this evaluation's tags and no
-    other, and the partition is the one a fresh index would find, since it
-    does not depend on the order tags arrive in. ``index`` is ``library``'s
-    BM25 index, built here when not given. Each class gets one bit, in sorted
+    ``tasks`` may be ``PreparedTasks``, rows of a ``TaskTable`` made once
+    for every evaluation of them; any other sequence gets a table of its
+    own. The library's tags and the tasks' required tags are added to
+    ``eq``, a fresh equivalence index when not given. A caller may pass the
+    index it gave the evaluation of the same tasks against an earlier
+    library of this one: it then holds this evaluation's tags and no other,
+    and the partition is the one a fresh index would find, since it does not
+    depend on the order tags arrive in. ``index`` is ``library``'s BM25
+    index, built here when not given. Each class gets one bit, in sorted
     order of the class names, and each skill and task the Python-int mask of
     its tags' classes. The work is paid per distinct input, not per task:
-    each distinct required-tag set is masked once; ``retrieve`` gives tasks
-    with equal queries one shared ranking, whose skill masks are ORed once;
-    and each distinct (ranking, required-tag set) pair gets one coverage
-    verdict, here and nowhere else. Only a failing task goes to
-    ``simulate_agent``, which writes its ``FailurePair`` from the required
-    classes its hits miss, and only when ``build_failures`` is set. Every memo is
-    local to the call. Evaluation calls no provider beyond ``eq``'s
+    the table ranks all its tasks once per index and ``k`` and caches that
+    ranking, keyed by the index object, so two evaluations of its rows
+    against one index share it. Each distinct required-tag set is masked
+    once, each distinct ranking's skill masks are ORed once, and each
+    distinct code ``slot * len(table.required_sets) + required_id`` (ranking
+    and required-tag set) gets one coverage verdict, here and nowhere else.
+    Only a failing task goes to ``simulate_agent``, which writes its
+    ``FailurePair`` from the required classes its hits miss, and only when
+    ``build_failures`` is set. Evaluation calls no provider beyond ``eq``'s
     embeddings, so the tasks run serially.
     """
     if not isinstance(tasks, PreparedTasks):
-        tasks = PreparedTasks(tasks, world)
+        table = TaskTable(tasks, world)
+        tasks = table.take(table)
     if index is None:
         index = build_index(library)
     if eq is None:
         eq = EquivalenceIndex(config.delta)
-    required = tasks.required
-    distinct_required = set(required)
-    tags = set().union(*(skill.tags for skill in library), *distinct_required)
+    table = tasks.table
+    required_id = table.required_id[tasks.rows]
+    set_ids = set(required_id.tolist())
+    required = [table.required_sets[set_id] for set_id in set_ids]
+    tags = set().union(*(skill.tags for skill in library), *required)
     eq.add_tags(tags, embedder)
     class_of = {tag: eq.representative(tag) for tag in tags}
     class_names = sorted(set(class_of.values()))
@@ -319,28 +347,27 @@ def evaluate_tasks(
         return reduce(or_, map(tag_bit.__getitem__, tag_set), 0)
 
     skill_masks = {skill.id: mask(skill.tags) for skill in library}
-    required_masks = {tag_set: mask(tag_set) for tag_set in distinct_required}
-    hits = retrieve(index, tasks.queries, config.retrieval_k)
-    threshold = world.coverage_threshold
-    # Rankings are keyed by identity: equal queries share one ranking object,
-    # and ``hits`` keeps every one alive for the whole call. Each distinct
-    # (ranking, required-tag set) pair of a task gets one coverage verdict.
-    rankings = {id(ranking): ranking for ranking in hits}
+    required_masks = dict(zip(set_ids, map(mask, required)))
+    ranked = table.rank(index, config.retrieval_k)
+    n_sets = len(table.required_sets)
+    codes, inverse = distinct_rows((ranked.slot[tasks.rows] * n_sets + required_id)[:, None])
+    slots, code_sets = (part.tolist() for part in np.divmod(codes[:, 0], n_sets))
     hit_masks = {
-        key: reduce(or_, (skill_masks[sid] for sid, _ in ranking), 0) for key, ranking in rankings.items()
+        slot: reduce(or_, (skill_masks[sid] for sid, _ in ranked.distinct[slot]), 0) for slot in dict.fromkeys(slots)
     }
-    pairs = list(zip(map(id, hits), required))
-    covered = {
-        (key, tag_set): _covers(required_masks[tag_set], hit_masks[key], threshold)
-        for key, tag_set in dict.fromkeys(pairs)
-    }
-    if not build_failures:
-        return [None if covered[pair] else task for task, pair in zip(tasks, pairs)]
-    return [
+    # Per code: None for a pass, else the ranking and the classes it misses.
+    verdicts = [
         None
-        if covered[pair]
-        else simulate_agent(task, ranking, required_masks[pair[1]] & ~hit_masks[pair[0]], class_names)
-        for task, ranking, pair in zip(tasks, hits, pairs)
+        if _covers(required_masks[set_id], hit_masks[slot], world.coverage_threshold)
+        else (ranked.distinct[slot], required_masks[set_id] & ~hit_masks[slot])
+        for slot, set_id in zip(slots, code_sets)
+    ]
+    outcomes = map(verdicts.__getitem__, inverse.tolist())
+    if not build_failures:
+        return [None if verdict is None else task for task, verdict in zip(tasks, outcomes)]
+    return [
+        None if verdict is None else simulate_agent(task, *verdict, class_names)
+        for task, verdict in zip(tasks, outcomes)
     ]
 
 
@@ -694,20 +721,17 @@ def _evolve_cell(
     next evaluation's tag set is this one's plus the retained skills' tags,
     and the partition does not depend on insertion order, so each
     evaluation sees the classes a fresh index would. The two are kept
-    apart, since union-find over a larger tag set could merge classes. Each
-    task set is prepared once (``PreparedTasks``: its required tags parsed
-    and its descriptions tokenized), before the first epoch, and every
-    evaluation of it reuses that. ``build_index``, ``evaluate_tasks`` and
-    ``run_epoch`` are looked up as module globals on each call, so wrappers
-    installed on this module see every epoch.
+    apart, since union-find over a larger tag set could merge classes. Both
+    task sets are ``PreparedTasks``, rows of one ``TaskTable`` that the
+    caller made, so a bad task was reported then, in the table's task order,
+    not from either set. Each epoch's held-out evaluation ranks all the
+    table's tasks and the training one reuses that ranking. ``build_index``,
+    ``evaluate_tasks`` and ``run_epoch`` are looked up as module globals on
+    each call, so wrappers installed on this module see every epoch.
     """
     rows: list[EpochRow] = []
     stats_list: list[EpochStats] = []
     index = None
-    # Held-out first, as each epoch judges it first: a bad task in both sets
-    # is reported from the held-out set.
-    holdout = None if holdout is None else PreparedTasks(holdout, world)
-    train = PreparedTasks(train, world)
     train_eq = EquivalenceIndex(config.delta)
     holdout_eq = EquivalenceIndex(config.delta) if holdout is not None else None
     for epoch in range(config.epochs + 1):
@@ -748,6 +772,7 @@ def _evolve_cell(
         if stats is not None:
             stats_list.append(stats)
         library = new_library
+    train.table.release()
     return library, rows, stats_list
 
 
@@ -767,7 +792,7 @@ def run_kfold(
     session, while one ``memo.scope()`` serves the whole call: its tables
     are keyed by their whole input (the numeric LP model, the text) and
     depend on no seed, so a hit from another run seed returns what a fresh
-    solve or tokenization would.
+    solve or tokenization would. Every cell evaluates rows of one table.
     """
     factory = provider_factory or mock_provider_factory()
     tasks: Sequence[Task] = world.tasks
@@ -782,20 +807,23 @@ def run_kfold(
 
     cells: list[CellResult] = []
     audit: tuple[str, ...] = ()
+    # Made before the scope opens, so the scope keeps no token list of the
+    # descriptions: only the table ranks them.
+    table = TaskTable(tasks, world)
     with memo.scope():
         for run_idx in range(config.runs):
             run_seed = config.seed + run_idx
             providers = factory(run_seed)
             audit = providers.audit_names()
             providers = _Session(providers)
-            fold_lists = _partition_folds(tasks, config.folds, run_seed)
+            fold_lists = _partition_folds(table, config.folds, run_seed)
             for fold_idx in range(config.folds):
                 # The leaky cell trains on its only fold and holds nothing out.
-                holdout = None if leaky else fold_lists[fold_idx]
-                train = sorted(
+                holdout = None if leaky else table.take(fold_lists[fold_idx])
+                train = table.take(sorted(
                     (t for i, lst in enumerate(fold_lists) if leaky or i != fold_idx for t in lst),
                     key=lambda t: t.id,
-                )
+                ))
                 library = apply_label_scale(world, config.label_scale, run_seed)
                 _, rows, _ = _evolve_cell(library, train, holdout, world, providers, config, clock)
                 cells.append(CellResult(fold=fold_idx, run=run_idx, seed=run_seed, rows=tuple(rows)))
@@ -821,10 +849,10 @@ def evolve_library(
     audit = providers.audit_names()
     providers = _Session(providers)
     library = apply_label_scale(world, config.label_scale, config.seed)
-    tasks = sorted(world.tasks, key=lambda t: t.id)
+    table = TaskTable(sorted(world.tasks, key=lambda t: t.id), world)
     with memo.scope():
         library, rows, stats_list = _evolve_cell(
-            library, tasks, None, world, providers, config, clock, dump_dir
+            library, table.take(table), None, world, providers, config, clock, dump_dir
         )
     report = EvolutionReport(
         config=config.to_dict(),

@@ -186,11 +186,36 @@ def _padded(lengths: np.ndarray, values) -> np.ndarray:
     return matrix
 
 
-def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[tuple[tuple[str, float], ...]]:
+def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer matrix, sorted, and each row's
+    position among them: sorted by ``np.lexsort``, a row is new where it
+    differs from the one before. (``np.unique`` would page in the code of
+    another sort, about 0.3 MB of resident memory on first use.)"""
+    order = np.lexsort(matrix.T)
+    ordered = matrix[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.cumsum(new) - 1
+    return ordered[new], slot
+
+
+class Rankings(list):
+    """``retrieve``'s result: one ranking per query, in query order, with
+    ``distinct``, each distinct key's ranking, and ``slot``, an array of
+    each query's position in ``distinct``."""
+
+    def __init__(self, distinct: list[tuple[tuple[str, float], ...]], slot: np.ndarray) -> None:
+        super().__init__(map(distinct.__getitem__, slot.tolist()))
+        self.distinct, self.slot = distinct, slot
+
+
+def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> Rankings:
     """Top-k skill ids by BM25 score for each query, descending, ties by id;
     zero scores dropped. One ranking per query, in query order: a tuple of
-    ``(id, score)`` pairs, one object shared by all queries with equal keys.
-    ``queries`` is a ``QueryBatch`` or a sequence of texts made into one."""
+    ``(id, score)`` pairs, one object shared by all queries with equal keys,
+    in a ``Rankings`` that also holds each key's ranking and each query's
+    key. ``queries`` is a ``QueryBatch`` or a sequence of texts made into one."""
     if k < 1:
         raise InputError("k must be at least 1")
     if not isinstance(queries, QueryBatch):
@@ -198,24 +223,16 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[tuple[tup
     # Row 0 is the zero row; known terms get rows 1.. in batch order.
     known = list(map(index.postings.__contains__, queries.terms))
     rows = list(compress(queries.terms, known))
-    if not rows:
-        return [()] * len(queries)  # also every index whose avgdl is 0: it has no postings
+    if not rows:  # also every index whose avgdl is 0: it has no postings
+        return Rankings([()], np.zeros(len(queries), dtype=np.intp))
     row_of = np.zeros(len(known) + 1, dtype=np.intp)
     row_of[1:][known] = np.arange(1, len(rows) + 1)
     # A query's key is its known terms' rows, in order, duplicates included,
     # padded with row 0. Equal keys score alike, so each distinct key is
-    # scored and ranked once: sorted, a key is new where it differs from the
-    # one before.
+    # scored and ranked once.
     query_rows = row_of[queries.term_ids]
     known_at = query_rows != 0
-    padded = _padded(np.count_nonzero(known_at, axis=1), query_rows[known_at])
-    order = np.lexsort(padded.T)
-    padded = padded[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (padded[1:] != padded[:-1]).any(axis=1)
-    keys = padded[new]
-    slot_of = np.empty(len(order), dtype=np.intp)
-    slot_of[order] = np.cumsum(new) - 1
+    keys, slot_of = distinct_rows(_padded(np.count_nonzero(known_at, axis=1), query_rows[known_at]))
     n_docs = index.size
     postings = [index.postings[term] for term in rows]
     per_term = [len(term_columns) for term_columns, _ in postings]  # each term's df
@@ -245,4 +262,4 @@ def retrieve(index: Bm25Index, queries: Sequence[str], k: int) -> list[tuple[tup
         tuple(zip(map(ids.__getitem__, columns[:n]), row_scores[:n]))
         for columns, row_scores, n in zip(top.tolist(), top_scores.tolist(), positive)
     ]
-    return list(map(ranked.__getitem__, slot_of.tolist()))
+    return Rankings(ranked, slot_of)

@@ -23,6 +23,7 @@ from skillforge.harness import (
     EvolutionReport,
     ProviderBundle,
     RunConfig,
+    TaskTable,
     apply_label_scale,
     average_ranks,
     emit_report,
@@ -313,6 +314,26 @@ def test_kfold_builds_one_bm25_index_per_epoch(monkeypatch):
     assert builds == [row.library_size for cell in report.cells for row in cell.rows]
 
 
+def test_kfold_ranks_every_task_once_per_epoch_index(monkeypatch):
+    import skillforge.harness as harness
+
+    ranked = []
+    original = harness.retrieve
+
+    def counting(index, queries, k):
+        ranked.append((index, len(queries)))
+        return original(index, queries, k)
+
+    monkeypatch.setattr(harness, "retrieve", counting)
+    world = _world(n_tasks=30)
+    config = RunConfig(seed=7, epochs=2, folds=3, runs=2)
+    run_kfold(config, world, mock_provider_factory(noise_rate=0.5))
+    # The held-out and training evaluations of an epoch share one call.
+    assert len(ranked) == config.runs * config.folds * (config.epochs + 1)
+    assert len({id(index) for index, _ in ranked}) == len(ranked)
+    assert {n for _, n in ranked} == {len(world.tasks)}
+
+
 def test_each_kfold_call_tokenizes_a_text_once(monkeypatch):
     import skillforge.retrieval as retrieval
 
@@ -341,7 +362,7 @@ def test_each_kfold_cell_prepares_its_task_sets_once(monkeypatch):
     from skillforge.world import SyntheticWorld
 
     world = _world(n_tasks=30)
-    config = RunConfig(seed=7, epochs=2, folds=3, runs=1)
+    config = RunConfig(seed=7, epochs=2, folds=3, runs=2)
     expected = run_kfold(config, world)
     parsed, tokenized = [], []
     parse, tokenize = SyntheticWorld.required_tag_sets, retrieval.tokenize
@@ -358,12 +379,49 @@ def test_each_kfold_cell_prepares_its_task_sets_once(monkeypatch):
     monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
     report = run_kfold(config, world)
     assert strip_wall_clock(report.to_dict()) == strip_wall_clock(expected.to_dict())
-    # Once per task set per cell, a held-out fold and then its training
-    # folds; not once per evaluation, which would be 18 times.
-    assert len(parsed) == 2 * config.folds
-    assert [a + b for a, b in zip(parsed[::2], parsed[1::2])] == [len(world.tasks)] * config.folds
+    # Once per call, over every task, for all cells of all run seeds; not
+    # once per task set per cell, which would be 12 times.
+    assert parsed == [len(world.tasks)]
     descriptions = {task.description for task in world.tasks}
     assert Counter(text for text in tokenized if text in descriptions) == Counter(descriptions)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.sampled_from([3, 11]),
+    held_out=st.sets(st.integers(0, 39), max_size=20),
+    steps=st.lists(
+        st.tuples(st.integers(0, 15), st.booleans(), st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4
+    ),
+)
+def test_one_shared_table_judges_like_each_set_prepared_alone(seed, held_out, steps):
+    # Each step grows the index to a longer prefix of the evolved library's
+    # skills; a prefix that repeats gives an index equal in content to the
+    # last but another object. A swapped step also judges a library of the
+    # same size whose last skill is replaced by the next one. The held-out
+    # and training sets rank with their own retrieval_k.
+    world, libraries = _oracle_world(seed)
+    pool = libraries["evolved"].skills
+    table = TaskTable(world.tasks, world)
+    holdout = [task for i, task in enumerate(world.tasks) if i in held_out]
+    train = sorted((task for i, task in enumerate(world.tasks) if i not in held_out), key=lambda t: t.id)
+    shared = (table.take(holdout), table.take(train))
+    index = None
+    for cut, swapped, holdout_k, train_k in sorted(steps):
+        cut = min(cut, len(pool))
+        library = SkillLibrary(skills=pool[:cut])
+        index = build_index(library, base=index)
+        judged = [(library, index)]
+        if swapped and 0 < cut < len(pool):
+            other = SkillLibrary(skills=pool[: cut - 1] + pool[cut : cut + 1])
+            judged.append((other, build_index(other)))
+        for library, step_index in judged:
+            for prepared, tasks, k in zip(shared, (holdout, train), (holdout_k, train_k)):
+                config = RunConfig(seed=seed, retrieval_k=k)
+                outcomes = evaluate_tasks(prepared, library, world, config, MockEmbedder(), index=step_index)
+                alone = evaluate_tasks(list(tasks), library, world, config, MockEmbedder(), index=step_index)
+                assert outcomes == alone
+                assert [o and o.trajectory for o in outcomes] == [o and o.trajectory for o in alone]
 
 
 def test_evaluation_starts_no_thread_pool(monkeypatch):

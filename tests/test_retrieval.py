@@ -245,10 +245,14 @@ def _batch(queries: list[list[str]]) -> list[str]:
 
 
 def _retrieve_shared(index: Bm25Index, texts: list[str], k: int) -> list[tuple[tuple[str, float], ...]]:
-    """``retrieve``, checking that every ranking is a tuple and that queries
-    with equal keys (their indexed terms, in order) share one object."""
+    """``retrieve``, checking that every ranking is a tuple, that queries
+    with equal keys (their indexed terms, in order) share one object, and
+    that the per-key results name each query's ranking by its slot."""
     results = retrieve(index, texts, k)
     assert all(type(result) is tuple for result in results)
+    assert [results.distinct[slot] for slot in results.slot.tolist()] == list(results)
+    assert all(results.distinct[slot] is result for slot, result in zip(results.slot.tolist(), results))
+    assert len(set(map(id, results.distinct))) == len(results.distinct)
     shared: dict[tuple[str, ...], tuple] = {}
     for text, result in zip(texts, results):
         key = tuple(term for term in tokenize(text) if term in index.postings)
