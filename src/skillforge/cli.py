@@ -24,6 +24,7 @@ from pathlib import Path
 from skillforge.cover import CoverInstance, select_sources
 from skillforge.errors import ConfigError, SkillForgeError
 from skillforge.harness import (
+    SWEEP_DIMENSIONS,
     EvolutionReport,
     ProviderBundle,
     RunConfig,
@@ -109,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tag", help="tag a skill library or infer task target tags")
     add_common(p)
-    p.add_argument("--library", help="library JSONL to tag")
-    p.add_argument("--tasks", help="task JSONL to infer target tags for")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--library", help="library JSONL to tag")
+    source.add_argument("--tasks", help="task JSONL to infer target tags for")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true", help="retag skills that already carry tags")
     p.set_defaults(func=cmd_tag)
@@ -151,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweeps over the k-fold protocol")
     add_common(p)
-    p.add_argument(
-        "--dimension", required=True, choices=("epochs", "filter_ratio", "label_scale", "transfer")
-    )
+    p.add_argument("--dimension", required=True, choices=SWEEP_DIMENSIONS)
     p.add_argument("--world-dir")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -240,9 +240,7 @@ def cmd_simworld(args) -> int:
 def cmd_tag(args) -> int:
     config = resolve_run_config(args)
     bundle = _resolve_providers(args)(config.seed)
-    if bool(args.library) == bool(args.tasks):
-        raise ConfigError("pass exactly one of --library or --tasks")
-    if args.library:
+    if args.library is not None:
         library = load_library(args.library)
         tagged = []
         for skill in library:

@@ -54,7 +54,7 @@ from skillforge.providers.base import (
     validate_embed_inputs,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
-from skillforge.retrieval import Bm25Index, QueryBatch, Rankings, build_index, distinct_rows, retrieve
+from skillforge.retrieval import QueryBatch, Rankings, build_index, distinct_rows, retrieve
 from skillforge.scoring import (
     DEFAULT_FILTER_RATIO,
     alignment_score,
@@ -252,9 +252,7 @@ class TaskTable(tuple):
     """Tasks prepared once for every evaluation of them or of their rows:
     the tasks, ``required_sets`` (each distinct ``world.required_tag_sets``
     set once), ``required_id`` (each task's position in it) and ``queries``
-    (the descriptions' ``QueryBatch``). ``rank(index, k)`` ranks all tasks in
-    one ``retrieve`` call and keeps the last result, keyed by ``k`` and the
-    index object, which the table holds so that no other index can match."""
+    (the descriptions' ``QueryBatch``)."""
 
     def __new__(cls, tasks: Iterable[Task], world: SyntheticWorld) -> TaskTable:
         table = super().__new__(cls, tasks)
@@ -263,16 +261,7 @@ class TaskTable(tuple):
         table.required_id = np.array([ids.setdefault(tag_set, len(ids)) for tag_set in required], dtype=np.intp)
         table.required_sets = tuple(ids)
         table.queries = QueryBatch(task.description for task in table)
-        table.release()
         return table
-
-    def rank(self, index: Bm25Index, k: int) -> Rankings:
-        if self._ranked[0] is not index or self._ranked[1] != k:
-            self._ranked = (index, k, retrieve(index, self.queries, k))
-        return self._ranked[2]
-
-    def release(self) -> None:
-        self._ranked = (None, 0, None)
 
     def take(self, tasks: Iterable[Task]) -> PreparedTasks:
         """``tasks``, each one of this table's task objects, as rows of it."""
@@ -293,7 +282,7 @@ def evaluate_tasks(
     config: RunConfig,
     embedder: EmbeddingProvider,
     eq: EquivalenceIndex | None = None,
-    index: Bm25Index | None = None,
+    ranked: Rankings | None = None,
     *,
     build_failures: bool = True,
 ) -> list[FailurePair | Task | None]:
@@ -310,16 +299,17 @@ def evaluate_tasks(
     index it gave the evaluation of the same tasks against an earlier
     library of this one: it then holds this evaluation's tags and no other,
     and the partition is the one a fresh index would find, since it does not
-    depend on the order tags arrive in. ``index`` is ``library``'s BM25
-    index, built here when not given. Each class gets one bit, in sorted
-    order of the class names, and each skill and task the Python-int mask of
-    its tags' classes. The work is paid per distinct input, not per task:
-    the table ranks all its tasks once per index and ``k`` and caches that
-    ranking, keyed by the index object, so two evaluations of its rows
-    against one index share it. Each distinct required-tag set is masked
-    once, each distinct ranking's skill masks are ORed once, and each
-    distinct code ``slot * len(table.required_sets) + required_id`` (ranking
-    and required-tag set) gets one coverage verdict, here and nowhere else.
+    depend on the order tags arrive in. ``ranked`` is ``retrieve``'s
+    ranking of all the table's queries against ``library``'s BM25 index at
+    ``config.retrieval_k``, one slot per table row, so evaluations of rows
+    of one table against one library can share it; it is computed here
+    when not given. Each class gets one bit, in sorted order of the class
+    names, and each skill and task the Python-int mask of its tags'
+    classes. The work is paid per distinct input, not per task: each
+    distinct required-tag set is masked once, each distinct ranking's skill
+    masks are ORed once, and each distinct code ``slot *
+    len(table.required_sets) + required_id`` (ranking and required-tag set)
+    gets one coverage verdict, here and nowhere else.
     Only a failing task goes to ``simulate_agent``, which writes its
     ``FailurePair`` from the required classes its hits miss, and only when
     ``build_failures`` is set. Evaluation calls no provider beyond ``eq``'s
@@ -328,11 +318,13 @@ def evaluate_tasks(
     if not isinstance(tasks, PreparedTasks):
         table = TaskTable(tasks, world)
         tasks = table.take(table)
-    if index is None:
-        index = build_index(library)
+    table = tasks.table
+    if ranked is None:
+        ranked = retrieve(build_index(library), table.queries, config.retrieval_k)
+    if len(ranked.slot) != len(table):
+        raise InputError(f"ranked has {len(ranked.slot)} slots for a table of {len(table)} tasks")
     if eq is None:
         eq = EquivalenceIndex(config.delta)
-    table = tasks.table
     required_id = table.required_id[tasks.rows]
     set_ids = set(required_id.tolist())
     required = [table.required_sets[set_id] for set_id in set_ids]
@@ -348,7 +340,6 @@ def evaluate_tasks(
 
     skill_masks = {skill.id: mask(skill.tags) for skill in library}
     required_masks = dict(zip(set_ids, map(mask, required)))
-    ranked = table.rank(index, config.retrieval_k)
     n_sets = len(table.required_sets)
     codes, inverse = distinct_rows((ranked.slot[tasks.rows] * n_sets + required_id)[:, None])
     slots, code_sets = (part.tolist() for part in np.divmod(codes[:, 0], n_sets))
@@ -400,7 +391,7 @@ def run_epoch(
     config: RunConfig,
     clock: Callable[[], float] = time.monotonic,
     dump_dir: str | Path | None = None,
-    index: Bm25Index | None = None,
+    ranked: Rankings | None = None,
     eq: EquivalenceIndex | None = None,
 ) -> tuple[list[FailurePair | None], SkillLibrary, EpochStats]:
     """One full evolution epoch over ``tasks``; returns the evaluation's
@@ -415,7 +406,8 @@ def run_epoch(
     the epoch-0 and final rows carry 0 tokens. The stages run in pools of
     ``config.max_workers`` threads only when the session is not
     ``in_process``; otherwise each runs serially.
-    ``index`` is the incoming library's BM25 index, built when not given.
+    ``ranked`` is the ranking of ``tasks``' table against the incoming
+    library, computed when not given (see ``evaluate_tasks``).
     The evaluation adds its tags to ``eq``, a fresh equivalence index when
     not given; target and candidate tags then join a fork of it, so ``eq``
     ends holding the evaluation's tags only and can serve the next epoch's
@@ -427,7 +419,7 @@ def run_epoch(
 
     if eq is None:
         eq = EquivalenceIndex(config.delta)
-    outcomes = evaluate_tasks(tasks, library, world, config, providers.embedder, eq, index)
+    outcomes = evaluate_tasks(tasks, library, world, config, providers.embedder, eq, ranked)
     # Target and candidate tags join a fork, so ``eq`` keeps only the
     # evaluation's tags.
     eq = eq.fork()
@@ -715,8 +707,9 @@ def _evolve_cell(
     train pass rate and no second evaluation runs. Only the pass rate of the
     held-out and the final evaluations is read, so they build no
     ``FailurePair``. The indexes grow with the library, which an epoch only
-    ever adds to. Both evaluations of an epoch rank against one BM25 index
-    of its library, grown from the previous epoch's. The held-out and the
+    ever adds to. Each epoch ranks all the table's tasks once, against one
+    BM25 index of its library grown from the previous epoch's, and both of
+    its evaluations read that ranking. The held-out and the
     training tasks each keep one equivalence index for the whole cell: the
     next evaluation's tag set is this one's plus the retained skills' tags,
     and the partition does not depend on insertion order, so each
@@ -724,10 +717,9 @@ def _evolve_cell(
     apart, since union-find over a larger tag set could merge classes. Both
     task sets are ``PreparedTasks``, rows of one ``TaskTable`` that the
     caller made, so a bad task was reported then, in the table's task order,
-    not from either set. Each epoch's held-out evaluation ranks all the
-    table's tasks and the training one reuses that ranking. ``build_index``,
-    ``evaluate_tasks`` and ``run_epoch`` are looked up as module globals on
-    each call, so wrappers installed on this module see every epoch.
+    not from either set. ``build_index``, ``retrieve``, ``evaluate_tasks``
+    and ``run_epoch`` are looked up as module globals on each call, so
+    wrappers installed on this module see every epoch.
     """
     rows: list[EpochRow] = []
     stats_list: list[EpochStats] = []
@@ -736,21 +728,22 @@ def _evolve_cell(
     holdout_eq = EquivalenceIndex(config.delta) if holdout is not None else None
     for epoch in range(config.epochs + 1):
         index = build_index(library, base=index)
+        ranked = retrieve(index, train.table.queries, config.retrieval_k)
         holdout_rate = None
         if holdout is not None:
             holdout_rate = pass_rate(
                 evaluate_tasks(
-                    holdout, library, world, config, providers.embedder, holdout_eq, index, build_failures=False
+                    holdout, library, world, config, providers.embedder, holdout_eq, ranked, build_failures=False
                 )
             )
         if epoch < config.epochs:
             outcomes, new_library, stats = run_epoch(
                 library, train, world, providers, config, clock=clock, dump_dir=dump_dir,
-                index=index, eq=train_eq,
+                ranked=ranked, eq=train_eq,
             )
         else:
             outcomes = evaluate_tasks(
-                train, library, world, config, providers.embedder, train_eq, index, build_failures=False
+                train, library, world, config, providers.embedder, train_eq, ranked, build_failures=False
             )
             new_library, stats = library, None
         train_rate = pass_rate(outcomes)
@@ -772,7 +765,6 @@ def _evolve_cell(
         if stats is not None:
             stats_list.append(stats)
         library = new_library
-    train.table.release()
     return library, rows, stats_list
 
 
@@ -807,8 +799,6 @@ def run_kfold(
 
     cells: list[CellResult] = []
     audit: tuple[str, ...] = ()
-    # Made before the scope opens, so the scope keeps no token list of the
-    # descriptions: only the table ranks them.
     table = TaskTable(tasks, world)
     with memo.scope():
         for run_idx in range(config.runs):

@@ -7,8 +7,7 @@ calls. A nested scope starts with tables of its own and the outer ones
 return when it ends. Every table is keyed by a value's whole input (an LP
 model, a text), never by a name that could mean different inputs, so a hit
 returns what a fresh computation would. The tables in use: ``"lp"``
-(``cover.lp_round_select``), ``"documents"`` and ``"queries"``
-(``retrieval.build_index`` and ``retrieval.QueryBatch``).
+(``cover.lp_round_select``) and ``"documents"`` (``retrieval.build_index``).
 """
 
 from __future__ import annotations

@@ -49,17 +49,14 @@ positive are dropped.
 
 Inside a ``memo.scope()`` (one per ``run_kfold`` or ``evolve_library``
 call, across all its run seeds) each distinct document text is tokenized
-once, kept as its ``(Counter, length)`` in the ``"documents"`` table, and
-each distinct query text once, when a ``QueryBatch`` is prepared, kept as
-its token list in ``"queries"``.
-Both are keyed by the text itself, never by a skill id: one
-``candidate_id`` can name different bodies in different folds, while equal
-texts always tokenize alike. The document half still pays with grown
-indexes: every fold starts from an initial library drawn from the same human
-skills, and candidate texts recur across folds and run seeds, so a fold's
-appended skills are often texts an earlier fold already tokenized. The
-cached values are never mutated. Outside any scope nothing is cached, so
-separate calls share no work.
+once, kept as its ``(Counter, length)`` in the ``"documents"`` table. It is
+keyed by the text itself, never by a skill id: one ``candidate_id`` can
+name different bodies in different folds, while equal texts always tokenize
+alike. This pays even with grown indexes: every fold starts from an
+initial library drawn from the same human skills, and candidate texts recur
+across folds and run seeds, so a fold's appended skills are often texts an
+earlier fold already tokenized. The cached values are never mutated.
+Outside any scope nothing is cached, so separate calls share no work.
 """
 
 from __future__ import annotations
@@ -160,7 +157,7 @@ class QueryBatch(tuple):
     indexes that may differ: the tuple of the texts, ``terms``, the batch's
     distinct terms in order of first use, and ``term_ids``, an n × L matrix
     whose row i holds query i's tokens as ids (term j has id j + 1), padded
-    with 0. Each text is tokenized through the ``"queries"`` memo table."""
+    with 0."""
 
     terms: tuple[str, ...]
     term_ids: np.ndarray
@@ -169,8 +166,7 @@ class QueryBatch(tuple):
         if isinstance(queries, str):
             raise InputError("retrieve takes a sequence of queries, not a single string")
         batch = super().__new__(cls, queries)
-        query_tokens = memo.table("queries")
-        tokens = [memo.cached(query_tokens, query, tokenize) for query in batch]
+        tokens = [tokenize(query) for query in batch]
         ids: dict[str, int] = {}
         flat = [ids.setdefault(term, len(ids) + 1) for term in chain.from_iterable(tokens)]
         batch.terms = tuple(ids)

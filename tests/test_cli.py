@@ -8,7 +8,7 @@ import pytest
 
 from skillforge.cli import build_parser, dispatch, resolve_run_config
 from skillforge.errors import ConfigError
-from skillforge.harness import strip_wall_clock
+from skillforge.harness import SWEEP_DIMENSIONS, strip_wall_clock
 from skillforge.model import SkillLibrary, load_library, save_library, save_tasks, Task
 
 from conftest import make_skill
@@ -304,8 +304,18 @@ def test_tag_command_rejects_a_non_object_task_line(tmp_path, capsys):
     assert f"error: {src}: line 2: expected a JSON object" in capsys.readouterr().err
 
 
-def test_tag_requires_exactly_one_input(tmp_path):
-    assert dispatch(["tag", "--mock", "--out", str(tmp_path / "x")]) == 2
+def test_tag_requires_exactly_one_input(tmp_path, capsys):
+    # A usage error: argparse rejects it before any provider is resolved.
+    for given in ([], ["--library", "a.jsonl", "--tasks", "b.jsonl"]):
+        for mock in (["--mock"], []):
+            assert dispatch(["tag", *mock, *given, "--out", str(tmp_path / "x")]) == 1
+            assert "--library" in capsys.readouterr().err
+
+
+def test_sweep_dimension_choices_are_the_harness_dimensions():
+    sweep = build_parser()._subparsers._group_actions[0].choices["sweep"]
+    (dimension,) = (action for action in sweep._actions if action.dest == "dimension")
+    assert tuple(dimension.choices) == SWEEP_DIMENSIONS
 
 
 def test_score_command_writes_csv(tmp_path):

@@ -292,8 +292,8 @@ def test_mask_judge_equals_the_set_based_judge(seed, delta, threshold, which, pi
     expected = _set_based_evaluation(tasks, library, world, config, MockEmbedder())
     assert evaluate_tasks(tasks, library, world, config, MockEmbedder()) == expected
     given_eq = EquivalenceIndex(delta)
-    given_index = build_index(library)
-    assert evaluate_tasks(tasks, library, world, config, MockEmbedder(), given_eq, given_index) == expected
+    given_ranked = retrieve(build_index(library), [task.description for task in tasks], config.retrieval_k)
+    assert evaluate_tasks(tasks, library, world, config, MockEmbedder(), given_eq, given_ranked) == expected
     assert all(pair.trajectory.steps[0][1] == "retrieved: none" for pair in expected[len(picks):])
 
 
@@ -418,10 +418,29 @@ def test_one_shared_table_judges_like_each_set_prepared_alone(seed, held_out, st
         for library, step_index in judged:
             for prepared, tasks, k in zip(shared, (holdout, train), (holdout_k, train_k)):
                 config = RunConfig(seed=seed, retrieval_k=k)
-                outcomes = evaluate_tasks(prepared, library, world, config, MockEmbedder(), index=step_index)
-                alone = evaluate_tasks(list(tasks), library, world, config, MockEmbedder(), index=step_index)
+                ranked = retrieve(step_index, table.queries, k)
+                outcomes = evaluate_tasks(prepared, library, world, config, MockEmbedder(), ranked=ranked)
+                alone = evaluate_tasks(list(tasks), library, world, config, MockEmbedder())
                 assert outcomes == alone
                 assert [o and o.trajectory for o in outcomes] == [o and o.trajectory for o in alone]
+
+
+def test_a_ranking_without_one_slot_per_table_row_is_rejected():
+    world = _world(n_tasks=20)
+    library = world.initial_library()
+    table = TaskTable(world.tasks, world)
+    rows = table.take(table[:5])
+    config = RunConfig(seed=7)
+    index = build_index(library)
+    # A ranking of the rows alone, not of their table, and one a task short.
+    of_rows = retrieve(index, [task.description for task in rows], config.retrieval_k)
+    short = retrieve(index, table.queries[:-1], config.retrieval_k)
+    for tasks, ranked in ((rows, of_rows), (rows, short), (list(world.tasks), short)):
+        with pytest.raises(InputError, match="slots for a table of"):
+            evaluate_tasks(tasks, library, world, config, MockEmbedder(), ranked=ranked)
+    whole = retrieve(index, table.queries, config.retrieval_k)
+    given = evaluate_tasks(rows, library, world, config, MockEmbedder(), ranked=whole)
+    assert given == evaluate_tasks(list(rows), library, world, config, MockEmbedder())
 
 
 def test_evaluation_starts_no_thread_pool(monkeypatch):
@@ -503,7 +522,7 @@ def _fresh_evolve_cell(library, train, holdout, world, providers, config, clock,
         if epoch < config.epochs:
             outcomes, new_library, stats = run_epoch(
                 library, train, world, providers, config, clock=clock, dump_dir=dump_dir,
-                index=build_index(library), eq=EquivalenceIndex(config.delta),
+                eq=EquivalenceIndex(config.delta),
             )
         else:
             outcomes = evaluate_tasks(train, library, world, config, providers.embedder)

@@ -316,11 +316,12 @@ def test_outside_a_token_memo_nothing_is_cached(monkeypatch):
         with memo.scope():
             retrieve(build_index(library), ["beta", "gamma"], 2)
         retrieve(build_index(library), ["beta", "gamma"], 2)  # the inner scope's tables ended with it
-        retrieve(build_index(library), ["beta", "gamma"], 2)  # served by the outer scope's tables
-    assert len(calls) == 2 * (len(library) + 2)
+        retrieve(build_index(library), ["beta", "gamma"], 2)  # documents served by the outer scope's table
+    # Queries are never memoized: each call tokenizes both again.
+    assert len(calls) == 2 * len(library) + 3 * 2
 
 
-def test_a_token_memo_tokenizes_each_text_once_and_changes_no_score(monkeypatch):
+def test_a_token_memo_tokenizes_each_document_text_once_and_changes_no_score(monkeypatch):
     library = _library({"d1": "alpha beta beta", "d2": "beta gamma", "d3": "gamma"})
     grown = _library({"d1": "alpha beta beta", "d2": "beta gamma", "d3": "gamma", "d4": "delta beta"})
     # One id may name different bodies in different folds.
@@ -332,8 +333,10 @@ def test_a_token_memo_tokenizes_each_text_once_and_changes_no_score(monkeypatch)
     with memo.scope():
         memoized = [(build_index(lib), retrieve(build_index(lib), queries, 3)) for lib in libraries]
     assert memoized == plain
-    assert sorted(calls) == sorted(set(calls))
-    assert len(calls) == len(grown) + 1 + len(set(queries))
+    documents = [text for text in calls if text not in queries]
+    assert sorted(documents) == sorted(set(documents))
+    assert len(documents) == len(grown) + 1
+    assert len(calls) - len(documents) == len(libraries) * len(queries)
 
 
 def _frozen(index: Bm25Index) -> tuple:
