@@ -251,8 +251,10 @@ def simulate_agent(
 class TaskTable(tuple):
     """Tasks prepared once for every evaluation of them or of their rows:
     the tasks, ``required_sets`` (each distinct ``world.required_tag_sets``
-    set once), ``required_id`` (each task's position in it) and ``queries``
-    (the descriptions' ``QueryBatch``)."""
+    set once), ``required_id`` (each task's position in it), ``queries``
+    (the descriptions' ``QueryBatch``) and ``rows`` (each task's slot in
+    ``queries``). The entry points build theirs from tasks sorted by id, so a
+    task set is a list of row numbers."""
 
     def __new__(cls, tasks: Iterable[Task], world: SyntheticWorld) -> TaskTable:
         table = super().__new__(cls, tasks)
@@ -261,18 +263,17 @@ class TaskTable(tuple):
         table.required_id = np.array([ids.setdefault(tag_set, len(ids)) for tag_set in required], dtype=np.intp)
         table.required_sets = tuple(ids)
         table.queries = QueryBatch(task.description for task in table)
+        table.rows = np.arange(len(table), dtype=np.intp)
         return table
 
-    def take(self, tasks: Iterable[Task]) -> PreparedTasks:
-        """``tasks``, each one of this table's task objects, as rows of it."""
-        row_of = {id(task): row for row, task in enumerate(self)}
-        prepared = PreparedTasks(tasks)
-        prepared.table, prepared.rows = self, np.array([row_of[id(task)] for task in prepared], dtype=np.intp)
-        return prepared
-
-
-class PreparedTasks(tuple):
-    """Rows of a ``TaskTable``: its tasks, with ``table`` and ``rows`` set by ``TaskTable.take``."""
+    def take(self, rows: Sequence[int]) -> TaskTable:
+        """The table of ``rows``, row numbers of this one, sharing its
+        ``required_sets`` and ``queries``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        taken = tuple.__new__(TaskTable, map(self.__getitem__, rows.tolist()))
+        taken.required_sets, taken.queries = self.required_sets, self.queries
+        taken.required_id, taken.rows = self.required_id[rows], self.rows[rows]
+        return taken
 
 
 def evaluate_tasks(
@@ -292,42 +293,39 @@ def evaluate_tasks(
     ``build_failures=False``: a failure's outcome is then the ``Task``
     itself and nothing is built for it.
 
-    ``tasks`` may be ``PreparedTasks``, rows of a ``TaskTable`` made once
-    for every evaluation of them; any other sequence gets a table of its
-    own. The library's tags and the tasks' required tags are added to
-    ``eq``, a fresh equivalence index when not given. A caller may pass the
-    index it gave the evaluation of the same tasks against an earlier
-    library of this one: it then holds this evaluation's tags and no other,
-    and the partition is the one a fresh index would find, since it does not
-    depend on the order tags arrive in. ``ranked`` is ``retrieve``'s
-    ranking of all the table's queries against ``library``'s BM25 index at
-    ``config.retrieval_k``, one slot per table row, so evaluations of rows
-    of one table against one library can share it; it is computed here
+    ``tasks`` may be a ``TaskTable``, made once for every evaluation of its
+    rows; any other sequence gets a table of its own. The library's tags and
+    the tasks' required tags are added to ``eq``, a fresh equivalence index
+    when not given. A caller may pass the index it gave the evaluation of
+    the same tasks against an earlier library of this one: it then holds
+    this evaluation's tags and no other, and the partition is the one a
+    fresh index would find, since it does not depend on the order tags
+    arrive in. ``ranked`` is ``retrieve``'s
+    ranking of all of ``tasks.queries`` against ``library``'s BM25 index at
+    ``config.retrieval_k``, one slot per query, so evaluations of rows of
+    one table against one library can share it; it is computed here
     when not given. Each class gets one bit, in sorted order of the class
     names, and each skill and task the Python-int mask of its tags'
     classes. The work is paid per distinct input, not per task: each
     distinct required-tag set is masked once, each distinct ranking's skill
     masks are ORed once, and each distinct code ``slot *
-    len(table.required_sets) + required_id`` (ranking and required-tag set)
+    len(tasks.required_sets) + required_id`` (ranking and required-tag set)
     gets one coverage verdict, here and nowhere else.
     Only a failing task goes to ``simulate_agent``, which writes its
     ``FailurePair`` from the required classes its hits miss, and only when
     ``build_failures`` is set. Evaluation calls no provider beyond ``eq``'s
     embeddings, so the tasks run serially.
     """
-    if not isinstance(tasks, PreparedTasks):
-        table = TaskTable(tasks, world)
-        tasks = table.take(table)
-    table = tasks.table
+    if not isinstance(tasks, TaskTable):
+        tasks = TaskTable(tasks, world)
     if ranked is None:
-        ranked = retrieve(build_index(library), table.queries, config.retrieval_k)
-    if len(ranked.slot) != len(table):
-        raise InputError(f"ranked has {len(ranked.slot)} slots for a table of {len(table)} tasks")
+        ranked = retrieve(build_index(library), tasks.queries, config.retrieval_k)
+    if len(ranked.slot) != len(tasks.queries):
+        raise InputError(f"ranked has {len(ranked.slot)} slots for a table of {len(tasks.queries)} tasks")
     if eq is None:
         eq = EquivalenceIndex(config.delta)
-    required_id = table.required_id[tasks.rows]
-    set_ids = set(required_id.tolist())
-    required = [table.required_sets[set_id] for set_id in set_ids]
+    set_ids = set(tasks.required_id.tolist())
+    required = [tasks.required_sets[set_id] for set_id in set_ids]
     tags = set().union(*(skill.tags for skill in library), *required)
     eq.add_tags(tags, embedder)
     class_of = {tag: eq.representative(tag) for tag in tags}
@@ -340,8 +338,8 @@ def evaluate_tasks(
 
     skill_masks = {skill.id: mask(skill.tags) for skill in library}
     required_masks = dict(zip(set_ids, map(mask, required)))
-    n_sets = len(table.required_sets)
-    codes, inverse = distinct_rows((ranked.slot[tasks.rows] * n_sets + required_id)[:, None])
+    n_sets = len(tasks.required_sets)
+    codes, inverse = distinct_rows((ranked.slot[tasks.rows] * n_sets + tasks.required_id)[:, None])
     slots, code_sets = (part.tolist() for part in np.divmod(codes[:, 0], n_sets))
     hit_masks = {
         slot: reduce(or_, (skill_masks[sid] for sid, _ in ranked.distinct[slot]), 0) for slot in dict.fromkeys(slots)
@@ -424,7 +422,6 @@ def run_epoch(
     # evaluation's tags.
     eq = eq.fork()
     failures = [outcome for outcome in outcomes if outcome is not None]
-    ordered = sorted(failures, key=lambda pair: pair.task.id)
 
     def _infer(pair):
         try:
@@ -433,13 +430,12 @@ def run_epoch(
             logger.warning("skipping pair %s: %s", pair.task.id, exc)
             return None
 
-    inferred = parallel_map(_infer, ordered, max_workers=workers)
-    target_tags = {pair.task.id: tags for pair, tags in zip(ordered, inferred) if tags is not None}
+    inferred = parallel_map(_infer, failures, max_workers=workers)
+    target_tags = {pair.task.id: tags for pair, tags in zip(failures, inferred) if tags is not None}
     target_tags = _add_tags_or_drop(eq, target_tags, providers.embedder, "pair")
-    ordered = [pair for pair in ordered if pair.task.id in target_tags]
 
     generated = generate_candidates(
-        ordered,
+        [pair for pair in failures if pair.task.id in target_tags],
         library,
         eq,
         providers,
@@ -674,19 +670,20 @@ class EvolutionReport:
 
 
 def apply_label_scale(world: SyntheticWorld, scale: float, seed: int) -> SkillLibrary:
-    """Keep a seeded fraction of the world's human-labeled initial skills."""
-    skills = list(world.initial_skills)
+    """Keep a seeded fraction of the world's human-labeled initial skills,
+    shuffled from id order, so the subset does not depend on their file order."""
+    skills = list(world.initial_library())
     keep = round(len(skills) * scale)
     rng = random.Random(seed ^ 0xAB5C)
     rng.shuffle(skills)
     return SkillLibrary(skills=tuple(skills[:keep]), epoch=0)
 
 
-def _partition_folds(tasks: Sequence[Task], folds: int, seed: int) -> list[list[Task]]:
-    ordered = sorted(tasks, key=lambda t: t.id)
-    rng = random.Random(seed ^ 0xF01D)
-    rng.shuffle(ordered)
-    return [ordered[i::folds] for i in range(folds)]
+def _partition_folds(n_tasks: int, folds: int, seed: int) -> list[list[int]]:
+    """A seeded split of rows ``0 .. n_tasks - 1`` into ``folds`` folds."""
+    rows = list(range(n_tasks))
+    random.Random(seed ^ 0xF01D).shuffle(rows)
+    return [rows[i::folds] for i in range(folds)]
 
 
 def _evolve_cell(
@@ -715,11 +712,11 @@ def _evolve_cell(
     and the partition does not depend on insertion order, so each
     evaluation sees the classes a fresh index would. The two are kept
     apart, since union-find over a larger tag set could merge classes. Both
-    task sets are ``PreparedTasks``, rows of one ``TaskTable`` that the
-    caller made, so a bad task was reported then, in the table's task order,
-    not from either set. ``build_index``, ``retrieve``, ``evaluate_tasks``
-    and ``run_epoch`` are looked up as module globals on each call, so
-    wrappers installed on this module see every epoch.
+    task sets are rows of one ``TaskTable`` that the caller made, so a bad
+    task was reported then, in the table's task order, not from either set.
+    ``build_index``, ``retrieve``, ``evaluate_tasks`` and ``run_epoch`` are
+    looked up as module globals on each call, so wrappers installed on this
+    module see every epoch.
     """
     rows: list[EpochRow] = []
     stats_list: list[EpochStats] = []
@@ -728,7 +725,7 @@ def _evolve_cell(
     holdout_eq = EquivalenceIndex(config.delta) if holdout is not None else None
     for epoch in range(config.epochs + 1):
         index = build_index(library, base=index)
-        ranked = retrieve(index, train.table.queries, config.retrieval_k)
+        ranked = retrieve(index, train.queries, config.retrieval_k)
         holdout_rate = None
         if holdout is not None:
             holdout_rate = pass_rate(
@@ -784,7 +781,8 @@ def run_kfold(
     session, while one ``memo.scope()`` serves the whole call: its tables
     are keyed by their whole input (the numeric LP model, the text) and
     depend on no seed, so a hit from another run seed returns what a fresh
-    solve or tokenization would. Every cell evaluates rows of one table.
+    solve or tokenization would. Every cell evaluates rows of one table of
+    the tasks in id order, so the folds do not depend on the order given.
     """
     factory = provider_factory or mock_provider_factory()
     tasks: Sequence[Task] = world.tasks
@@ -799,20 +797,19 @@ def run_kfold(
 
     cells: list[CellResult] = []
     audit: tuple[str, ...] = ()
-    table = TaskTable(tasks, world)
+    table = TaskTable(sorted(tasks, key=lambda t: t.id), world)
     with memo.scope():
         for run_idx in range(config.runs):
             run_seed = config.seed + run_idx
             providers = factory(run_seed)
             audit = providers.audit_names()
             providers = _Session(providers)
-            fold_lists = _partition_folds(table, config.folds, run_seed)
+            fold_lists = _partition_folds(len(table), config.folds, run_seed)
             for fold_idx in range(config.folds):
                 # The leaky cell trains on its only fold and holds nothing out.
                 holdout = None if leaky else table.take(fold_lists[fold_idx])
                 train = table.take(sorted(
-                    (t for i, lst in enumerate(fold_lists) if leaky or i != fold_idx for t in lst),
-                    key=lambda t: t.id,
+                    row for i, fold in enumerate(fold_lists) if leaky or i != fold_idx for row in fold
                 ))
                 library = apply_label_scale(world, config.label_scale, run_seed)
                 _, rows, _ = _evolve_cell(library, train, holdout, world, providers, config, clock)
@@ -841,9 +838,7 @@ def evolve_library(
     library = apply_label_scale(world, config.label_scale, config.seed)
     table = TaskTable(sorted(world.tasks, key=lambda t: t.id), world)
     with memo.scope():
-        library, rows, stats_list = _evolve_cell(
-            library, table.take(table), None, world, providers, config, clock, dump_dir
-        )
+        library, rows, stats_list = _evolve_cell(library, table, None, world, providers, config, clock, dump_dir)
     report = EvolutionReport(
         config=config.to_dict(),
         leaky=True,
@@ -891,12 +886,7 @@ def sweep(
             library, _, _ = evolve_library(config, source_world, providers, clock=clock)
             for target_name, target_world in named.items():
                 outcomes = evaluate_tasks(
-                    sorted(target_world.tasks, key=lambda t: t.id),
-                    library,
-                    target_world,
-                    config,
-                    providers.embedder,
-                    build_failures=False,
+                    target_world.tasks, library, target_world, config, providers.embedder, build_failures=False
                 )
                 rows.append(
                     {

@@ -195,18 +195,15 @@ def load_library(path: str | Path) -> SkillLibrary:
     object with a ``format`` key) may appear first and carries the epoch.
     """
     epoch = 0
-    skills: list[Skill] = []
-    seen: set[str] = set()
+    skills: dict[str, Skill] = {}
     for where, raw in _iter_jsonl(path):
         if raw.get("format") == LIBRARY_FORMAT:
             epoch = _record("library", lambda header: _field(header, "epoch", int, 0), raw, where)
             continue
         skill = _record("skill", Skill.from_dict, raw, where)
-        if skill.id in seen:
+        if skills.setdefault(skill.id, skill) is not skill:
             raise IntegrityError(f"{where}: duplicate skill id {skill.id!r}")
-        seen.add(skill.id)
-        skills.append(skill)
-    return SkillLibrary(skills=tuple(skills), epoch=epoch)
+    return SkillLibrary(skills=tuple(skills.values()), epoch=epoch)
 
 
 def save_library(library: SkillLibrary, path: str | Path) -> None:
@@ -263,8 +260,14 @@ def add_skills(library: SkillLibrary, new: Iterable[Skill]) -> SkillLibrary:
 
 
 def load_tasks(path: str | Path) -> tuple[Task, ...]:
-    """Load tasks from JSONL, one task object per line."""
-    return tuple(_record("task", Task.from_dict, raw, where) for where, raw in _iter_jsonl(path))
+    """Load tasks from JSONL, one task object per line. A repeated id raises
+    ``IntegrityError`` naming its file and line."""
+    tasks: dict[str, Task] = {}
+    for where, raw in _iter_jsonl(path):
+        task = _record("task", Task.from_dict, raw, where)
+        if tasks.setdefault(task.id, task) is not task:
+            raise IntegrityError(f"{where}: duplicate task id {task.id!r}")
+    return tuple(tasks.values())
 
 
 def save_tasks(tasks: Sequence[Task], path: str | Path) -> None:

@@ -115,27 +115,23 @@ class SyntheticWorld:
         """The task's required tags: its comma-separated metadata string, each
         piece normalized as every other tag is (so ``"a, b"`` means ``a`` and
         ``b``). A missing string or an empty piece raises ``InputError``."""
-        return self.required_tag_sets([task])[0]
+        raw = task.metadata.get(METADATA_REQUIRED_TAGS, "")
+        if not raw:
+            raise InputError(f"task {task.id!r} carries no required-tag ground truth")
+        try:
+            return frozenset(map(normalize_tag, raw.split(",")))
+        except InputError as exc:
+            raise InputError(f"task {task.id!r} has a bad required-tag list {raw!r}: {exc}") from None
 
     def required_tag_sets(self, tasks: Sequence[Task]) -> list[frozenset[str]]:
         """``required_tags`` of each task, in task order. Each distinct
-        metadata string is parsed once and each distinct piece normalized
-        once, so tasks with equal strings share one set."""
-        raws = [task.metadata.get(METADATA_REQUIRED_TAGS, "") for task in tasks]
-        normalized: dict[str, str] = {}
+        metadata string is parsed once, so tasks with equal strings share one
+        set."""
         parsed: dict[str, frozenset[str]] = {}
-        for raw in dict.fromkeys(raws):
-            if not raw:
-                raise InputError(f"task {tasks[raws.index(raw)].id!r} carries no required-tag ground truth")
-            pieces = raw.split(",")
-            try:
-                for piece in pieces:
-                    if piece not in normalized:
-                        normalized[piece] = normalize_tag(piece)
-            except InputError as exc:
-                task_id = tasks[raws.index(raw)].id
-                raise InputError(f"task {task_id!r} has a bad required-tag list {raw!r}: {exc}") from None
-            parsed[raw] = frozenset(map(normalized.__getitem__, pieces))
+        raws = [task.metadata.get(METADATA_REQUIRED_TAGS, "") for task in tasks]
+        for raw, task in zip(raws, tasks):
+            if raw not in parsed:
+                parsed[raw] = self.required_tags(task)
         return [parsed[raw] for raw in raws]
 
 

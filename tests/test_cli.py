@@ -203,6 +203,22 @@ def test_an_empty_required_tag_exits_two_naming_the_task(tmp_path, capsys, rewri
     assert "error: task 'task-000' has a bad required-tag list" in capsys.readouterr().err
 
 
+def test_evolve_on_a_world_with_a_repeated_task_id_exits_two_naming_the_line(tmp_path, capsys):
+    # Two tasks with one id would share one failure pair, or land in both the
+    # training and the held-out set of a fold.
+    world_dir = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--out", str(world_dir)]) == 0
+    path = world_dir / "tasks.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[4])
+    record["id"] = "task-000"
+    lines[4] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert dispatch(["evolve", "--mock", "--seed", "7", "--world-dir", str(world_dir), "--out", str(out)]) == 2
+    assert f"{path}: line 5: duplicate task id 'task-000'" in capsys.readouterr().err
+
+
 def test_evolve_generates_world_when_no_dir_given(tmp_path):
     out = tmp_path / "run"
     assert dispatch(["evolve", "--mock", "--seed", "3", "--epochs", "1", "--out", str(out)]) == 0

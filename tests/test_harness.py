@@ -403,8 +403,8 @@ def test_one_shared_table_judges_like_each_set_prepared_alone(seed, held_out, st
     world, libraries = _oracle_world(seed)
     pool = libraries["evolved"].skills
     table = TaskTable(world.tasks, world)
-    holdout = [task for i, task in enumerate(world.tasks) if i in held_out]
-    train = sorted((task for i, task in enumerate(world.tasks) if i not in held_out), key=lambda t: t.id)
+    holdout = sorted(held_out, reverse=True)
+    train = [row for row in range(len(table)) if row not in held_out]
     shared = (table.take(holdout), table.take(train))
     index = None
     for cut, swapped, holdout_k, train_k in sorted(steps):
@@ -416,11 +416,11 @@ def test_one_shared_table_judges_like_each_set_prepared_alone(seed, held_out, st
             other = SkillLibrary(skills=pool[: cut - 1] + pool[cut : cut + 1])
             judged.append((other, build_index(other)))
         for library, step_index in judged:
-            for prepared, tasks, k in zip(shared, (holdout, train), (holdout_k, train_k)):
+            for prepared, rows, k in zip(shared, (holdout, train), (holdout_k, train_k)):
                 config = RunConfig(seed=seed, retrieval_k=k)
                 ranked = retrieve(step_index, table.queries, k)
                 outcomes = evaluate_tasks(prepared, library, world, config, MockEmbedder(), ranked=ranked)
-                alone = evaluate_tasks(list(tasks), library, world, config, MockEmbedder())
+                alone = evaluate_tasks([table[row] for row in rows], library, world, config, MockEmbedder())
                 assert outcomes == alone
                 assert [o and o.trajectory for o in outcomes] == [o and o.trajectory for o in alone]
 
@@ -429,7 +429,9 @@ def test_a_ranking_without_one_slot_per_table_row_is_rejected():
     world = _world(n_tasks=20)
     library = world.initial_library()
     table = TaskTable(world.tasks, world)
-    rows = table.take(table[:5])
+    # Rows 7, 3, 12, 5 and 9 of the table, taken through a table of its rows 3 to 14.
+    rows = table.take(range(3, 15)).take([4, 0, 9, 2, 6])
+    assert list(rows) == [table[row] for row in (7, 3, 12, 5, 9)]
     config = RunConfig(seed=7)
     index = build_index(library)
     # A ranking of the rows alone, not of their table, and one a task short.
@@ -772,10 +774,9 @@ def test_kfold_partition_has_no_leakage():
     from skillforge.harness import _partition_folds
 
     world = _world()
-    folds = _partition_folds(list(world.tasks), 3, seed=7)
-    all_ids = [t.id for fold in folds for t in fold]
-    assert sorted(all_ids) == sorted(t.id for t in world.tasks)
-    assert len(set(all_ids)) == len(all_ids)
+    folds = _partition_folds(len(world.tasks), 3, seed=7)
+    rows = [row for fold in folds for row in fold]
+    assert sorted(rows) == list(range(len(world.tasks)))
 
 
 def test_kfold_single_fold_is_flagged_leaky():
@@ -900,6 +901,21 @@ def test_apply_label_scale_keeps_seeded_fraction():
     # deterministic subset
     assert apply_label_scale(world, 0.5, seed=7) == apply_label_scale(world, 0.5, seed=7)
 
+
+
+@pytest.mark.parametrize("label_scale", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_kfold_report_does_not_depend_on_task_or_skill_order(seed, label_scale):
+    # The folds are drawn from the tasks in id order and the label-scale
+    # subset from the skills in id order, so neither follows the world's files.
+    world = _world(seed=seed, n_tasks=40)
+    config = RunConfig(seed=seed, label_scale=label_scale)
+    expected = strip_wall_clock(run_kfold(config, world).to_dict())
+    for reordered in (
+        replace(world, tasks=world.tasks[::-1]),
+        replace(world, initial_skills=world.initial_skills[::-1]),
+    ):
+        assert strip_wall_clock(run_kfold(config, reordered).to_dict()) == expected
 
 def test_transfer_diagonal_dominates_off_diagonal():
     config = RunConfig(seed=7, epochs=2, folds=1, runs=1)

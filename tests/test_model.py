@@ -252,6 +252,16 @@ def test_task_and_trajectory_files_round_trip(tmp_path):
     assert load_tasks(tmp_path / "tasks.jsonl") == tasks
 
 
+
+def test_load_tasks_rejects_a_repeated_id_naming_its_line(tmp_path):
+    from skillforge.model import load_tasks
+
+    path = tmp_path / "tasks.jsonl"
+    lines = ['{"id":"t1","description":"first task"}', '{"id":"t2","description":"second task"}']
+    path.write_text("\n".join(lines + ['{"id":"t1","description":"third task"}']) + "\n", encoding="utf-8")
+    with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: line 3: duplicate task id 't1'$"):
+        load_tasks(path)
+
 @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null"])
 def test_task_and_library_loaders_reject_a_non_object_line(tmp_path, line):
     from skillforge.model import load_tasks
