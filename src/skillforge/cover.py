@@ -17,8 +17,10 @@ which adds the best-ranked skill covering something new, ties broken by id:
                     (1 + newly introduced irrelevant classes; the +1 floor
                     keeps zero-irrelevant skills comparable).
 * ``lp_round``    - fractional relaxation minimizing the number of introduced
-                    irrelevant classes subject to coverage, rounded at 0.5,
-                    then completed by the greedy step.
+                    irrelevant classes subject to coverage, solved as a plain
+                    LP by HiGHS through scipy's ``milp`` with no integrality
+                    (the public entry with the least Python wrapping), rounded
+                    at 0.5, then completed by the greedy step.
 * ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills).
 
 Inside a ``memo.scope()`` (one per ``run_kfold`` or ``evolve_library``
@@ -194,9 +196,11 @@ def primal_dual_select(instance: CoverInstance) -> SelectionResult:
 def lp_round_select(instance: CoverInstance) -> SelectionResult:
     n_skills = len(instance.skill_order)
     all_classes = _union(instance.skill_classes.values())
-    if n_skills > LP_SIZE_CAP or len(all_classes | instance.target_classes) > LP_SIZE_CAP:
+    n_classes = len(all_classes | instance.target_classes)
+    if n_skills > LP_SIZE_CAP or n_classes > LP_SIZE_CAP:
         raise SizeError(
-            f"instance exceeds the LP cap of {LP_SIZE_CAP} skills/classes; use the greedy strategy"
+            f"instance of {n_skills} skills and {n_classes} classes exceeds the LP cap of "
+            f"{LP_SIZE_CAP} skills/classes; use the greedy strategy"
         )
 
     coverable = sorted(instance.coverable)
@@ -235,8 +239,10 @@ def _solve_lp(
     n_skills: int, n_vars: int, n_cover: int, entries: tuple[tuple[int, int, float], ...]
 ) -> tuple[int, ...]:
     """Solve the relaxation minimizing introduced irrelevant classes and return
-    the skill columns at or above 0.5, or ``()`` if the solve fails."""
-    from scipy.optimize import linprog
+    the skill columns at or above 0.5, or ``()`` if the solve fails. With no
+    integrality ``milp`` hands HiGHS a plain LP: scipy's public route to the
+    solver with the least Python wrapping per solve."""
+    from scipy.optimize import Bounds, milp
 
     n_rows = entries[-1][0] + 1  # entries come in row order
     a_ub = np.zeros((n_rows, n_vars))
@@ -246,9 +252,7 @@ def _solve_lp(
     cost[n_skills:] = 1.0
     b_ub = np.zeros(n_rows)
     b_ub[:n_cover] = -1.0
-    outcome = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * n_vars, method="highs"
-    )
+    outcome = milp(cost, constraints=(a_ub, -np.inf, b_ub), bounds=Bounds(0.0, 1.0))
     if outcome.status != 0:
         return ()
     return tuple(i for i in range(n_skills) if outcome.x[i] >= 0.5)

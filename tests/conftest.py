@@ -135,19 +135,19 @@ def make_pair(task_id="task-001", description=None, steps=(), final="failure") -
 
 
 @pytest.fixture
-def linprog_calls(monkeypatch):
-    """Count the calls of scipy's ``linprog``, which ``lp_round_select`` looks
+def lp_solves(monkeypatch):
+    """Count the calls of scipy's ``milp``, which ``lp_round_select`` looks
     up on every solve."""
     import scipy.optimize
 
     calls = []
-    solve = scipy.optimize.linprog
+    solve = scipy.optimize.milp
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
     return calls
 
 

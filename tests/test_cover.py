@@ -188,6 +188,15 @@ def test_lp_cap_directs_to_greedy():
         lp_round_select(_instance(["t1"], skills))
 
 
+def test_lp_cap_error_names_the_instance_size():
+    skills = {f"s{i:03d}": ["t1"] for i in range(501)}
+    with pytest.raises(SizeError, match="501 skills and 1 classes exceeds the LP cap of 500"):
+        lp_round_select(_instance(["t1"], skills))
+    wide = {"s1": ["t1"] + [f"u{i:03d}" for i in range(500)]}
+    with pytest.raises(SizeError, match="1 skills and 501 classes exceeds the LP cap of 500"):
+        lp_round_select(_instance(["t1"], wide))
+
+
 def test_lp_fractional_optimum_rounds_to_nothing_and_repair_recovers():
     # Three skills all covering the single target class; each pair shares one
     # junk class. The relaxation's unique optimum is x = (1/3, 1/3, 1/3)
@@ -386,7 +395,9 @@ def _reference_primal_dual(instance):
 
 
 def _reference_lp_round(instance):
-    """The dense-row LP build and solve that ``lp_round_select`` used to carry."""
+    """The dense-row LP build that ``lp_round_select`` used to carry, solved
+    through ``linprog``: the other public scipy entry to HiGHS, so a match
+    also checks ``milp``'s picks against it."""
     n_skills = len(instance.skill_order)
     all_classes = set().union(*instance.skill_classes.values())
     coverable = sorted(instance.coverable)
@@ -491,19 +502,50 @@ def test_lp_memo_returns_what_a_fresh_solve_returns(instances):
     assert memoized == fresh
 
 
-def test_lp_memo_shares_one_solve_between_renamed_models(linprog_calls):
+# Mixed prefixes and widths again, enough for the workload's largest models.
+_WIDE_IDS = tuple(f"{p}{i}" for p in ("s", "k0", "B") for i in range(12))
+
+
+@st.composite
+def _workload_sized_instances(draw):
+    """Instances as large as kfold-lp-threaded's: 8-27 skills, 1-5 coverable
+    target classes (plus up to 2 no skill has), and 0-4 irrelevant classes per
+    skill from a pool of 10."""
+    ids = draw(st.lists(st.sampled_from(_WIDE_IDS), min_size=8, max_size=27, unique=True))
+    # Four draws from 0-13 per skill, of which those under 10 name a class:
+    # quicker to draw than a set per skill.
+    picks = st.lists(st.integers(0, 13), min_size=4, max_size=4)
+    classes = {sid: {f"u{j}" for j in draw(picks) if j < 10} for sid in ids}
+    coverable = [f"t{i}" for i in range(draw(st.integers(1, 5)))]
+    for target in coverable:
+        for sid in draw(st.sets(st.sampled_from(ids), min_size=1, max_size=6)):
+            classes[sid].add(target)
+    missing = [f"v{i}" for i in range(draw(st.integers(0, 2)))]
+    return _instance(coverable + missing, classes)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(instance=_workload_sized_instances())
+def test_lp_round_matches_the_linprog_reference_on_workload_sized_models(instance):
+    expected = _reference_lp_round(instance)
+    assert lp_round_select(instance) == expected
+    with memo.scope():
+        assert [lp_round_select(instance) for _ in range(2)] == [expected] * 2
+
+
+def test_lp_memo_shares_one_solve_between_renamed_models(lp_solves):
     renamed = _renamed(FIXTURE)
     with memo.scope():
         first = lp_round_select(FIXTURE)
         second = lp_round_select(renamed)
         assert lp_round_select(FIXTURE) == first
-    assert len(linprog_calls) == 1
+    assert len(lp_solves) == 1
     assert second.selected == tuple("r" + sid for sid in first.selected)
     assert second == lp_round_select(renamed)
-    assert len(linprog_calls) == 2
+    assert len(lp_solves) == 2
 
 
-def test_nothing_is_memoized_outside_lp_memo(linprog_calls):
+def test_nothing_is_memoized_outside_lp_memo(lp_solves):
     lp_round_select(FIXTURE)
     lp_round_select(FIXTURE)
     with memo.scope():
@@ -511,13 +553,13 @@ def test_nothing_is_memoized_outside_lp_memo(linprog_calls):
             lp_round_select(FIXTURE)
         lp_round_select(FIXTURE)  # the inner scope's tables ended with it
     lp_round_select(FIXTURE)
-    assert len(linprog_calls) == 5
+    assert len(lp_solves) == 5
 
 
 def test_memoized_failed_solve_still_falls_through_to_repair(monkeypatch):
     calls = []
     failed = SimpleNamespace(status=2, x=None)
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: calls.append(1) or failed)
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: calls.append(1) or failed)
     with memo.scope():
         results = [lp_round_select(NOISY_BROAD) for _ in range(2)]
     assert len(calls) == 1

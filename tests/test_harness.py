@@ -1780,26 +1780,26 @@ def test_lp_memo_solves_each_model_once_per_kfold_call(monkeypatch):
     assert strip_wall_clock(first.to_dict()) == strip_wall_clock(second.to_dict())
 
 
-def test_lp_round_kfold_report_equals_the_memo_free_run(monkeypatch, linprog_calls):
+def test_lp_round_kfold_report_equals_the_memo_free_run(monkeypatch, lp_solves):
     world = _world(n_tasks=30)
     config = _quick_config(strategy="lp_round", runs=2)
     memoized = run_kfold(config, world, mock_provider_factory())
-    memo_calls = len(linprog_calls)
+    memo_calls = len(lp_solves)
 
     monkeypatch.setattr("skillforge.memo.scope", contextlib.nullcontext)
     plain = run_kfold(config, world, mock_provider_factory())
-    assert memo_calls < len(linprog_calls) - memo_calls
+    assert memo_calls < len(lp_solves) - memo_calls
     assert strip_wall_clock(memoized.to_dict()) == strip_wall_clock(plain.to_dict())
 
 
-def test_lp_round_evolve_outputs_equal_the_memo_free_run(monkeypatch, linprog_calls):
+def test_lp_round_evolve_outputs_equal_the_memo_free_run(monkeypatch, lp_solves):
     world = _world(n_tasks=30)
     config = RunConfig(seed=7, epochs=2, strategy="lp_round")
     library, report, _ = evolve_library(config, world, mock_provider_factory()(7))
-    memo_calls = len(linprog_calls)
+    memo_calls = len(lp_solves)
 
     monkeypatch.setattr("skillforge.memo.scope", contextlib.nullcontext)
     plain_library, plain_report, _ = evolve_library(config, world, mock_provider_factory()(7))
-    assert memo_calls < len(linprog_calls) - memo_calls
+    assert memo_calls < len(lp_solves) - memo_calls
     assert library == plain_library
     assert strip_wall_clock(report.to_dict()) == strip_wall_clock(plain_report.to_dict())
