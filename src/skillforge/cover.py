@@ -17,9 +17,9 @@ which adds the best-ranked skill covering something new, ties broken by id:
                     (1 + newly introduced irrelevant classes; the +1 floor
                     keeps zero-irrelevant skills comparable).
 * ``lp_round``    - fractional relaxation minimizing the number of introduced
-                    irrelevant classes subject to coverage, solved as a plain
-                    LP by HiGHS through scipy's ``milp`` with no integrality
-                    (the public entry with the least Python wrapping), rounded
+                    irrelevant classes subject to coverage, solved by HiGHS
+                    through scipy's bundled ``highspy`` binding (the layer
+                    under ``milp``, without its per-call wrapping), rounded
                     at 0.5, then completed by the greedy step.
 * ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills).
 
@@ -37,11 +37,11 @@ unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from skillforge import memo
 from skillforge.errors import ConfigError, InputError, SizeError
@@ -239,23 +239,46 @@ def _solve_lp(
     n_skills: int, n_vars: int, n_cover: int, entries: tuple[tuple[int, int, float], ...]
 ) -> tuple[int, ...]:
     """Solve the relaxation minimizing introduced irrelevant classes and return
-    the skill columns at or above 0.5, or ``()`` if the solve fails. With no
-    integrality ``milp`` hands HiGHS a plain LP: scipy's public route to the
-    solver with the least Python wrapping per solve."""
-    from scipy.optimize import Bounds, milp
+    the skill columns at or above 0.5, or ``()`` unless HiGHS reports an
+    optimum. The model goes straight to HiGHS through scipy's bundled
+    ``highspy`` binding, the layer under ``milp`` and ``linprog``: the same
+    column-wise matrix, bounds and options ``milp`` would hand it, without
+    its per-call validation, dense-to-sparse conversion, option checks and
+    dual read-out. Each solve gets a fresh solver object, so no state passes
+    from one model to the next and concurrent solves share nothing."""
+    from scipy.optimize._highspy import _core as highs
 
     n_rows = entries[-1][0] + 1  # entries come in row order
-    a_ub = np.zeros((n_rows, n_vars))
-    rows, cols, values = zip(*entries)
-    a_ub[rows, cols] = values
-    cost = np.zeros(n_vars)
-    cost[n_skills:] = 1.0
-    b_ub = np.zeros(n_rows)
-    b_ub[:n_cover] = -1.0
-    outcome = milp(cost, constraints=(a_ub, -np.inf, b_ub), bounds=Bounds(0.0, 1.0))
-    if outcome.status != 0:
+    by_column = sorted(entries, key=itemgetter(1))  # stable: rows stay ascending
+    columns = [col for _, col, _ in by_column]
+    lp = highs.HighsLp()
+    lp.num_col_ = n_vars
+    lp.num_row_ = n_rows
+    lp.col_cost_ = [0.0] * n_skills + [1.0] * (n_vars - n_skills)
+    lp.col_lower_ = [0.0] * n_vars
+    lp.col_upper_ = [1.0] * n_vars
+    lp.row_lower_ = [-highs.kHighsInf] * n_rows
+    lp.row_upper_ = [-1.0] * n_cover + [0.0] * (n_rows - n_cover)
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_ = n_vars
+    matrix.num_row_ = n_rows
+    matrix.start_ = [bisect_left(columns, col) for col in range(n_vars + 1)]
+    matrix.index_ = [row for row, _, _ in by_column]
+    matrix.value_ = [value for _, _, value in by_column]
+    options = highs.HighsOptions()
+    options.log_to_console = False
+    solver = highs._Highs()
+    failed = highs.HighsStatus.kError
+    if (
+        solver.passOptions(options) == failed
+        or solver.passModel(lp) == failed
+        or solver.run() == failed
+        or solver.getModelStatus() != highs.HighsModelStatus.kOptimal
+    ):
         return ()
-    return tuple(i for i in range(n_skills) if outcome.x[i] >= 0.5)
+    x = solver.getSolution().col_value
+    return tuple(i for i in range(n_skills) if x[i] >= 0.5)
 
 
 def brute_force_select(instance: CoverInstance) -> SelectionResult:

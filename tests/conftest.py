@@ -136,18 +136,18 @@ def make_pair(task_id="task-001", description=None, steps=(), final="failure") -
 
 @pytest.fixture
 def lp_solves(monkeypatch):
-    """Count the calls of scipy's ``milp``, which ``lp_round_select`` looks
-    up on every solve."""
-    import scipy.optimize
+    """Count the LP solves handed to HiGHS's binding: the ``run`` calls of the
+    solver objects that ``cover._solve_lp`` makes, one object per solve."""
+    from scipy.optimize._highspy import _core
 
     calls = []
-    solve = scipy.optimize.milp
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    class Counted(_core._Highs):
+        def run(self):
+            calls.append(1)
+            return super().run()
 
-    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    monkeypatch.setattr(_core, "_Highs", Counted)
     return calls
 
 

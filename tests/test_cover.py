@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import random
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -15,6 +13,7 @@ from skillforge.cover import (
     CoverInstance,
     _greedy,
     _result,
+    _solve_lp,
     brute_force_select,
     greedy_select,
     lp_round_select,
@@ -394,10 +393,18 @@ def _reference_primal_dual(instance):
     return _result(instance, list(prune_redundant(instance, selected)))
 
 
-def _reference_lp_round(instance):
+def _linprog(cost, a_ub, b_ub):
+    return scipy.optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs")
+
+
+def _milp(cost, a_ub, b_ub):
+    return scipy.optimize.milp(cost, constraints=(a_ub, -np.inf, b_ub), bounds=scipy.optimize.Bounds(0.0, 1.0))
+
+
+def _reference_lp_round(instance, solve=_linprog):
     """The dense-row LP build that ``lp_round_select`` used to carry, solved
-    through ``linprog``: the other public scipy entry to HiGHS, so a match
-    also checks ``milp``'s picks against it."""
+    through one of scipy's public entries to HiGHS (``_linprog`` or
+    ``_milp``), so a match checks the binding-level solve against it."""
     n_skills = len(instance.skill_order)
     all_classes = set().union(*instance.skill_classes.values())
     coverable = sorted(instance.coverable)
@@ -424,9 +431,7 @@ def _reference_lp_round(instance):
                 row[irr_index[cls]] = -1.0
                 rows.append(row)
                 rhs.append(0.0)
-        outcome = scipy.optimize.linprog(
-            cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=[(0.0, 1.0)] * n_vars, method="highs"
-        )
+        outcome = solve(cost, np.array(rows), np.array(rhs))
         if outcome.status == 0:
             selected = [sid for sid in instance.skill_order if outcome.x[sid_index[sid]] >= 0.5]
     return _greedy(instance, selected)
@@ -528,6 +533,7 @@ def _workload_sized_instances(draw):
 @given(instance=_workload_sized_instances())
 def test_lp_round_matches_the_linprog_reference_on_workload_sized_models(instance):
     expected = _reference_lp_round(instance)
+    assert _reference_lp_round(instance, _milp) == expected
     assert lp_round_select(instance) == expected
     with memo.scope():
         assert [lp_round_select(instance) for _ in range(2)] == [expected] * 2
@@ -556,11 +562,55 @@ def test_nothing_is_memoized_outside_lp_memo(lp_solves):
     assert len(lp_solves) == 5
 
 
-def test_memoized_failed_solve_still_falls_through_to_repair(monkeypatch):
-    calls = []
-    failed = SimpleNamespace(status=2, x=None)
-    monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: calls.append(1) or failed)
+@pytest.fixture
+def no_simplex_iterations(monkeypatch):
+    """Solve with presolve off and a simplex iteration limit of 0, so HiGHS
+    stops at ``kIterationLimit`` before any optimum. Returns the model status
+    of each solve."""
+    from scipy.optimize._highspy import _core
+
+    statuses = []
+    options = _core.HighsOptions
+
+    def capped():
+        capped_options = options()
+        capped_options.presolve = "off"
+        capped_options.simplex_iteration_limit = 0
+        return capped_options
+
+    class Recorded(_core._Highs):
+        def run(self):
+            status = super().run()
+            statuses.append(self.getModelStatus())
+            return status
+
+    monkeypatch.setattr(_core, "HighsOptions", capped)
+    monkeypatch.setattr(_core, "_Highs", Recorded)
+    return statuses
+
+
+def test_memoized_failed_solve_still_falls_through_to_repair(no_simplex_iterations):
+    from scipy.optimize._highspy import _core
+
     with memo.scope():
         results = [lp_round_select(NOISY_BROAD) for _ in range(2)]
-    assert len(calls) == 1
+    assert no_simplex_iterations == [_core.HighsModelStatus.kIterationLimit]
     assert results == [greedy_select(NOISY_BROAD)] * 2
+
+
+def test_a_solve_without_an_optimum_picks_nothing_and_greedy_covers(no_simplex_iterations):
+    from scipy.optimize._highspy import _core
+
+    # FIXTURE's model: s1, s2, s3 and u1 in columns 0-3; t1, t2, t3 in rows
+    # 0-2 and s2's link to u1 in row 3. Its optimum picks s1 and s3.
+    entries = ((0, 0, -1.0), (1, 0, -1.0), (1, 1, -1.0), (2, 1, -1.0), (2, 2, -1.0), (3, 1, 1.0), (3, 3, -1.0))
+    assert _solve_lp(3, 4, 3, entries) == ()
+    rng = random.Random(29)
+    instances = [FIXTURE, NOISY_BROAD] + [_random_instance(rng) for _ in range(40)]
+    for instance in instances:
+        result = lp_round_select(instance)
+        assert result.covered == instance.coverable
+        assert result == greedy_select(instance)
+    # One solve above, then one per instance with a coverable class.
+    assert len(no_simplex_iterations) == 1 + sum(bool(instance.coverable) for instance in instances)
+    assert _core.HighsModelStatus.kOptimal not in no_simplex_iterations
