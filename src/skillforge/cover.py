@@ -20,8 +20,10 @@ which adds the best-ranked skill covering something new, ties broken by id:
                     irrelevant classes subject to coverage, solved by HiGHS
                     through scipy's bundled ``highspy`` binding (the layer
                     under ``milp``, without its per-call wrapping), rounded
-                    at 0.5, then completed by the greedy step.
-* ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills).
+                    at 0.5, then completed by the greedy step. The model
+                    is sparse, so it takes an instance of any size.
+* ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills,
+                    past which it raises ``SizeError``).
 
 Inside a ``memo.scope()`` (one per ``run_kfold`` or ``evolve_library``
 call, across all its run seeds) each distinct numeric LP model is solved
@@ -47,7 +49,6 @@ from skillforge import memo
 from skillforge.errors import ConfigError, InputError, SizeError
 from skillforge.model import _field, _read_json
 
-LP_SIZE_CAP = 500
 BRUTE_FORCE_CAP = 20
 
 
@@ -195,34 +196,25 @@ def primal_dual_select(instance: CoverInstance) -> SelectionResult:
 
 def lp_round_select(instance: CoverInstance) -> SelectionResult:
     n_skills = len(instance.skill_order)
-    all_classes = _union(instance.skill_classes.values())
-    n_classes = len(all_classes | instance.target_classes)
-    if n_skills > LP_SIZE_CAP or n_classes > LP_SIZE_CAP:
-        raise SizeError(
-            f"instance of {n_skills} skills and {n_classes} classes exceeds the LP cap of "
-            f"{LP_SIZE_CAP} skills/classes; use the greedy strategy"
-        )
-
     coverable = sorted(instance.coverable)
-    irrelevant = sorted(all_classes - instance.target_classes)
+    irrelevant = sorted(_union(instance.skill_classes.values()) - instance.target_classes)
     selected: list[str] = []
 
-    if coverable and n_skills:
-        sid_index = {sid: i for i, sid in enumerate(instance.skill_order)}
+    if coverable:
         irr_index = {c: n_skills + j for j, c in enumerate(irrelevant)}
 
         # Nonzero constraint entries (row, column, value) of A_ub x <= b_ub.
         entries: list[tuple[int, int, float]] = []
         # Coverage: each coverable target class needs fractional selection >= 1.
         for row, cls in enumerate(coverable):
-            for sid in instance.skill_order:
+            for col, sid in enumerate(instance.skill_order):
                 if cls in instance.skill_classes[sid]:
-                    entries.append((row, sid_index[sid], -1.0))
+                    entries.append((row, col, -1.0))
         # Linking: selecting a skill forces its irrelevant classes on.
         row = len(coverable)
-        for sid in instance.skill_order:
+        for col, sid in enumerate(instance.skill_order):
             for cls in instance.skill_classes[sid] - instance.target_classes:
-                entries.append((row, sid_index[sid], 1.0))
+                entries.append((row, col, 1.0))
                 entries.append((row, irr_index[cls], -1.0))
                 row += 1
 

@@ -8,8 +8,6 @@ targets canonicalize to the same class set share one selection. Candidate
 tags are then produced by the same tagging path used for library skills
 rather than trusted from the generator's own claims, so the scoring pipeline
 sees one uniform tag source.
-Generation returns plain skills keyed by pair id; ``scoring.score_candidate``
-builds the one ``CandidateSkill`` each of them ever gets.
 
 Generation is best effort per pair: replies come through ``providers.base.ask``,
 which re-asks an unparseable one, and a pair whose work raises one of
@@ -21,9 +19,7 @@ from __future__ import annotations
 import logging
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 from urllib.parse import quote
 
 from skillforge import prompts
@@ -34,24 +30,11 @@ from skillforge.model import ORIGIN_EVOLVED, FailurePair, Skill, SkillLibrary, w
 from skillforge.providers.base import ChatProvider, ChatRequest, ask
 from skillforge.tags import EquivalenceIndex, SkillText, TagSet, generate_skill_tags
 
-if TYPE_CHECKING:
-    from skillforge.scoring import ScoreRecord
-
 logger = logging.getLogger(__name__)
 
 _NAME_RE = re.compile(r"^NAME:\s*(.+)$", re.MULTILINE)
 _DESCRIPTION_RE = re.compile(r"^DESCRIPTION:\s*(.+)$", re.MULTILINE)
 _BODY_RE = re.compile(r"^BODY:\s*\n?(.*)\Z", re.MULTILINE | re.DOTALL)
-
-
-@dataclass(frozen=True)
-class CandidateSkill:
-    """A scored candidate: the generated skill, the id of the failure pair
-    that produced it and its scores. Only ``scoring.score_candidate`` builds one."""
-
-    skill: Skill
-    source_pair_id: str
-    scores: ScoreRecord
 
 
 def candidate_id(epoch: int, pair_id: str) -> str:

@@ -856,9 +856,13 @@ def sweep(
     world_config: WorldConfig | None = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> list[dict]:
-    """Rerun the k-fold protocol over one sweep dimension, one row per cell."""
+    """Rerun the k-fold protocol over one sweep dimension, one row per cell.
+    The transfer sweep builds its own two worlds from ``world_config`` and
+    takes no ``world``."""
     if dimension not in SWEEP_DIMENSIONS:
         raise ConfigError(f"unknown sweep dimension {dimension!r}; expected one of {SWEEP_DIMENSIONS}")
+    if world is not None and dimension == "transfer":
+        raise ConfigError("the transfer sweep builds its own two worlds from the world config; it takes no world")
     factory = provider_factory or mock_provider_factory()
     world_config = world_config or WorldConfig(seed=config.seed)
     if world is None and dimension != "transfer":

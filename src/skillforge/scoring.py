@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from skillforge.errors import ConfigError, InputError, ProviderError, ScoringError
-from skillforge.evolve import CandidateSkill
 from skillforge.model import Skill, SkillLibrary, Task, add_skills, write_csv
 from skillforge.providers.base import LikelihoodProvider
 from skillforge.tags import EquivalenceIndex, TagSet, prf
@@ -61,6 +60,16 @@ class ScoreRecord:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass(frozen=True)
+class CandidateSkill:
+    """A scored candidate: the generated skill, the id of the failure pair
+    that produced it and its scores. Only ``score_candidate`` builds one."""
+
+    skill: Skill
+    source_pair_id: str
+    scores: ScoreRecord
 
 
 def knowledge_coverage(skill: Skill, target: TagSet, index: EquivalenceIndex) -> tuple[float, float, float]:

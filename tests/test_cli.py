@@ -148,6 +148,16 @@ def test_evolve_names_the_file_and_field_of_a_bad_world(tmp_path, capsys, change
     assert not out.exists()
 
 
+def test_transfer_sweep_with_a_world_dir_exits_2(tmp_path, capsys):
+    world_dir = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--tasks", "10", "--out", str(world_dir)]) == 0
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--mock", "--dimension", "transfer", "--world-dir", str(world_dir), "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert "error: the transfer sweep builds its own two worlds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simworld_then_evolve_is_deterministic(tmp_path, capsys):
     world_dir = tmp_path / "world"
     assert dispatch(["simworld", "--seed", "7", "--out", str(world_dir)]) == 0

@@ -181,19 +181,21 @@ def test_brute_force_tie_breaks_lexicographically():
     assert brute_force_select(instance).selected == ("s_a",)
 
 
-def test_lp_cap_directs_to_greedy():
-    skills = {f"s{i:03d}": ["t1"] for i in range(501)}
-    with pytest.raises(SizeError, match="greedy"):
-        lp_round_select(_instance(["t1"], skills))
+def _assert_lp_round_picks(instance, expected):
+    result = lp_round_select(instance)
+    assert result.selected == expected
+    assert result.covered == instance.coverable
+    assert result == _reference_lp_round(instance) == _reference_lp_round(instance, _milp)
 
 
-def test_lp_cap_error_names_the_instance_size():
+def test_lp_round_takes_more_than_500_skills():
     skills = {f"s{i:03d}": ["t1"] for i in range(501)}
-    with pytest.raises(SizeError, match="501 skills and 1 classes exceeds the LP cap of 500"):
-        lp_round_select(_instance(["t1"], skills))
+    _assert_lp_round_picks(_instance(["t1"], skills), ("s000",))
+
+
+def test_lp_round_takes_more_than_500_classes():
     wide = {"s1": ["t1"] + [f"u{i:03d}" for i in range(500)]}
-    with pytest.raises(SizeError, match="1 skills and 501 classes exceeds the LP cap of 500"):
-        lp_round_select(_instance(["t1"], wide))
+    _assert_lp_round_picks(_instance(["t1"], wide), ("s1",))
 
 
 def test_lp_fractional_optimum_rounds_to_nothing_and_repair_recovers():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from skillforge import memo, prompts
 from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError, ScoringError, TaggingError
-from skillforge.evolve import CandidateSkill, generate_candidates
+from skillforge.evolve import generate_candidates
 from skillforge.harness import (
     RATIO_SWEEP_VALUES,
     EvolutionReport,
@@ -46,7 +46,7 @@ from skillforge.providers.base import ASK_ATTEMPTS, ChatRequest, ChatResponse, a
 from skillforge.providers.http import HttpConfig, HttpLikelihoodProvider
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
 from skillforge.retrieval import build_index, retrieve
-from skillforge.scoring import retention_count
+from skillforge.scoring import CandidateSkill, retention_count
 from skillforge.tags import EquivalenceIndex, generate_skill_tags, generate_target_tags
 from skillforge.world import WorldConfig, generate_world
 
@@ -478,6 +478,60 @@ def test_kfold_with_in_process_providers_starts_no_thread_pool(monkeypatch):
     assert serial["config"].pop("max_workers") == 1
     assert report == serial
     assert sum(row["n_candidates"] or 0 for cell in report["cells"] for row in cell["rows"]) > 0
+
+
+class PooledChat(MockChatProvider):
+    in_process = False
+
+
+class PooledEmbedder(MockEmbedder):
+    in_process = False
+
+
+class PooledLikelihood(MockLikelihoodScorer):
+    in_process = False
+
+
+def _pooled_factory(noise_rate):
+    """The seeded mocks, declared not in process so that the stages pool."""
+
+    def factory(seed):
+        return ProviderBundle(
+            chat=PooledChat(seed=seed, noise_rate=noise_rate),
+            embedder=PooledEmbedder(),
+            likelihood=PooledLikelihood(seed=seed),
+        )
+
+    return factory
+
+
+@pytest.mark.parametrize("world_seed", [3, 7])
+def test_pooled_stages_give_the_serial_report(monkeypatch, world_seed):
+    from concurrent.futures import ThreadPoolExecutor
+
+    def stripped(report):
+        payload = strip_wall_clock(report.to_dict())
+        del payload["config"]["max_workers"], payload["providers"]
+        return payload
+
+    world = _world(seed=world_seed, n_tasks=40)
+    config = RunConfig(seed=7, epochs=2, folds=2, runs=2, max_workers=1)
+    serial = stripped(run_kfold(config, world, mock_provider_factory(noise_rate=0.5)))
+    assert any(row["n_candidates"] for cell in serial["cells"] for row in cell["rows"])
+
+    pools = []
+    original = ThreadPoolExecutor.__init__
+
+    def counting(self, *args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting)
+    for workers in (2, 4):
+        pools.clear()
+        report = run_kfold(replace(config, max_workers=workers), world, _pooled_factory(noise_rate=0.5))
+        assert pools and set(pools) == {workers}
+        assert stripped(report) == serial
 
 
 def test_run_epoch_builds_one_equivalence_index(monkeypatch):
@@ -925,6 +979,12 @@ def test_transfer_diagonal_dominates_off_diagonal():
     assert cells["B->B"] >= cells["A->B"]
 
 
+def test_transfer_sweep_rejects_a_given_world():
+    config = RunConfig(seed=7, epochs=1, folds=1, runs=1)
+    with pytest.raises(ConfigError, match="transfer sweep builds its own two worlds"):
+        sweep(config, "transfer", world=_world(n_tasks=10))
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_run_config_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ConfigError, match="max_workers"):
@@ -1126,6 +1186,31 @@ def test_evolve_library_report_shape_and_monotone_growth():
     sizes = [row.library_size for row in report.cells[0].rows]
     assert sizes == sorted(sizes)
     assert len(library) == sizes[-1]
+
+
+def test_lp_round_evolves_a_library_past_500_skills_or_classes(monkeypatch):
+    """evolve-tagchurn's configuration with ``lp_round``: LP rounding takes
+    the instances of a library that grows past 500 skills or classes."""
+    import skillforge.cover as cover
+
+    largest = []
+
+    def recording(instance):
+        n_classes = len(cover._union(instance.skill_classes.values()) | instance.target_classes)
+        largest.append(max(len(instance.skill_order), n_classes))
+        return cover.lp_round_select(instance)
+
+    monkeypatch.setitem(cover._SELECTORS, "lp_round", recording)
+    world = _world(n_tasks=300)
+    config = RunConfig(seed=7, epochs=4, filter_ratio=1.0, strategy="lp_round")
+    library, report, _ = evolve_library(config, world, mock_provider_factory(noise_rate=3.0)(7))
+    assert max(largest) > 500
+    rows = report.cells[0].rows
+    assert len(rows) == config.epochs + 1
+    for before, after in zip(rows, rows[1:]):
+        assert after.library_size - before.library_size == retention_count(after.n_candidates, 1.0)
+    assert len(library) == rows[-1].library_size
+    assert len({skill.id for skill in library}) == len(library)
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "primal_dual", "lp_round", "brute_force"])

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from skillforge.errors import ConfigError, InputError, ScoringError
-from skillforge.evolve import CandidateSkill
 from skillforge.model import SkillLibrary, Task
 from skillforge.scoring import (
+    CandidateSkill,
     ScoreRecord,
     alignment_score,
     combined_score,
