@@ -274,11 +274,11 @@ def cmd_evolve(args) -> int:
     config = resolve_run_config(args)
     bundle = _resolve_providers(args)(config.seed)
     world = _resolve_world(args, config)
-    library, report, stats_list = evolve_library(
-        config, world, bundle, dump_dir=args.dump_prompts
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if args.dump_prompts:
+        Path(args.dump_prompts).mkdir(parents=True, exist_ok=True)
+    library, report, stats_list = evolve_library(config, world, bundle, dump_dir=args.dump_prompts)
     save_library(library, out / "library.jsonl")
     emit_report(report, out / "report")
     for epoch, stats in enumerate(stats_list):
@@ -337,15 +337,14 @@ def cmd_eval(args) -> int:
     config = resolve_run_config(args)
     factory = _resolve_providers(args)
     world = _resolve_world(args, config)
-    task_transform = None
-    if args.paraphrase_provider:
-        if getattr(args, "mock", False):
-            raise ConfigError("--paraphrase-provider needs a real chat endpoint, not --mock")
-        http = HttpConfig.from_env(chat_url=args.paraphrase_provider)
-        task_transform = _paraphrase_transform(HttpChatProvider(http))
-    report = run_kfold(config, world, factory, task_transform=task_transform)
+    if args.paraphrase_provider and getattr(args, "mock", False):
+        raise ConfigError("--paraphrase-provider needs a real chat endpoint, not --mock")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if args.paraphrase_provider:
+        http = HttpConfig.from_env(chat_url=args.paraphrase_provider)
+        world = replace(world, tasks=_paraphrase(HttpChatProvider(http), world.tasks))
+    report = run_kfold(config, world, factory)
     json_path, md_path = emit_report(report, out / "report")
     print(
         f"evaluated {config.folds}-fold x {config.runs} runs; held-out pass rate "
@@ -358,9 +357,12 @@ def cmd_sweep(args) -> int:
     config = resolve_run_config(args)
     factory = _resolve_providers(args)
     world = load_world(args.world_dir) if args.world_dir else None
-    rows = sweep(config, args.dimension, world=world, provider_factory=factory)
+    if world is not None and args.dimension == "transfer":
+        # Checked here too, so that the error leaves no --out behind.
+        raise ConfigError("the transfer sweep builds its own two worlds from the seed; it takes no --world-dir")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    rows = sweep(config, args.dimension, world=world, provider_factory=factory)
     payload = {"dimension": args.dimension, "config": config.to_dict(), "rows": rows}
     write_text_atomic(out / "sweep.json", json.dumps(payload, indent=2) + "\n")
     write_sweep_csv(rows, out / "sweep.csv")
@@ -375,20 +377,17 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _paraphrase_transform(chat):
-    def transform(tasks):
-        out = []
-        for task in tasks:
-            request = ChatRequest(
-                system="You paraphrase task descriptions without changing their meaning.",
-                user=task.description,
-                max_tokens=512,
-            )
-            description = ask(chat, request, str.strip, f"task {task.id!r}") or task.description
-            out.append(Task(id=task.id, description=description, metadata=dict(task.metadata)))
-        return tuple(out)
-
-    return transform
+def _paraphrase(chat, tasks):
+    out = []
+    for task in tasks:
+        request = ChatRequest(
+            system="You paraphrase task descriptions without changing their meaning.",
+            user=task.description,
+            max_tokens=512,
+        )
+        description = ask(chat, request, str.strip, f"task {task.id!r}") or task.description
+        out.append(Task(id=task.id, description=description, metadata=dict(task.metadata)))
+    return tuple(out)
 
 
 def dispatch(argv: list[str]) -> int:

@@ -25,12 +25,13 @@ which adds the best-ranked skill covering something new, ties broken by id:
 * ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills,
                     past which it raises ``SizeError``).
 
-Inside a ``memo.scope()`` (one per ``run_kfold`` or ``evolve_library``
-call, across all its run seeds) each distinct numeric LP model is solved
-once, kept in the ``"lp"`` table. The key is the whole model and the value
-the rounded skill columns in sorted-id order, so instances differing only in
-names that keep their sort order share a solve and, HiGHS being
-deterministic, a hit returns what a fresh solve would.
+Inside a ``memo.scope()`` (one per ``harness._protocol`` call, which
+``run_kfold`` and ``evolve_library`` both make, across all its run seeds)
+each distinct numeric LP model is solved once, kept in the ``"lp"`` table.
+The key is the whole model and the value the rounded skill columns in
+sorted-id order, so instances differing only in names that keep their sort
+order share a solve and, HiGHS being deterministic, a hit returns what a
+fresh solve would.
 
 All strategies finish with a redundancy prune that drops, scanning in reverse
 order of addition, any skill whose removal leaves the covered target classes

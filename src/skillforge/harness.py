@@ -6,17 +6,19 @@ library, which yields one outcome per task: ``None`` for a pass and a
 then infers the failures' required tags, selects covering source skills,
 generates and scores candidate skills, and folds the retained top fraction
 back into the library. One cell loop (``_evolve_cell``) runs the epochs of
-every entry point. The k-fold protocol runs it per fold and run seed,
-evolving on all folds but one and measuring pass rate on the held-out fold;
-``evolve_library`` runs it once on every task with nothing held out, which
-is the leaky protocol that ``folds=1`` also gets. Epoch 0 is always
-evaluated first so the no-evolution baseline anchors each report. Each run
-(run seed or ``evolve_library`` call) sends its provider calls through one
-``_Session``, which memoizes accepted temperature-0 chat replies (as the
-values their consumers parsed), likelihood scores and embeddings and counts
-the tokens of every reply and score it serves; each epoch reports the growth
-of that count. A fault in embedding one batch of target or candidate tags
-drops only the pairs or candidates whose own tags fail.
+every entry point, and one protocol body (``_protocol``) runs it per fold
+and run seed, evolving on all folds but one and measuring pass rate on the
+held-out fold. ``run_kfold`` is that protocol; ``evolve_library`` is its
+one-fold, one-run case, a single cell on every task with nothing held out,
+the leaky protocol that ``folds=1`` also gets. Epoch 0 is always evaluated
+first so the no-evolution baseline anchors each report. One ``memo.scope()``
+serves each ``_protocol`` call (each ``run_kfold`` or ``evolve_library``
+call), and each run seed sends its provider calls through one ``_Session``,
+which memoizes accepted temperature-0 chat replies (as the values their
+consumers parsed), likelihood scores and embeddings and counts the tokens of
+every reply and score it serves; each epoch reports the growth of that
+count. A fault in embedding one batch of target or candidate tags drops only
+the pairs or candidates whose own tags fail.
 
 Wall-clock numbers come from an injectable monotonic clock and are excluded
 from determinism comparisons (see ``strip_wall_clock``).
@@ -765,39 +767,32 @@ def _evolve_cell(
     return library, rows, stats_list
 
 
-def run_kfold(
+def _protocol(
     config: RunConfig,
     world: SyntheticWorld,
-    provider_factory: Callable[[int], ProviderBundle] | None = None,
-    clock: Callable[[], float] = time.monotonic,
-    task_transform: Callable[[Sequence[Task]], Sequence[Task]] | None = None,
-) -> EvolutionReport:
-    """Evolve on all folds but one and score the held-out fold, per run seed.
+    factory: Callable[[int], ProviderBundle],
+    clock: Callable[[], float],
+    dump_dir: str | Path | None = None,
+) -> tuple[EvolutionReport, SkillLibrary, list[EpochStats]]:
+    """The protocol body of both entry points: evolve on all folds but one
+    and score the held-out fold, per run seed; returns the report and the
+    last cell's final library and per-epoch stats.
 
-    With ``folds=1`` evolution and evaluation share the same tasks; each cell
-    is then ``evolve_library``'s leaky cell and the report is flagged leaky.
-    ``task_transform`` is an optional hook applied to the task list up front
-    (e.g. paraphrasing descriptions). Each run seed gets its own provider
-    session, while one ``memo.scope()`` serves the whole call: its tables
-    are keyed by their whole input (the numeric LP model, the text) and
-    depend on no seed, so a hit from another run seed returns what a fresh
-    solve or tokenization would. Every cell evaluates rows of one table of
-    the tasks in id order, so the folds do not depend on the order given.
+    With ``folds=1`` evolution and evaluation share the same tasks, nothing
+    is held out and the report is flagged leaky. Each run seed gets its own
+    provider session, while one ``memo.scope()`` serves the whole call: its
+    tables are keyed by their whole input (the numeric LP model, the text)
+    and depend on no seed, so a hit from another run seed returns what a
+    fresh solve or tokenization would. Every cell evaluates rows of one
+    table of the tasks in id order, so the folds do not depend on the order
+    given.
     """
-    factory = provider_factory or mock_provider_factory()
-    tasks: Sequence[Task] = world.tasks
-    if task_transform is not None:
-        tasks = tuple(task_transform(tasks))
-    if len(tasks) < config.folds:
-        raise ConfigError(f"cannot split {len(tasks)} tasks into {config.folds} folds")
+    if len(world.tasks) < config.folds:
+        raise ConfigError(f"{len(world.tasks)} task(s) cannot fill {config.folds} fold(s): a run needs a task per fold")
 
     leaky = config.folds == 1
-    if leaky:
-        logger.warning("folds=1: evolving and evaluating on the same tasks (leaky protocol)")
-
     cells: list[CellResult] = []
-    audit: tuple[str, ...] = ()
-    table = TaskTable(sorted(tasks, key=lambda t: t.id), world)
+    table = TaskTable(sorted(world.tasks, key=lambda t: t.id), world)
     with memo.scope():
         for run_idx in range(config.runs):
             run_seed = config.seed + run_idx
@@ -812,12 +807,25 @@ def run_kfold(
                     row for i, fold in enumerate(fold_lists) if leaky or i != fold_idx for row in fold
                 ))
                 library = apply_label_scale(world, config.label_scale, run_seed)
-                _, rows, _ = _evolve_cell(library, train, holdout, world, providers, config, clock)
+                library, rows, stats = _evolve_cell(library, train, holdout, world, providers, config, clock, dump_dir)
                 cells.append(CellResult(fold=fold_idx, run=run_idx, seed=run_seed, rows=tuple(rows)))
 
-    return EvolutionReport(
-        config=config.to_dict(), leaky=leaky, providers=audit, cells=tuple(cells)
-    )
+    report = EvolutionReport(config=config.to_dict(), leaky=leaky, providers=audit, cells=tuple(cells))
+    return report, library, stats
+
+
+def run_kfold(
+    config: RunConfig,
+    world: SyntheticWorld,
+    provider_factory: Callable[[int], ProviderBundle] | None = None,
+    clock: Callable[[], float] = time.monotonic,
+) -> EvolutionReport:
+    """Evolve on all folds but one and score the held-out fold, per run seed
+    (see ``_protocol``). ``folds=1`` is the leaky protocol, which is logged
+    as a warning."""
+    if config.folds == 1:
+        logger.warning("folds=1: evolving and evaluating on the same tasks (leaky protocol)")
+    return _protocol(config, world, provider_factory or mock_provider_factory(), clock)[0]
 
 
 def evolve_library(
@@ -827,25 +835,12 @@ def evolve_library(
     clock: Callable[[], float] = time.monotonic,
     dump_dir: str | Path | None = None,
 ) -> tuple[SkillLibrary, EvolutionReport, list[EpochStats]]:
-    """Evolve on every task of the world (no folding) and return the final library.
-
-    The report mirrors the k-fold shape with a single leaky cell, so the same
-    emitters work for both entry points. The per-epoch stats (with their score
-    rows) are returned alongside for CSV dumps.
-    """
-    audit = providers.audit_names()
-    providers = _Session(providers)
-    library = apply_label_scale(world, config.label_scale, config.seed)
-    table = TaskTable(sorted(world.tasks, key=lambda t: t.id), world)
-    with memo.scope():
-        library, rows, stats_list = _evolve_cell(library, table, None, world, providers, config, clock, dump_dir)
-    report = EvolutionReport(
-        config=config.to_dict(),
-        leaky=True,
-        providers=audit,
-        cells=(CellResult(fold=0, run=0, seed=config.seed, rows=tuple(rows)),),
-    )
-    return library, report, stats_list
+    """Evolve on every task of the world (no folding) and return the final
+    library, the report and the per-epoch stats (with their score rows, for
+    CSV dumps): ``_protocol``'s one leaky cell, at one fold and one run seed,
+    ``config.seed``. The report echoes ``config`` as given."""
+    report, library, stats = _protocol(replace(config, folds=1, runs=1), world, lambda seed: providers, clock, dump_dir)
+    return library, replace(report, config=config.to_dict()), stats
 
 
 def sweep(

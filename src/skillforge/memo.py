@@ -1,13 +1,14 @@
 """Memo tables that live for one top-level call.
 
-``run_kfold`` and ``evolve_library`` each open one ``scope()``; inside it,
-``table(name)`` returns that scope's dict for ``name`` (created on first
-use), and outside any scope it returns ``None``, so nothing is kept between
-calls. A nested scope starts with tables of its own and the outer ones
-return when it ends. Every table is keyed by a value's whole input (an LP
-model, a text), never by a name that could mean different inputs, so a hit
-returns what a fresh computation would. The tables in use: ``"lp"``
-(``cover.lp_round_select``) and ``"documents"`` (``retrieval.build_index``).
+``harness._protocol``, the body that ``run_kfold`` and ``evolve_library``
+both go through, opens one ``scope()`` per call; inside it, ``table(name)``
+returns that scope's dict for ``name`` (created on first use), and outside
+any scope it returns ``None``, so nothing is kept between calls. A nested
+scope starts with tables of its own and the outer ones return when it ends.
+Every table is keyed by a value's whole input (an LP model, a text), never
+by a name that could mean different inputs, so a hit returns what a fresh
+computation would. The tables in use: ``"lp"`` (``cover.lp_round_select``)
+and ``"documents"`` (``retrieval.build_index``).
 """
 
 from __future__ import annotations

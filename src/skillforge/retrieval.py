@@ -47,16 +47,17 @@ BM25 score: ``argmax`` returns the first maximum, so tied documents keep id
 order, exactly as sorting ``(-score, id)`` would. Scores that are not
 positive are dropped.
 
-Inside a ``memo.scope()`` (one per ``run_kfold`` or ``evolve_library``
-call, across all its run seeds) each distinct document text is tokenized
-once, kept as its ``(Counter, length)`` in the ``"documents"`` table. It is
-keyed by the text itself, never by a skill id: one ``candidate_id`` can
-name different bodies in different folds, while equal texts always tokenize
-alike. This pays even with grown indexes: every fold starts from an
-initial library drawn from the same human skills, and candidate texts recur
-across folds and run seeds, so a fold's appended skills are often texts an
-earlier fold already tokenized. The cached values are never mutated.
-Outside any scope nothing is cached, so separate calls share no work.
+Inside a ``memo.scope()`` (one per ``harness._protocol`` call, which
+``run_kfold`` and ``evolve_library`` both make, across all its run seeds)
+each distinct document text is tokenized once, kept as its
+``(Counter, length)`` in the ``"documents"`` table. It is keyed by the text
+itself, never by a skill id: one ``candidate_id`` can name different bodies
+in different folds, while equal texts always tokenize alike. This pays even
+with grown indexes: every fold starts from an initial library drawn from the
+same human skills, and candidate texts recur across folds and run seeds, so
+a fold's appended skills are often texts an earlier fold already tokenized.
+The cached values are never mutated. Outside any scope nothing is cached, so
+separate calls share no work.
 """
 
 from __future__ import annotations

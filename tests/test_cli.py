@@ -8,8 +8,16 @@ import pytest
 
 from skillforge.cli import build_parser, dispatch, resolve_run_config
 from skillforge.errors import ConfigError
-from skillforge.harness import SWEEP_DIMENSIONS, strip_wall_clock
+from skillforge.harness import (
+    SWEEP_DIMENSIONS,
+    EvolutionReport,
+    ProviderBundle,
+    mock_provider_factory,
+    strip_wall_clock,
+)
 from skillforge.model import SkillLibrary, load_library, save_library, save_tasks, Task
+from skillforge.providers.base import ChatResponse
+from skillforge.world import load_world
 
 from conftest import make_skill
 
@@ -272,6 +280,123 @@ def test_eval_writes_kfold_report(tmp_path):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["leaky"] is False
     assert len(report["cells"]) == 2
+
+
+def _counting_mock_factory(calls):
+    """A stand-in for ``mock_provider_factory`` whose bundles append the
+    name of each provider call they are asked for to ``calls``."""
+    make = mock_provider_factory()
+
+    class Counting:
+        def __init__(self, provider):
+            self._provider = provider
+
+        def __getattr__(self, name):
+            if name in ("complete", "embed", "score_likelihood"):
+                calls.append(name)
+            return getattr(self._provider, name)
+
+    def factory(noise_rate=0.0):
+        def bundle(seed):
+            made = make(seed)
+            return ProviderBundle(Counting(made.chat), Counting(made.embedder), Counting(made.likelihood))
+
+        return bundle
+
+    return factory
+
+
+_RUNS = {
+    "evolve": ["evolve", "--epochs", "1"],
+    "eval": ["eval", "--epochs", "1", "--folds", "2", "--runs", "1"],
+    "sweep": ["sweep", "--dimension", "epochs"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, under_file",
+    [(command, "--out", under) for command in _RUNS for under in (False, True)]
+    + [("evolve", "--dump-prompts", True)],
+    ids=[f"{c}-out-{w}" for c in _RUNS for w in ("file", "under-file")] + ["evolve-dump-prompts-under-file"],
+)
+def test_an_unusable_output_path_exits_two_before_any_provider_call(
+    tmp_path, capsys, monkeypatch, command, flag, under_file
+):
+    calls = []
+    monkeypatch.setattr("skillforge.cli.mock_provider_factory", _counting_mock_factory(calls))
+    world = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--tasks", "20", "--out", str(world)]) == 0
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    bad = blocker / "sub" if under_file else blocker
+    paths = {"--out": tmp_path / "out", flag: bad}
+    argv = [*_RUNS[command], "--mock", "--world-dir", str(world)]
+    capsys.readouterr()
+    assert dispatch(argv + [arg for pair in paths.items() for arg in map(str, pair)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert calls == []
+
+
+def test_the_counting_factory_sees_a_finished_runs_calls(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("skillforge.cli.mock_provider_factory", _counting_mock_factory(calls))
+    assert dispatch(["evolve", "--mock", "--seed", "7", "--epochs", "1", "--out", str(tmp_path / "run")]) == 0
+    assert {"complete", "embed", "score_likelihood"} <= set(calls)
+
+
+@pytest.mark.parametrize("run", [["evolve"], ["eval", "--folds", "1"]], ids=["evolve", "eval-one-fold"])
+def test_a_world_without_tasks_exits_two_before_any_provider_call(tmp_path, capsys, monkeypatch, run):
+    calls = []
+    monkeypatch.setattr("skillforge.cli.mock_provider_factory", _counting_mock_factory(calls))
+    world = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--tasks", "10", "--out", str(world)]) == 0
+    (world / "tasks.jsonl").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch([*run, "--mock", "--world-dir", str(world), "--out", str(tmp_path / "out")]) == 2
+    assert "error: 0 task(s) cannot fill 1 fold(s): a run needs a task per fold" in capsys.readouterr().err
+    assert calls == []
+
+
+class _StubChat:
+    """Stands in for ``HttpChatProvider``: paraphrases by prefixing."""
+
+    def __init__(self, config):
+        self.config = config
+
+    def complete(self, request):
+        return ChatResponse(text=f"  Paraphrased: {request.user}  ")
+
+
+def test_eval_paraphrase_provider_hands_run_kfold_every_task_paraphrased(tmp_path, monkeypatch):
+    seen = []
+
+    def run_kfold(config, world, factory):
+        seen.append(world)
+        return EvolutionReport(config=config.to_dict(), leaky=False, providers=(), cells=())
+
+    monkeypatch.setattr("skillforge.cli.run_kfold", run_kfold)
+    monkeypatch.setattr("skillforge.cli.HttpChatProvider", _StubChat)
+    world_dir = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--tasks", "10", "--out", str(world_dir)]) == 0
+    urls = ["--chat-url", "http://localhost:9/c", "--embed-url", "http://localhost:9/e",
+            "--logprob-url", "http://localhost:9/l"]
+    argv = ["eval", "--world-dir", str(world_dir), "--out", str(tmp_path / "out"), *urls,
+            "--paraphrase-provider", "http://localhost:9/p"]
+    assert dispatch(argv) == 0
+    original = load_world(world_dir).tasks
+    [world] = seen
+    assert [task.id for task in world.tasks] == [task.id for task in original]
+    assert [task.metadata for task in world.tasks] == [task.metadata for task in original]
+    assert [task.description for task in world.tasks] == [f"Paraphrased: {task.description}" for task in original]
+
+
+def test_eval_paraphrase_provider_with_mock_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("skillforge.cli.HttpChatProvider", _StubChat)
+    out = tmp_path / "out"
+    argv = ["eval", "--mock", "--seed", "7", "--out", str(out), "--paraphrase-provider", "http://localhost:9/p"]
+    assert dispatch(argv) == 2
+    assert "error: --paraphrase-provider needs a real chat endpoint, not --mock" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_retrieve_prints_tab_separated_rankings(tmp_path, capsys):

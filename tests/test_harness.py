@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import logging
 import re
 import sys
 import threading
@@ -840,6 +841,20 @@ def test_kfold_single_fold_is_flagged_leaky():
     assert report.to_dict()["leaky"] is True
 
 
+def test_only_a_one_fold_kfold_logs_the_leaky_protocol_warning(caplog):
+    world = _world(n_tasks=10)
+    config = RunConfig(seed=7, folds=1, runs=1, epochs=1)
+    with caplog.at_level(logging.WARNING, logger="skillforge.harness"):
+        run_kfold(config, world, mock_provider_factory())
+    assert [r.getMessage() for r in caplog.records if "leaky" in r.getMessage()] == [
+        "folds=1: evolving and evaluating on the same tasks (leaky protocol)"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="skillforge.harness"):
+        evolve_library(config, world, mock_provider_factory()(7))
+    assert not [r for r in caplog.records if "leaky" in r.getMessage()]
+
+
 @pytest.mark.parametrize(
     ("world_seed", "n_tasks", "strategy", "noise_rate"),
     [(7, 20, "greedy", 0.0), (3, 40, "lp_round", 0.5), (11, 60, "primal_dual", 1.0)],
@@ -1221,28 +1236,6 @@ def test_full_pipeline_composes_with_every_selection_strategy(strategy):
     assert report.final_pass_rate >= report.base_pass_rate
     # at least one cell evolved something
     assert any(row.n_retained for cell in report.cells for row in cell.rows if row.n_retained)
-
-
-def test_run_kfold_applies_task_transform_hook():
-    world = _world(n_tasks=10)
-    seen = []
-
-    def transform(tasks):
-        seen.extend(t.id for t in tasks)
-        return [
-            Task(id=t.id, description=t.description + " paraphrased", metadata=dict(t.metadata))
-            for t in tasks
-        ]
-
-    report = run_kfold(
-        RunConfig(seed=7, epochs=0, folds=2, runs=1),
-        world,
-        mock_provider_factory(),
-        task_transform=transform,
-    )
-    assert sorted(seen) == sorted(t.id for t in world.tasks)
-    # the tag phrases still lead the descriptions, so the base rate survives
-    assert report.base_pass_rate > 0
 
 
 def test_emit_report_round_trips_and_renders(tmp_path):
