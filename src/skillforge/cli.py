@@ -28,6 +28,7 @@ from skillforge.harness import (
     EvolutionReport,
     ProviderBundle,
     RunConfig,
+    check_task_count,
     emit_report,
     evolve_library,
     mock_provider_factory,
@@ -216,11 +217,17 @@ def _resolve_providers(args):
     return lambda seed: bundle
 
 
-def _resolve_world(args, config: RunConfig) -> SyntheticWorld:
-    world_dir = getattr(args, "world_dir", None)
-    if world_dir:
-        return load_world(world_dir)
-    return generate_world(WorldConfig(seed=config.seed))
+def _resolve_world(args, config: RunConfig, folds: int) -> SyntheticWorld:
+    """The ``--world-dir`` world, else the seed's, checked to fill ``folds`` folds before ``--out`` is made."""
+    world = load_world(args.world_dir) if args.world_dir else generate_world(WorldConfig(seed=config.seed))
+    check_task_count(world, folds)
+    return world
+
+
+def _check_out_parent(path: str) -> None:
+    """Before any provider call: the parent of a file ``--out`` must be a directory."""
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"cannot write {path}: its parent is not a directory")
 
 
 def cmd_simworld(args) -> int:
@@ -239,6 +246,7 @@ def cmd_simworld(args) -> int:
 
 def cmd_tag(args) -> int:
     config = resolve_run_config(args)
+    _check_out_parent(args.out)
     bundle = _resolve_providers(args)(config.seed)
     if args.library is not None:
         library = load_library(args.library)
@@ -273,7 +281,7 @@ def cmd_select(args) -> int:
 def cmd_evolve(args) -> int:
     config = resolve_run_config(args)
     bundle = _resolve_providers(args)(config.seed)
-    world = _resolve_world(args, config)
+    world = _resolve_world(args, config, 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dump_prompts:
@@ -303,6 +311,7 @@ def _candidate(raw: dict) -> tuple[Skill, Task, frozenset[str]]:
 
 def cmd_score(args) -> int:
     config = resolve_run_config(args)
+    _check_out_parent(args.out)
     bundle = _resolve_providers(args)(config.seed)
     rows_in = [
         _record("candidate", _candidate, raw, where) for where, raw in _iter_jsonl(args.candidates)
@@ -336,7 +345,7 @@ def cmd_retrieve(args) -> int:
 def cmd_eval(args) -> int:
     config = resolve_run_config(args)
     factory = _resolve_providers(args)
-    world = _resolve_world(args, config)
+    world = _resolve_world(args, config, config.folds)
     if args.paraphrase_provider and getattr(args, "mock", False):
         raise ConfigError("--paraphrase-provider needs a real chat endpoint, not --mock")
     out = Path(args.out)
@@ -356,10 +365,10 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     config = resolve_run_config(args)
     factory = _resolve_providers(args)
-    world = load_world(args.world_dir) if args.world_dir else None
-    if world is not None and args.dimension == "transfer":
+    if args.world_dir and args.dimension == "transfer":
         # Checked here too, so that the error leaves no --out behind.
         raise ConfigError("the transfer sweep builds its own two worlds from the seed; it takes no --world-dir")
+    world = None if args.dimension == "transfer" else _resolve_world(args, config, config.folds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = sweep(config, args.dimension, world=world, provider_factory=factory)

@@ -19,9 +19,9 @@ which adds the best-ranked skill covering something new, ties broken by id:
 * ``lp_round``    - fractional relaxation minimizing the number of introduced
                     irrelevant classes subject to coverage, solved by HiGHS
                     through scipy's bundled ``highspy`` binding (the layer
-                    under ``milp``, without its per-call wrapping), rounded
-                    at 0.5, then completed by the greedy step. The model
-                    is sparse, so it takes an instance of any size.
+                    under ``milp``, loaded from its file without importing
+                    ``scipy.optimize``), rounded at 0.5, then completed by
+                    the greedy step; the sparse model takes any size.
 * ``brute_force`` - exhaustive oracle over all subsets (at most 20 skills,
                     past which it raises ``SizeError``).
 
@@ -40,9 +40,13 @@ unchanged.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+import threading
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from operator import itemgetter
 from pathlib import Path
 
@@ -51,6 +55,8 @@ from skillforge.errors import ConfigError, InputError, SizeError
 from skillforge.model import _field, _read_json
 
 BRUTE_FORCE_CAP = 20
+_HIGHS = "scipy.optimize._highspy._core"
+_HIGHS_LOAD = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -234,12 +240,12 @@ def _solve_lp(
     """Solve the relaxation minimizing introduced irrelevant classes and return
     the skill columns at or above 0.5, or ``()`` unless HiGHS reports an
     optimum. The model goes straight to HiGHS through scipy's bundled
-    ``highspy`` binding, the layer under ``milp`` and ``linprog``: the same
-    column-wise matrix, bounds and options ``milp`` would hand it, without
-    its per-call validation, dense-to-sparse conversion, option checks and
-    dual read-out. Each solve gets a fresh solver object, so no state passes
-    from one model to the next and concurrent solves share nothing."""
-    from scipy.optimize._highspy import _core as highs
+    ``highspy`` binding (from ``_highs``, so ``scipy.optimize`` is never
+    imported), the layer under ``milp``: the same column-wise matrix, bounds
+    and options ``milp`` would hand it, without its per-call validation,
+    dense-to-sparse conversion, option checks and dual read-out. Each solve
+    gets a fresh solver object, so no solver state passes between solves."""
+    highs = _highs()
 
     n_rows = entries[-1][0] + 1  # entries come in row order
     by_column = sorted(entries, key=itemgetter(1))  # stable: rows stay ascending
@@ -272,6 +278,23 @@ def _solve_lp(
         return ()
     x = solver.getSolution().col_value
     return tuple(i for i in range(n_skills) if x[i] >= 0.5)
+
+
+def _highs():
+    """scipy's bundled HiGHS binding, loaded from its file on the first call
+    and registered under its own name, so a named import gets this module and
+    ``scipy.optimize``'s ``__init__`` never runs. The lock keeps racing first
+    calls from getting a module another thread's load has not filled yet."""
+    with _HIGHS_LOAD:
+        if _HIGHS not in sys.modules:
+            directory = Path(importlib.util.find_spec("scipy").origin).parent / "optimize" / "_highspy"
+            spec = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_HIGHS)
+            if spec is None:
+                raise ImportError(f"no {_HIGHS} extension in {directory}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_HIGHS] = module
+        return sys.modules[_HIGHS]
 
 
 def brute_force_select(instance: CoverInstance) -> SelectionResult:

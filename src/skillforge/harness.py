@@ -767,6 +767,12 @@ def _evolve_cell(
     return library, rows, stats_list
 
 
+def check_task_count(world: SyntheticWorld, folds: int) -> None:
+    """Raise ``ConfigError`` unless ``world`` has a task for each of ``folds`` folds."""
+    if len(world.tasks) < folds:
+        raise ConfigError(f"{len(world.tasks)} task(s) cannot fill {folds} fold(s): a run needs a task per fold")
+
+
 def _protocol(
     config: RunConfig,
     world: SyntheticWorld,
@@ -787,9 +793,7 @@ def _protocol(
     table of the tasks in id order, so the folds do not depend on the order
     given.
     """
-    if len(world.tasks) < config.folds:
-        raise ConfigError(f"{len(world.tasks)} task(s) cannot fill {config.folds} fold(s): a run needs a task per fold")
-
+    check_task_count(world, config.folds)
     leaky = config.folds == 1
     cells: list[CellResult] = []
     table = TaskTable(sorted(world.tasks, key=lambda t: t.id), world)

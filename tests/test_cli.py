@@ -313,11 +313,14 @@ _RUNS = {
 }
 
 
+# ``tag`` and ``score`` write a file, so only a path under a regular file is
+# unusable for them.
 @pytest.mark.parametrize(
     "command, flag, under_file",
     [(command, "--out", under) for command in _RUNS for under in (False, True)]
-    + [("evolve", "--dump-prompts", True)],
-    ids=[f"{c}-out-{w}" for c in _RUNS for w in ("file", "under-file")] + ["evolve-dump-prompts-under-file"],
+    + [("evolve", "--dump-prompts", True), ("tag", "--out", True), ("score", "--out", True)],
+    ids=[f"{c}-out-{w}" for c in _RUNS for w in ("file", "under-file")]
+    + ["evolve-dump-prompts-under-file", "tag-out-under-file", "score-out-under-file"],
 )
 def test_an_unusable_output_path_exits_two_before_any_provider_call(
     tmp_path, capsys, monkeypatch, command, flag, under_file
@@ -326,11 +329,14 @@ def test_an_unusable_output_path_exits_two_before_any_provider_call(
     monkeypatch.setattr("skillforge.cli.mock_provider_factory", _counting_mock_factory(calls))
     world = tmp_path / "world"
     assert dispatch(["simworld", "--seed", "7", "--tasks", "20", "--out", str(world)]) == 0
+    candidates = tmp_path / "candidates.jsonl"
+    candidates.write_text('{"id": "c1", "body": "b", "tags": ["csv_parsing"], ' + _PAIR, encoding="utf-8")
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n", encoding="utf-8")
     bad = blocker / "sub" if under_file else blocker
     paths = {"--out": tmp_path / "out", flag: bad}
-    argv = [*_RUNS[command], "--mock", "--world-dir", str(world)]
+    inputs = {"tag": ["tag", "--tasks", str(world / "tasks.jsonl")], "score": ["score", "--candidates", str(candidates)]}
+    argv = [*inputs[command], "--mock"] if command in inputs else [*_RUNS[command], "--mock", "--world-dir", str(world)]
     capsys.readouterr()
     assert dispatch(argv + [arg for pair in paths.items() for arg in map(str, pair)]) == 2
     assert str(bad) in capsys.readouterr().err
@@ -355,6 +361,18 @@ def test_a_world_without_tasks_exits_two_before_any_provider_call(tmp_path, caps
     assert dispatch([*run, "--mock", "--world-dir", str(world), "--out", str(tmp_path / "out")]) == 2
     assert "error: 0 task(s) cannot fill 1 fold(s): a run needs a task per fold" in capsys.readouterr().err
     assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("run", [["eval"], ["sweep", "--dimension", "epochs"]], ids=["eval", "sweep"])
+def test_too_few_tasks_for_the_folds_exits_two_and_leaves_no_out(tmp_path, capsys, run):
+    world = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--tasks", "4", "--out", str(world)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert dispatch([*run, "--mock", "--folds", "5", "--world-dir", str(world), "--out", str(out)]) == 2
+    assert "error: 4 task(s) cannot fill 5 fold(s)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class _StubChat:

@@ -1,6 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
+import json
+import os
 import random
+import re
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from importlib.machinery import ModuleSpec
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +21,9 @@ from hypothesis import strategies as st
 from skillforge import memo
 from skillforge.cover import (
     CoverInstance,
+    _HIGHS,
     _greedy,
+    _highs,
     _result,
     _solve_lp,
     brute_force_select,
@@ -616,3 +628,89 @@ def test_a_solve_without_an_optimum_picks_nothing_and_greedy_covers(no_simplex_i
     # One solve above, then one per instance with a coverable class.
     assert len(no_simplex_iterations) == 1 + sum(bool(instance.coverable) for instance in instances)
     assert _core.HighsModelStatus.kOptimal not in no_simplex_iterations
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _in_a_fresh_interpreter(script):
+    """Run ``script`` in a new interpreter that imports ``skillforge`` from
+    this checkout; return what it prints last, read as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _as_source(instance):
+    return f"CoverInstance({sorted(instance.target_classes)!r}, {instance.skill_classes!r})"
+
+
+def test_the_binding_loads_by_itself_and_a_named_import_gets_the_same_module():
+    script = f"""
+import json, sys
+from skillforge.cover import CoverInstance, _highs, lp_round_select
+picks = list(lp_round_select({_as_source(FIXTURE)}).selected)
+loaded, alone = _highs(), "scipy.optimize" not in sys.modules
+from scipy.optimize._highspy import _core
+print(json.dumps([alone, _core is loaded, picks]))
+"""
+    expected = list(_reference_lp_round(FIXTURE, _milp).selected)
+    assert _in_a_fresh_interpreter(script) == [True, True, expected]
+
+
+def test_first_solves_racing_in_threads_equal_the_serial_ones():
+    rng = random.Random(32)
+    instances = [FIXTURE, NOISY_BROAD] + [_random_instance(rng) for _ in range(6)]
+    # A tiny switch interval makes the threads trade the interpreter lock
+    # often during the binding's first load.
+    script = f"""
+import json, sys, threading
+from skillforge.cover import CoverInstance, lp_round_select
+sys.setswitchinterval(1e-6)
+instances = [{", ".join(map(_as_source, instances))}]
+start = threading.Barrier(4)
+picks = [None] * 4
+def solve(i):
+    start.wait()
+    picks[i] = [list(lp_round_select(instance).selected) for instance in instances]
+threads = [threading.Thread(target=solve, args=(i,)) for i in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+    assert not thread.is_alive()
+print(json.dumps(picks))
+"""
+    serial = [list(lp_round_select(instance).selected) for instance in instances]
+    assert _in_a_fresh_interpreter(script) == [serial] * 4
+
+
+def test_racing_first_calls_load_the_binding_once(monkeypatch):
+    _highs()
+    monkeypatch.delitem(sys.modules, _HIGHS)
+    loads = []
+    module_from_spec = importlib.util.module_from_spec
+
+    def slow_load(spec):
+        loads.append(spec.name)
+        time.sleep(0.05)  # holds the load open while the other threads arrive
+        return module_from_spec(spec)
+
+    monkeypatch.setattr(importlib.util, "module_from_spec", slow_load)
+    with ThreadPoolExecutor(4) as pool:
+        modules = list(pool.map(lambda _: _highs(), range(4)))
+    assert loads == [_HIGHS]
+    assert all(module is sys.modules[_HIGHS] for module in modules)
+
+
+def test_a_missing_binding_file_raises_import_error_naming_the_directory(tmp_path, monkeypatch):
+    searched = tmp_path / "optimize" / "_highspy"
+    searched.mkdir(parents=True)
+    (searched / "__init__.py").write_text("", encoding="utf-8")
+    _highs()
+    monkeypatch.delitem(sys.modules, _HIGHS)
+    scipy = ModuleSpec("scipy", None, origin=str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(str(searched))):
+        _highs()
