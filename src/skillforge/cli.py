@@ -6,8 +6,8 @@ file), ``evolve`` (full epoch loop), ``score`` (score a candidate file),
 ``retrieve`` (BM25 query), ``eval`` (k-fold protocol), ``sweep`` (parameter
 sweeps), and ``report`` (re-render a report JSON as Markdown).
 
-Each run setting comes from its flag, else the ``--config`` file, else its
-default; the fully resolved configuration is echoed into every report. The
+Each command takes only the flags it reads. A run setting comes from its flag,
+else the ``--config`` file, else its default, and every report echoes it. The
 environment supplies only the HTTP endpoints and API key, and the
 ``--chat-url``, ``--embed-url`` and ``--logprob-url`` flags override it.
 Exit codes: 0 on success, 1 on usage errors, 2 on runtime errors.
@@ -76,6 +76,12 @@ from skillforge.world import (
 )
 
 
+# The run flags beside --config and --seed, by type; each command takes only those it reads.
+_RUN_FLAGS = {"--noise-rate": float, "--epochs": int, "--filter-ratio": float, "--strategy": str, "--delta": float,
+              "--k": int, "--folds": int, "--runs": int, "--label-scale": float}
+_RUN_HELP = {"--noise-rate": "mock generator noise rate", "--k": "retrieval depth"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skillforge",
@@ -83,22 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file with RunConfig fields")
-        p.add_argument("--seed", type=int, default=None)
+    def add_providers(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mock", action="store_true", help="use seeded offline mock providers")
-        p.add_argument("--noise-rate", type=float, default=None, help="mock generator noise rate")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--filter-ratio", type=float, default=None)
-        p.add_argument("--strategy", default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--k", type=int, default=None, help="retrieval depth")
-        p.add_argument("--folds", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--label-scale", type=float, default=None)
-        p.add_argument("--chat-url", default=None)
-        p.add_argument("--embed-url", default=None)
-        p.add_argument("--logprob-url", default=None)
+        for name in ("--chat-url", "--embed-url", "--logprob-url"):
+            p.add_argument(name)
+
+    def add_run(p: argparse.ArgumentParser, *names: str) -> None:
+        p.add_argument("--config", help="JSON config file with RunConfig fields")
+        p.add_argument("--seed", type=int)
+        for name in names:
+            p.add_argument(name, type=_RUN_FLAGS[name], help=_RUN_HELP.get(name))
 
     p = sub.add_parser("simworld", help="generate a synthetic world")
     p.add_argument("--seed", type=int, default=7)
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simworld)
 
     p = sub.add_parser("tag", help="tag a skill library or infer task target tags")
-    add_common(p)
+    add_providers(p)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--library", help="library JSONL to tag")
     source.add_argument("--tasks", help="task JSONL to infer target tags for")
@@ -124,14 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("evolve", help="run the full epoch loop on a world")
-    add_common(p)
+    add_providers(p)
+    add_run(p, *(name for name in _RUN_FLAGS if name not in ("--folds", "--runs")))
     p.add_argument("--world-dir", help="directory produced by simworld; generated when omitted")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-prompts", help="directory for assembled generation prompts")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("score", help="score a candidate file")
-    add_common(p)
+    add_providers(p)
+    add_run(p, "--delta", "--filter-ratio")
     p.add_argument("--candidates", required=True, help="candidate JSONL")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_score)
@@ -143,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("eval", help="k-fold evolution and held-out evaluation")
-    add_common(p)
+    add_providers(p)
+    add_run(p, *_RUN_FLAGS)
     p.add_argument("--world-dir")
     p.add_argument("--out", required=True)
     p.add_argument(
@@ -153,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="parameter sweeps over the k-fold protocol")
-    add_common(p)
+    add_providers(p)
+    add_run(p, *_RUN_FLAGS)
     p.add_argument("--dimension", required=True, choices=SWEEP_DIMENSIONS)
     p.add_argument("--world-dir")
     p.add_argument("--out", required=True)
@@ -185,7 +189,7 @@ _CONFIG_FLAGS = {"retrieval_k": "k"}
 def resolve_run_config(args) -> RunConfig:
     """Every ``RunConfig`` field from its flag, else the ``--config`` file,
     else the default; an error in the file names the file."""
-    path = getattr(args, "config", None)
+    path = args.config
     values = _read_json(path, "config", _config_fields) if path else {}
     for f in fields(RunConfig):
         value = getattr(args, _CONFIG_FLAGS.get(f.name, f.name), None)
@@ -197,12 +201,10 @@ def resolve_run_config(args) -> RunConfig:
 def _resolve_providers(args):
     """Return the factory of seeded provider bundles. Mock providers stay
     fully offline; the HTTP factory returns its one bundle for every seed."""
-    if getattr(args, "mock", False):
+    if args.mock:
         noise = getattr(args, "noise_rate", None) or 0.0
         return mock_provider_factory(noise_rate=noise)
-    overrides = {
-        key: value for key in ("chat_url", "embed_url", "logprob_url") if (value := getattr(args, key, None))
-    }
+    overrides = {key: value for key in ("chat_url", "embed_url", "logprob_url") if (value := getattr(args, key))}
     http = HttpConfig.from_env(**overrides)
     if not (http.chat_url and http.embed_url and http.logprob_url):
         raise ConfigError(
@@ -245,9 +247,9 @@ def cmd_simworld(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    config = resolve_run_config(args)
     _check_out_parent(args.out)
-    bundle = _resolve_providers(args)(config.seed)
+    # Tag replies read only the prompt, so the bundle's seed changes nothing.
+    bundle = _resolve_providers(args)(0)
     if args.library is not None:
         library = load_library(args.library)
         tagged = []
@@ -346,7 +348,7 @@ def cmd_eval(args) -> int:
     config = resolve_run_config(args)
     factory = _resolve_providers(args)
     world = _resolve_world(args, config, config.folds)
-    if args.paraphrase_provider and getattr(args, "mock", False):
+    if args.paraphrase_provider and args.mock:
         raise ConfigError("--paraphrase-provider needs a real chat endpoint, not --mock")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -413,7 +415,7 @@ def dispatch(argv: list[str]) -> int:
         return 1
     try:
         return args.func(args)
-    except (SkillForgeError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (SkillForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

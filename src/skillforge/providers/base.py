@@ -19,7 +19,7 @@ import logging
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Protocol, TypeVar, runtime_checkable
+from typing import Protocol, TypeVar
 
 import numpy as np
 
@@ -72,17 +72,14 @@ class LikelihoodResult:
             raise InputError("sum_logprob must be finite")
 
 
-@runtime_checkable
 class ChatProvider(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
 
 
-@runtime_checkable
 class EmbeddingProvider(Protocol):
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
-@runtime_checkable
 class LikelihoodProvider(Protocol):
     def score_likelihood(self, condition: str, continuation: str) -> LikelihoodResult: ...
 

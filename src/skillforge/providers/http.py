@@ -15,9 +15,10 @@ Request and response shapes:
   ``text_offset`` lies inside the continuation span.
 
 Prompt text is forwarded byte-for-byte; the adapter never rewrites payload
-strings. A response body of the wrong shape, or with a value that cannot be
-read (a non-numeric or negative count, ragged vectors, a non-finite logprob),
-raises ``ProviderError``; an empty completion raises ``GenerationError``.
+strings. A response body that is not JSON, one of the wrong shape, or one
+with a value that cannot be read (a non-numeric or negative count, ragged
+vectors, a non-finite logprob) raises ``ProviderError``, which is not
+retried; an empty completion raises ``GenerationError``.
 Transport failures and HTTP 5xx responses are retried with exponential
 backoff, for at most ``retries`` attempts in all, with one warning logged
 per retry; 4xx responses are not retried.
@@ -67,7 +68,10 @@ def _requests_transport(url: str, payload: dict, headers: dict) -> dict:
         raise ProviderError(f"server error {response.status_code}", retryable=True)
     if response.status_code >= 400:
         raise ProviderError(f"request rejected: {response.status_code} {response.text[:200]}")
-    return response.json()
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise ProviderError(f"malformed response from {url}: the body is not JSON: {exc}") from exc
 
 
 @dataclass

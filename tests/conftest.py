@@ -113,6 +113,17 @@ def write_instance(instance: CoverInstance, path) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def requests_reply(body: bytes):
+    """A status-200 ``requests.Response`` with the raw ``body``, as
+    ``requests.post`` returns it."""
+    import requests
+
+    response = requests.Response()
+    response.status_code = 200
+    response._content = body
+    return response
+
+
 def make_skill(skill_id="s1", tags=("csv_parsing",), body=None, **kwargs) -> Skill:
     body = body if body is not None else "Steps for " + ", ".join(sorted(tags)) + "."
     defaults = dict(

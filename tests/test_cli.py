@@ -350,6 +350,63 @@ def test_the_counting_factory_sees_a_finished_runs_calls(tmp_path, monkeypatch):
     assert {"complete", "embed", "score_likelihood"} <= set(calls)
 
 
+_PROVIDER_FLAGS = {"mock", "chat_url", "embed_url", "logprob_url"}
+_RUN_SETTINGS = {"config", "seed", "noise_rate", "epochs", "filter_ratio", "strategy", "delta", "k", "folds", "runs",
+                 "label_scale"}
+# The provider and run settings each command reads; it takes no others.
+_SETTINGS = {
+    "tag": _PROVIDER_FLAGS,
+    "score": _PROVIDER_FLAGS | {"config", "seed", "delta", "filter_ratio"},
+    "evolve": _PROVIDER_FLAGS | _RUN_SETTINGS - {"folds", "runs"},
+    "eval": _PROVIDER_FLAGS | _RUN_SETTINGS,
+    "sweep": _PROVIDER_FLAGS | _RUN_SETTINGS,
+}
+_FLAG_VALUES = {"--config": "config.json", "--seed": "7", "--noise-rate": "0.5", "--epochs": "1",
+                "--filter-ratio": "0.5", "--strategy": "greedy", "--delta": "0.9", "--k": "3", "--folds": "2",
+                "--runs": "1", "--label-scale": "0.5"}
+
+
+def _command_argv(command, tmp_path):
+    """A minimal ``--mock`` command line for ``command`` that exits 0."""
+    world = tmp_path / "world"
+    assert dispatch(["simworld", "--seed", "7", "--tasks", "20", "--out", str(world)]) == 0
+    candidates = tmp_path / "candidates.jsonl"
+    candidates.write_text('{"id": "c1", "body": "b", "tags": ["csv_parsing"], ' + _PAIR, encoding="utf-8")
+    return {
+        "tag": ["tag", "--tasks", str(world / "tasks.jsonl")],
+        "score": ["score", "--candidates", str(candidates)],
+        "evolve": ["evolve", "--world-dir", str(world)],
+        "eval": ["eval", "--world-dir", str(world)],
+        "sweep": ["sweep", "--dimension", "epochs", "--world-dir", str(world)],
+    }[command] + ["--mock", "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", sorted(_SETTINGS))
+def test_each_command_takes_only_the_settings_it_reads(tmp_path, command):
+    args = vars(build_parser().parse_args(_command_argv(command, tmp_path)))
+    assert set(args) & (_PROVIDER_FLAGS | _RUN_SETTINGS) == _SETTINGS[command]
+
+
+_REMOVED = [
+    (command, flag)
+    for command in ("tag", "score", "evolve")
+    for flag in _FLAG_VALUES
+    if flag[2:].replace("-", "_") not in _SETTINGS[command]
+]
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED, ids=[f"{command}{flag}" for command, flag in _REMOVED])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag):
+    calls = []
+    monkeypatch.setattr("skillforge.cli.mock_provider_factory", _counting_mock_factory(calls))
+    argv = _command_argv(command, tmp_path)
+    capsys.readouterr()
+    assert dispatch([*argv, flag, _FLAG_VALUES[flag]]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("run", [["evolve"], ["eval", "--folds", "1"]], ids=["evolve", "eval-one-fold"])
 def test_a_world_without_tasks_exits_two_before_any_provider_call(tmp_path, capsys, monkeypatch, run):
     calls = []

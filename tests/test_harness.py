@@ -44,14 +44,14 @@ from skillforge.harness import (
 )
 from skillforge.model import FailurePair, SkillLibrary, Task, Trajectory
 from skillforge.providers.base import ASK_ATTEMPTS, ChatRequest, ChatResponse, ask
-from skillforge.providers.http import HttpConfig, HttpLikelihoodProvider
+from skillforge.providers.http import HttpChatProvider, HttpConfig, HttpLikelihoodProvider
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
 from skillforge.retrieval import build_index, retrieve
 from skillforge.scoring import CandidateSkill, retention_count
 from skillforge.tags import EquivalenceIndex, generate_skill_tags, generate_target_tags
 from skillforge.world import WorldConfig, generate_world
 
-from conftest import ScriptedChat, StubLikelihood, build_eq, make_pair, make_skill
+from conftest import ScriptedChat, StubLikelihood, build_eq, make_pair, make_skill, requests_reply
 
 
 class FakeClock:
@@ -506,18 +506,20 @@ def _pooled_factory(noise_rate):
     return factory
 
 
+def _order_free(report):
+    """The report without wall-clock times, ``max_workers`` and provider names."""
+    payload = strip_wall_clock(report.to_dict())
+    del payload["config"]["max_workers"], payload["providers"]
+    return payload
+
+
 @pytest.mark.parametrize("world_seed", [3, 7])
 def test_pooled_stages_give_the_serial_report(monkeypatch, world_seed):
     from concurrent.futures import ThreadPoolExecutor
 
-    def stripped(report):
-        payload = strip_wall_clock(report.to_dict())
-        del payload["config"]["max_workers"], payload["providers"]
-        return payload
-
     world = _world(seed=world_seed, n_tasks=40)
     config = RunConfig(seed=7, epochs=2, folds=2, runs=2, max_workers=1)
-    serial = stripped(run_kfold(config, world, mock_provider_factory(noise_rate=0.5)))
+    serial = _order_free(run_kfold(config, world, mock_provider_factory(noise_rate=0.5)))
     assert any(row["n_candidates"] for cell in serial["cells"] for row in cell["rows"])
 
     pools = []
@@ -532,7 +534,7 @@ def test_pooled_stages_give_the_serial_report(monkeypatch, world_seed):
         pools.clear()
         report = run_kfold(replace(config, max_workers=workers), world, _pooled_factory(noise_rate=0.5))
         assert pools and set(pools) == {workers}
-        assert stripped(report) == serial
+        assert _order_free(report) == serial
 
 
 def test_run_epoch_builds_one_equivalence_index(monkeypatch):
@@ -985,6 +987,33 @@ def test_kfold_report_does_not_depend_on_task_or_skill_order(seed, label_scale):
         replace(world, initial_skills=world.initial_skills[::-1]),
     ):
         assert strip_wall_clock(run_kfold(config, reordered).to_dict()) == expected
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 99),
+    n_tasks=st.integers(6, 40),
+    label_scale=st.sampled_from([0.5, 1.0]),
+    strategy=st.sampled_from(["greedy", "primal_dual"]),
+    data=st.data(),
+)
+def test_the_kfold_report_depends_on_neither_input_order_nor_workers(seed, n_tasks, label_scale, strategy, data):
+    # Generalizes test_kfold_report_does_not_depend_on_task_or_skill_order and
+    # test_pooled_stages_give_the_serial_report: tasks and initial skills in
+    # any order, and 1, 2 or 4 workers with providers that pool (not in
+    # process) or with the plain mocks, give one report.
+    world = _world(seed=seed, n_tasks=n_tasks)
+    config = RunConfig(seed=seed, epochs=2, folds=2, runs=2, label_scale=label_scale, strategy=strategy)
+    expected = _order_free(run_kfold(replace(config, max_workers=1), world, mock_provider_factory(noise_rate=0.5)))
+    shuffled = replace(
+        world,
+        tasks=tuple(data.draw(st.permutations(world.tasks), label="tasks")),
+        initial_skills=tuple(data.draw(st.permutations(world.initial_skills), label="skills")),
+    )
+    for make in (mock_provider_factory, _pooled_factory):
+        for workers in (1, 2, 4):
+            report = run_kfold(replace(config, max_workers=workers), shuffled, make(noise_rate=0.5))
+            assert _order_free(report) == expected
+
 
 def test_transfer_diagonal_dominates_off_diagonal():
     config = RunConfig(seed=7, epochs=2, folds=1, runs=1)
@@ -1767,9 +1796,31 @@ def _http_likelihood(bad_prefix):
     return HttpLikelihoodProvider(HttpConfig(logprob_url="http://logprob", transport=transport, sleep=lambda _: None))
 
 
+def _http_chat(monkeypatch, task_id):
+    """An HTTP chat adapter over the real transport, with ``requests.post``
+    stubbed to answer as the seed-7 mock chat, except for a 200 HTML page in
+    reply to the generation request of task ``task_id``."""
+    import requests
+
+    mock = MockChatProvider(seed=7)
+
+    def post(url, **kwargs):
+        payload = kwargs["json"]
+        system, user = (message["content"] for message in payload["messages"])
+        if system == prompts.GENERATE_SYSTEM and f"Task {task_id}:" in user:
+            return requests_reply(b"<html><body>Bad gateway</body></html>")
+        reply = mock.complete(ChatRequest(system, user, payload["temperature"], payload["max_tokens"]))
+        usage = {"prompt_tokens": reply.tokens_in, "completion_tokens": reply.tokens_out}
+        body = {"choices": [{"message": {"content": reply.text}}], "usage": usage}
+        return requests_reply(json.dumps(body).encode())
+
+    monkeypatch.setattr(requests, "post", post)
+    return HttpChatProvider(HttpConfig(chat_url="http://chat", sleep=lambda _: None))
+
+
 @pytest.mark.parametrize("fault", ["target-tag-generation-error", "generation-provider-error",
-                                   "generation-unparseable", "http-logprob-malformed"])
-def test_one_injected_fault_drops_one_pair_and_the_epoch_completes(fault):
+                                   "generation-unparseable", "http-logprob-malformed", "http-chat-not-json"])
+def test_one_injected_fault_drops_one_pair_and_the_epoch_completes(monkeypatch, fault):
     world = _world(n_tasks=20)
     library = world.initial_library()
     tasks = list(world.tasks)
@@ -1787,6 +1838,7 @@ def test_one_injected_fault_drops_one_pair_and_the_epoch_completes(fault):
             _bundle(MockChatProvider(seed=7)),
             likelihood=_http_likelihood(next(t.description for t in tasks if t.id == victim)),
         ),
+        "http-chat-not-json": lambda: _bundle(_http_chat(monkeypatch, victim)),
     }[fault]()
     _, updated, stats = run_epoch(library, tasks, world, _Session(bundle), config)
 

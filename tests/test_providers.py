@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from skillforge.errors import ConfigError, GenerationError, InputError, ProviderError
+from skillforge.errors import PAIR_FAULTS, ConfigError, GenerationError, InputError, ProviderError
 from skillforge.providers.base import ChatRequest, LikelihoodResult
 from skillforge.providers.http import (
     HttpChatProvider,
@@ -16,6 +16,8 @@ from skillforge.providers.http import (
     HttpLikelihoodProvider,
 )
 from skillforge.providers.mock import MockChatProvider, MockEmbedder, MockLikelihoodScorer
+
+from conftest import requests_reply
 
 
 def test_chat_request_validation():
@@ -322,6 +324,25 @@ def test_every_malformed_http_body_is_a_provider_error(body, call):
     }
     with pytest.raises(ProviderError, match=f"malformed {call}"):
         calls[call]()
+
+
+def test_a_2xx_body_that_is_not_json_is_one_provider_error_naming_the_url(monkeypatch):
+    # A proxy's error page on a 200: the real transport, with requests.post stubbed.
+    import requests
+
+    posts = []
+
+    def post(url, **kwargs):
+        posts.append(url)
+        return requests_reply(b"<html><body>Bad gateway</body></html>")
+
+    monkeypatch.setattr(requests, "post", post)
+    config = HttpConfig(chat_url="http://chat", sleep=lambda _: None)
+    with pytest.raises(ProviderError, match="malformed response from http://chat: the body is not JSON") as raised:
+        HttpChatProvider(config).complete(ChatRequest(system="s", user="u"))
+    assert isinstance(raised.value, PAIR_FAULTS)
+    assert not raised.value.retryable
+    assert posts == ["http://chat"]
 
 
 def test_http_embed_count_mismatch_rejected():
